@@ -308,9 +308,13 @@ func main() {
 	}
 
 	st := res.Stats
-	fmt.Printf("# %d durable records | alg=%s | %v | top-k queries=%d (check=%d find=%d maint=%d)\n",
+	pruned := ""
+	if st.ShardsPruned > 0 {
+		pruned = fmt.Sprintf(" | shards pruned=%d", st.ShardsPruned)
+	}
+	fmt.Printf("# %d durable records | alg=%s | %v | top-k queries=%d (check=%d find=%d maint=%d)%s\n",
 		len(res.Records), st.Algorithm, st.Elapsed, st.TopKQueries(),
-		st.CheckQueries, st.FindQueries, st.MaintQueries)
+		st.CheckQueries, st.FindQueries, st.MaintQueries, pruned)
 	if *statsOnly {
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/topk"
 )
 
 // Cross-strategy differential property harness: every evaluation strategy —
@@ -25,6 +26,34 @@ import (
 // test (1 = degenerate single shard; 16 usually exceeds the shard-per-record
 // density on small datasets, exercising cut clamping).
 var diffShardCounts = []int{1, 2, 7, 16}
+
+// foreignBlock hides the tree index behind the bare Block contract, and
+// foreignScratchBlock behind Block plus ScratchBlock (embedding an interface
+// promotes only its own methods): what a straddle region meets when
+// Options.NewBlock supplies the building block, so its merge runs through
+// the re-offer fallback instead of continuing natively.
+type foreignBlock struct{ Block }
+
+type foreignScratchBlock struct {
+	Block
+	ScratchBlock
+}
+
+// diffEngineOpts returns the engine options of differential trial engine i:
+// the tree index for most, a foreign building block for every third.
+func diffEngineOpts(i int) Options {
+	opts := testEngineOpts()
+	switch i % 3 {
+	case 1:
+		opts.NewBlock = func(ds *data.Dataset) Block { return foreignBlock{topk.Build(ds, opts.Index)} }
+	case 2:
+		opts.NewBlock = func(ds *data.Dataset) Block {
+			idx := topk.Build(ds, opts.Index)
+			return foreignScratchBlock{idx, idx}
+		}
+	}
+	return opts
+}
 
 // diffDataset builds one of three adversarially shaped datasets:
 //
@@ -127,14 +156,21 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 	eng := NewEngine(ds, testEngineOpts())
 	sharded := make([]*ShardedEngine, len(diffShardCounts))
 	for i, count := range diffShardCounts {
-		// Alternate strategy and straddle path so both get coverage.
-		sharded[i] = NewShardedEngine(ds, testEngineOpts(), ShardOptions{
+		// Alternate strategy, straddle path and building block so all get
+		// coverage.
+		sharded[i] = NewShardedEngine(ds, diffEngineOpts(i), ShardOptions{
 			Shards:            count,
 			Workers:           1 + rng.Intn(3),
 			Strategy:          ShardStrategy(rng.Intn(2)),
 			StraddleThreshold: []int{1, 16, 1 << 30}[rng.Intn(3)],
 		})
 	}
+	// One engine always takes the region path, with enough shards for a
+	// region to cover several.
+	wide := NewShardedEngine(ds, diffEngineOpts(rng.Intn(3)), ShardOptions{
+		Shards: 6 + rng.Intn(6), Workers: 1 + rng.Intn(3), StraddleThreshold: 1,
+	})
+	sharded = append(sharded, wide)
 
 	fail := func(engine string, q Query, got, want []int) {
 		t.Fatalf("seed %d (DIFF_SEED=%d to reproduce): flavor=%s n=%d d=%d engine=%s\n"+
@@ -175,9 +211,32 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 		return q
 	}
 
-	for qi := 0; qi < 7; qi++ {
+	// spanQuery makes every straddle region of the wide engine cover at least
+	// three shards: an interval across three or more of them and a window of
+	// two to three shard widths, looking back or ahead.
+	spanQuery := func() Query {
+		infos := wide.Shards()
+		first := rng.Intn(len(infos) - 2)
+		last := first + 2 + rng.Intn(len(infos)-first-2)
+		width := infos[first+2].Start - infos[first].Start
+		q := Query{K: 1 + rng.Intn(6), Tau: width + int64(rng.Intn(int(width/2)+1))}
+		q.Start = infos[first].Start + int64(rng.Intn(3))
+		q.End = infos[last].End - int64(rng.Intn(3))
+		if q.End < q.Start {
+			q.End = q.Start
+		}
+		if rng.Intn(2) == 0 {
+			q.Anchor = LookAhead
+		}
+		return q
+	}
+
+	for qi := 0; qi < 9; qi++ {
 		q := diffQuery(rng, ds)
-		if qi >= 5 {
+		switch {
+		case qi >= 7:
+			q = spanQuery()
+		case qi >= 5:
 			q = reachQuery()
 		}
 		q.Scorer = s
@@ -202,13 +261,23 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 				fail(alg.String(), q, got, want)
 			}
 		}
-		for i, se := range sharded {
-			res, err := se.DurableTopK(q)
-			if err != nil {
-				t.Fatalf("seed %d: shards=%d: %v", seed, diffShardCounts[i], err)
-			}
-			if got := res.IDs(); !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
-				fail(fmt.Sprintf("sharded-%d", se.NumShards()), q, got, want)
+		for _, se := range sharded {
+			// Auto, then every strategy pinned: a straddle region runs the
+			// strategy the query names.
+			for _, alg := range append([]Algorithm{Auto}, Algorithms()...) {
+				sub := q
+				sub.Algorithm = alg
+				mid := q.Anchor == General && q.Lead > 0 && q.Lead < q.Tau
+				if mid && (alg == TBase || alg == SBand) {
+					continue // rejected by contract, covered elsewhere
+				}
+				res, err := se.DurableTopK(sub)
+				if err != nil {
+					t.Fatalf("seed %d: shards=%d %v: %v", seed, se.NumShards(), alg, err)
+				}
+				if got := res.IDs(); !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
+					fail(fmt.Sprintf("sharded-%d/%v", se.NumShards(), alg), q, got, want)
+				}
 			}
 		}
 	}
@@ -276,8 +345,15 @@ func runLiveShardedDifferentialTrial(t *testing.T, seed int64) {
 		}
 		prefix := ds.Prefix(appended)
 		batchEng := NewEngine(prefix, testEngineOpts())
-		for qi := 0; qi < 2; qi++ {
+		for qi := 0; qi < 3; qi++ {
 			q := diffQuery(rng, prefix)
+			if qi == 2 {
+				// The whole prefix under a window of a third of it: with the
+				// region path on, boundary runs resolve over regions covering
+				// several sealed shards and the live tail, both directions.
+				lo, hi := prefix.Span()
+				q = Query{K: 1 + rng.Intn(6), Tau: (hi - lo) / 3, Start: lo, End: hi, Anchor: Anchor(rng.Intn(2))}
+			}
 			q.Scorer = s
 			q.WithDurations = rng.Intn(3) == 0 && q.Anchor != General
 			for _, alg := range Algorithms() {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/data"
@@ -59,8 +60,11 @@ type Engine struct {
 	opts Options
 	fwd  view
 
-	mu     sync.Mutex
-	rev    *view
+	// rev is published once and read lock-free: a cross-shard region probe
+	// resolves every overlapped shard's mirrored view on its hot path.
+	rev atomic.Pointer[view]
+
+	mu     sync.Mutex // serializes the lazy builds (rev, ladder)
 	ladder map[Anchor]*skyband.Ladder
 }
 
@@ -139,12 +143,13 @@ func (v *view) topk(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int,
 }
 
 // topkKeep is topk for callers that retain the result beyond the next probe
-// (e.g. S-Hop's per-subinterval prefetch lists): the result is freshly
-// allocated, only the probe's internal working memory is reused.
-func (v *view) topkKeep(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, t1, t2 int64) []topk.Item {
+// (T-Base's sliding top-k set): the result is written over dst — a buffer the
+// caller owns, nil to allocate — and only the probe's internal working memory
+// is shared.
+func (v *view) topkKeep(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, t1, t2 int64, dst []topk.Item) []topk.Item {
 	st.count(kind)
 	if v.into != nil {
-		return v.into.QueryInto(s, k, t1, t2, pr.sc, nil)
+		return v.into.QueryInto(s, k, t1, t2, pr.sc, dst)
 	}
 	return v.idx.Query(s, k, t1, t2)
 }
@@ -307,14 +312,18 @@ func (e *Engine) Index() Block { return e.fwd.idx }
 
 // reversed returns the lazily built time-mirrored view.
 func (e *Engine) reversed() *view {
+	if rv := e.rev.Load(); rv != nil {
+		return rv
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.rev == nil {
-		rds := e.fwd.ds.Reversed()
-		rv := newView(rds, buildBlock(rds, e.opts))
-		e.rev = &rv
+	if rv := e.rev.Load(); rv != nil {
+		return rv
 	}
-	return e.rev
+	rds := e.fwd.ds.Reversed()
+	rv := newView(rds, buildBlock(rds, e.opts))
+	e.rev.Store(&rv)
+	return &rv
 }
 
 // skyLadder returns the lazily built durable k-skyband ladder for the view
@@ -347,25 +356,19 @@ func (e *Engine) TopK(s score.Scorer, k int, t1, t2 int64) []topk.Item {
 	return e.fwd.idx.Query(s, k, t1, t2)
 }
 
-// DurableTopK answers DurTop(k, I, tau) with the strategy selected by the
-// query, returning the tau-durable records in ascending time order together
-// with evaluation statistics.
-func (e *Engine) DurableTopK(q Query) (*Result, error) {
-	if err := q.validate(e.fwd.ds.Dims()); err != nil {
-		return nil, err
-	}
-	alg := e.resolveAlgorithm(&q)
-	if err := checkAlgorithm(&q, alg); err != nil {
-		return nil, err
-	}
-
+// evalIDs runs strategy alg for the validated query q on pr's working memory
+// and returns the view it ran over with the answer ids in that view's id
+// space, ascending. When mirror is set the view is the time-reversed one:
+// id i there is record Len-1-i of the dataset, and ascending ids descend in
+// original time. The ids may live in pr's arena (valid until its next query).
+func (e *Engine) evalIDs(pr *probe, q *Query, alg Algorithm, st *Stats) (v *view, ids []int32, mirror bool) {
 	// Normalize the anchor: end-anchored General queries collapse onto the
 	// specialized LookBack / LookAhead paths; mirrored queries run the
 	// look-back machinery over the time-reversed view (window [p.t, p.t+tau]
 	// becomes [q.t-tau, q.t] for the mirrored record q).
-	v := &e.fwd
-	runQ := q
-	mirror := q.Anchor == LookAhead || (q.Anchor == General && q.Tau > 0 && q.Lead == q.Tau)
+	v = &e.fwd
+	runQ := *q
+	mirror = normalizedAnchor(q) == LookAhead
 	skyAnchor := q.Anchor
 	switch {
 	case mirror:
@@ -382,6 +385,45 @@ func (e *Engine) DurableTopK(q Query) (*Result, error) {
 	}
 	general := runQ.Anchor == General
 
+	switch alg {
+	case TBase:
+		ids = runTBase(v, pr, runQ, st)
+	case THop:
+		if general {
+			ids = runTHopAnchored(v, pr, runQ, st)
+		} else {
+			ids = runTHop(v, pr, runQ, st)
+		}
+	case SBase:
+		if general {
+			ids = runSBaseAnchored(v, runQ, st)
+		} else {
+			ids = runSBase(v, runQ, st)
+		}
+	case SBand:
+		ids = runSBand(v, pr, e.skyLadder(skyAnchor, v), runQ, st)
+	case SHop:
+		if general {
+			ids = runSHopAnchored(v, pr, runQ, st)
+		} else {
+			ids = runSHop(v, pr, runQ, st)
+		}
+	}
+	return v, ids, mirror
+}
+
+// DurableTopK answers DurTop(k, I, tau) with the strategy selected by the
+// query, returning the tau-durable records in ascending time order together
+// with evaluation statistics.
+func (e *Engine) DurableTopK(q Query) (*Result, error) {
+	if err := q.validate(e.fwd.ds.Dims()); err != nil {
+		return nil, err
+	}
+	alg := e.resolveAlgorithm(&q)
+	if err := checkAlgorithm(&q, alg); err != nil {
+		return nil, err
+	}
+
 	// One probe's worth of working memory serves the whole evaluation: every
 	// building-block call below — strategy probes and duration searches —
 	// shares its scratch buffers.
@@ -390,31 +432,7 @@ func (e *Engine) DurableTopK(q Query) (*Result, error) {
 
 	st := Stats{Algorithm: alg}
 	startAt := time.Now()
-	var ids []int32
-	switch alg {
-	case TBase:
-		ids = runTBase(v, pr, runQ, &st)
-	case THop:
-		if general {
-			ids = runTHopAnchored(v, pr, runQ, &st)
-		} else {
-			ids = runTHop(v, pr, runQ, &st)
-		}
-	case SBase:
-		if general {
-			ids = runSBaseAnchored(v, runQ, &st)
-		} else {
-			ids = runSBase(v, runQ, &st)
-		}
-	case SBand:
-		ids = runSBand(v, pr, e.skyLadder(skyAnchor, v), runQ, &st)
-	case SHop:
-		if general {
-			ids = runSHopAnchored(v, pr, runQ, &st)
-		} else {
-			ids = runSHop(v, pr, runQ, &st)
-		}
-	}
+	v, ids, mirror := e.evalIDs(pr, &q, alg, &st)
 	st.Elapsed = time.Since(startAt)
 
 	res := &Result{Stats: st}

@@ -168,6 +168,12 @@ func FuzzLiveShardedAppend(f *testing.F) {
 	// Span-triggered seals (bit 4), tiny span so boundaries are dense.
 	f.Add([]byte{240, 16, 240, 16, 240, 16, 240, 16}, uint8(3), uint8(4), uint8(2), uint8(16|2))
 	f.Add([]byte{255}, uint8(1), uint8(0), uint8(0), uint8(0))
+	// Wide straddle regions (bit 5) under tied scores: 5-row seals and tau 20
+	// put every boundary run's region across >= 3 sealed shards plus the live
+	// tail (query points at rows 8, 16, ... never sit on a seal boundary),
+	// look-back and look-ahead alternating; the second stream seals by span.
+	f.Add(tiedStream(44), uint8(1), uint8(20), uint8(4), uint8(32|7))
+	f.Add(tiedStream(60), uint8(2), uint8(33), uint8(6), uint8(32|16|4))
 	f.Fuzz(func(t *testing.T, raw []byte, kRaw, tauRaw, sealRaw, cfg uint8) {
 		if len(raw) == 0 || len(raw) > 256 {
 			t.Skip()
@@ -182,7 +188,7 @@ func FuzzLiveShardedAppend(f *testing.F) {
 			so.SealRows = int(sealRaw%12) + 1
 		}
 		if cfg&32 != 0 {
-			so.StraddleThreshold = 1 // transient straddle-region engines
+			so.StraddleThreshold = 1 // straddle regions over the shards' indexes
 		} else {
 			so.StraddleThreshold = 1 << 30 // per-record cross-shard probes
 		}
@@ -362,6 +368,17 @@ func FuzzCompaction(f *testing.F) {
 	})
 }
 
+// tiedStream is a fuzz-corpus stream of n consecutive arrivals (gap 1) whose
+// scores cycle through three values, so nearly every comparison is a tie the
+// recency rule must break.
+func tiedStream(n int) []byte {
+	raw := make([]byte, n)
+	for i := range raw {
+		raw[i] = byte(1+i%3) << 4
+	}
+	return raw
+}
+
 // FuzzShardedQuery fuzzes the shard-boundary invariants of ShardedEngine:
 // arbitrary datasets and shard counts against the single-engine and
 // brute-force answers, with the interval optionally pinned exactly onto a
@@ -382,6 +399,13 @@ func FuzzShardedQuery(f *testing.F) {
 	f.Add([]byte{3, 7, 3, 7, 3, 7, 3, 7, 3, 7}, uint8(2), uint8(3), uint8(4), uint8(8|32|1), uint8(2))
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, uint8(1), uint8(1), uint8(6), uint8(8|32|2), uint8(3))
 	f.Add([]byte{240, 16, 240, 16, 240, 16, 240, 16}, uint8(3), uint8(4), uint8(3), uint8(8|32|16), uint8(1))
+	// Wide straddle regions (cfg bit 1) under tied scores: 8 shards of 6 rows
+	// and a tau of 2.5 to 7 shard widths, so every boundary run's region
+	// covers >= 3 shards; look-back, look-ahead (bit 0), and by-time-span
+	// cuts (bit 4). tauRaw also sets the interval: 20..40 of the 47 ticks.
+	f.Add(tiedStream(48), uint8(1), uint8(20), uint8(7), uint8(2), uint8(0))
+	f.Add(tiedStream(48), uint8(2), uint8(40), uint8(7), uint8(2|1), uint8(3))
+	f.Add(tiedStream(48), uint8(3), uint8(15), uint8(7), uint8(2|1|16), uint8(9))
 	f.Fuzz(func(t *testing.T, raw []byte, kRaw, tauRaw, shardRaw, cfg, pin uint8) {
 		if len(raw) == 0 || len(raw) > 512 {
 			t.Skip()
@@ -407,7 +431,7 @@ func FuzzShardedQuery(f *testing.F) {
 		}
 		straddle := 1 << 30 // per-record cross-shard probes
 		if cfg&2 != 0 {
-			straddle = 1 // transient straddle-region engines
+			straddle = 1 // straddle regions over the shards' indexes
 		}
 		se := NewShardedEngine(ds, Options{Index: topk.Options{LengthThreshold: 4}}, ShardOptions{
 			Shards:            int(shardRaw%20) + 1,

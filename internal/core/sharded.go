@@ -61,9 +61,11 @@ type ShardOptions struct {
 	// StraddleThreshold tunes boundary handling: a shard's boundary
 	// straddlers (records whose durability window crosses into a
 	// neighboring shard) are answered by per-record cross-shard probes when
-	// they number at most the threshold, and by a transient engine over the
-	// straddle region otherwise. 0 selects the default (128). Mostly a test
-	// knob; both paths are exact.
+	// they number at most the threshold, and otherwise by running the query's
+	// strategy over the straddle region, whose building block merges the
+	// overlapped shards' own indexes (nothing is built per query; see
+	// spanBlock). 0 selects the default (128). Mostly a test knob; both paths
+	// are exact.
 	StraddleThreshold int
 }
 
@@ -178,10 +180,11 @@ var (
 // verdict depends only on its own anchored window: records whose window lies
 // entirely inside their shard are answered by the shard engine alone, while
 // boundary straddlers — records whose window crosses a shard edge — are
-// answered across shards, either by summing per-shard strictly-higher counts
-// (capped at k per shard, which keeps the sum exact for the >= k test) or by
-// a transient engine over the straddle region. Every record is therefore
-// decided exactly once, never once per shard.
+// answered across shards, either by counting the strictly-higher records of
+// their window in one top-k merged over the overlapped shards (capped at k,
+// which is all the >= k test needs) or by running the query's strategy over
+// the straddle region, probing the same shard indexes through a spanBlock.
+// Every record is therefore decided exactly once, never once per shard.
 //
 // Safe for concurrent queries, like Engine.
 type ShardedEngine struct {
@@ -542,7 +545,7 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	}
 
 	if q.WithDurations {
-		ahead := q.Anchor == LookAhead || (q.Anchor == General && q.Tau > 0 && q.Lead == q.Tau)
+		ahead := normalizedAnchor(&q) == LookAhead
 		// The duration binary searches are the most expensive per-record
 		// step; stride them over the same worker budget as the fan-out,
 		// with per-worker probes and stats merged afterwards.
@@ -609,9 +612,6 @@ func (g *shardGroup) evalShard(pr *probe, sb *shardBounds, si int, q *Query, sco
 	}
 
 	g.evalStraddlers(pr, sb, &part, q, back, lead, subLo, iLo)
-	if part.err != nil {
-		return part
-	}
 	if iLo < iHi {
 		// The interior answer depends only on the shard's own rows plus the
 		// key parameters ([Time(iLo), Time(iHi-1)] is derived from rows of
@@ -669,10 +669,11 @@ func addStats(dst, src *Stats) {
 }
 
 // evalStraddlers decides the boundary records in [lo, hi): small runs by
-// per-record cross-shard probes, large runs by a transient engine over the
-// straddle region — every record of every straddler's window, reached
-// through a zero-copy slice, so the run is answered by the hop machinery at
-// answer-proportional cost instead of per-record probing. Both paths are
+// per-record cross-shard probes, large runs by the hop machinery over the
+// straddle region — every record of every straddler's window — so the run is
+// answered at answer-proportional cost instead of per-record probing. The
+// region gets no index of its own: its building block is a spanBlock, which
+// answers each probe from the overlapped shards' indexes. Both paths are
 // exact.
 func (g *shardGroup) evalStraddlers(pr *probe, sb *shardBounds, part *shardPart, q *Query, back, lead int64, lo, hi int) {
 	if lo >= hi {
@@ -691,8 +692,8 @@ func (g *shardGroup) evalStraddlers(pr *probe, sb *shardBounds, part *shardPart,
 	// Region = union of the straddlers' windows; contiguous because windows
 	// are anchored to sorted arrivals. Clamped below to the first live
 	// shard's lo: rows retired by retention are not evidence, and letting
-	// the transient engine read them would resurrect retired rows into
-	// verdicts the probe path (which only visits live shards) excludes.
+	// the region read them would resurrect retired rows into verdicts the
+	// probe path (which only visits live shards) excludes.
 	rlo := g.ds.LowerBound(satSub(g.ds.Time(lo), back))
 	if rlo < g.shards[0].lo {
 		rlo = g.shards[0].lo
@@ -700,23 +701,52 @@ func (g *shardGroup) evalStraddlers(pr *probe, sb *shardBounds, part *shardPart,
 	rhi := g.ds.UpperBound(satAdd(g.ds.Time(hi-1), lead))
 	sub := *q
 	sub.Start, sub.End = g.ds.Time(lo), g.ds.Time(hi-1)
-	sub.WithDurations = false
 	if sub.Algorithm == SBand {
-		// S-Band amortizes a skyband ladder across queries; on a transient
-		// engine that build is pure overhead, so hop instead.
+		// S-Band amortizes a skyband ladder across queries; a region lives for
+		// one query, so that build is pure overhead — hop instead.
 		sub.Algorithm = SHop
 	}
-	mini := NewEngine(g.ds.Slice(rlo, rhi), g.opts)
-	res, err := mini.DurableTopK(sub)
-	if err != nil {
-		part.err = err
-		return
+
+	// The strategies run over a transient engine whose views are the
+	// region's rows and its spanBlocks. Only the mirrored view copies rows,
+	// into pooled columns.
+	region := g.ds.Slice(rlo, rhi)
+	first := g.shardAt(rlo)
+	mini := Engine{opts: g.opts, fwd: newView(region, &spanBlock{g: g, ds: region, rlo: rlo, rhi: rhi, first: first})}
+	if normalizedAnchor(&sub) == LookAhead {
+		mc := mirrorPool.Get().(*mirrorCols)
+		defer mirrorPool.Put(mc)
+		mirror := region.ReversedInto(mc.times, mc.flat)
+		mc.times, mc.flat = mirror.Times(), mirror.FlatAttrs()
+		rv := newView(mirror, &spanBlock{g: g, ds: mirror, rlo: rlo, rhi: rhi, first: first, mirrored: true})
+		mini.rev.Store(&rv)
 	}
-	for _, r := range res.Records {
-		part.ids = append(part.ids, int32(rlo+r.ID))
+	var st Stats
+	_, ids, mirrored := mini.evalIDs(pr, &sub, sub.Algorithm, &st)
+	if mirrored {
+		// Mirrored ids ascend in reversed time; emit in original order.
+		for i := len(ids) - 1; i >= 0; i-- {
+			part.ids = append(part.ids, int32(rhi-1-int(ids[i])))
+		}
+	} else {
+		for _, id := range ids {
+			part.ids = append(part.ids, int32(rlo)+id)
+		}
 	}
-	addStats(&part.st, &res.Stats)
+	addStats(&part.st, &st)
 }
+
+// mirrorCols is the column storage of one straddle region's time-mirrored
+// rows. A region can be half the dataset, and only a look-ahead evaluation in
+// flight needs one, so the columns have a pool of their own: riding on the
+// pooled probes would park a region-sized buffer on every probe in the
+// process (measured: +10 MiB live heap on a 100k-row archive).
+type mirrorCols struct {
+	times []int64
+	flat  []float64
+}
+
+var mirrorPool = sync.Pool{New: func() interface{} { return new(mirrorCols) }}
 
 // durableAt decides one record from the definition: durable iff fewer than k
 // records of its anchored window score strictly higher, counted across every
@@ -729,17 +759,17 @@ func (g *shardGroup) durableAt(pr *probe, sb *shardBounds, st *Stats, q *Query, 
 }
 
 // higherCount returns min(h, k) where h is the number of records in the
-// global index range [lo, hi) scoring strictly above ref. Each shard probe
-// contributes min(h_shard, k) — exact while all h_shard < k and saturating
-// at k otherwise — so the sum answers the "h >= k?" durability test exactly.
-// A shard whose cached global upper bound is <= ref cannot contribute (no
-// record in it scores strictly above ref) and is skipped without a probe,
-// tallied in Stats.ShardsPruned; the window-reach binary searches of
-// maxDurationSharded sweep many shards per record, so the skip saves a full
-// tree descent per pruned shard.
+// global index range [lo, hi) scoring strictly above ref: the overlapped
+// shards continue one merge (see spanBlock), whose top-k holds min(h, k) such
+// records, and the sweep stops as soon as k of them are in hand. A shard
+// whose cached global upper bound is <= ref cannot contribute (no record in
+// it scores strictly above ref) and is skipped without a probe, tallied in
+// Stats.ShardsPruned; the window-reach binary searches of maxDurationSharded
+// sweep many shards per record, so the skip saves a full tree descent per
+// pruned shard — and the shared bound most of the descent in the others.
 func (g *shardGroup) higherCount(pr *probe, sb *shardBounds, st *Stats, s score.Scorer, k, lo, hi int, ref float64) int {
-	higher := 0
 	var ubs []float64
+	m := pr.sc.Merger(k)
 	for si := g.shardAt(lo); si < len(g.shards) && g.shards[si].lo < hi; si++ {
 		sh := &g.shards[si]
 		plo, phi := max(lo, sh.lo)-sh.lo, min(hi, sh.hi)-sh.lo
@@ -753,15 +783,19 @@ func (g *shardGroup) higherCount(pr *probe, sb *shardBounds, st *Stats, s score.
 			st.ShardsPruned++
 			continue
 		}
-		items := sh.eng.fwd.topkRange(pr, st, kindCheck, s, k, plo, phi)
-		for _, it := range items {
-			if !(it.Score > ref) {
-				break // items descend by score; the rest cannot be higher
-			}
-			if higher++; higher >= k {
-				return higher
-			}
+		st.count(kindCheck)
+		pr.buf = sh.eng.fwd.mergeRange(&m, s, plo, phi, sh.lo, pr.sc, pr.buf)
+		if kth, full := m.Kth(); full && kth.Score > ref {
+			break // k records already outrank ref
 		}
+	}
+	pr.buf = m.Finish(pr.buf)
+	higher := 0
+	for _, it := range pr.buf {
+		if !(it.Score > ref) {
+			break // items descend by score; the rest cannot be higher
+		}
+		higher++
 	}
 	return higher
 }

@@ -20,7 +20,8 @@ func runTBase(v *view, pr *probe, q Query, st *Stats) []int32 {
 	}
 	var res []int32
 
-	// cur holds the top-k items of the current window, best first.
+	// cur holds the top-k items of the current window, best first; every
+	// from-scratch recomputation overwrites it in place.
 	var cur []topk.Item
 	prevWinLo := 0 // index of the oldest record in the previous window
 
@@ -29,11 +30,11 @@ func runTBase(v *view, pr *probe, q Query, st *Stats) []int32 {
 		t := ds.Time(i)
 		winLo := ds.LowerBound(satSub(t, q.Tau))
 		if i == hiIdx {
-			cur = v.topkKeep(pr, st, kindMaint, q.Scorer, q.K, satSub(t, q.Tau), t)
+			cur = v.topkKeep(pr, st, kindMaint, q.Scorer, q.K, satSub(t, q.Tau), t, cur)
 		} else {
 			// The expiring record is the previous right endpoint i+1.
 			if itemsContain(cur, int32(i+1)) {
-				cur = v.topkKeep(pr, st, kindMaint, q.Scorer, q.K, satSub(t, q.Tau), t)
+				cur = v.topkKeep(pr, st, kindMaint, q.Scorer, q.K, satSub(t, q.Tau), t, cur)
 			} else {
 				// Entering records extend the window on the old side:
 				// indices [winLo, prevWinLo).

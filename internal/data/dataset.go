@@ -389,9 +389,23 @@ func (ds *Dataset) Project(dims []int) (*Dataset, error) {
 // for the mirrored record q. Attribute rows are copied into a fresh
 // contiguous backing array in mirrored order.
 func (ds *Dataset) Reversed() *Dataset {
+	return ds.ReversedInto(nil, nil)
+}
+
+// ReversedInto is Reversed over caller-owned column storage: the mirrored
+// rows are written into times and flat, which are reallocated only when too
+// small. The result aliases that storage (read it back through Times and
+// FlatAttrs to keep a grown buffer), so it is valid until the caller reuses
+// the buffers.
+func (ds *Dataset) ReversedInto(times []int64, flat []float64) *Dataset {
 	n, d := ds.Len(), ds.dims
-	times := make([]int64, n)
-	flat := make([]float64, n*d)
+	if cap(times) < n {
+		times = make([]int64, n)
+	}
+	if cap(flat) < n*d {
+		flat = make([]float64, n*d)
+	}
+	times, flat = times[:n], flat[:n*d]
 	for i := 0; i < n; i++ {
 		j := n - 1 - i
 		times[i] = -ds.times[j]

@@ -12,12 +12,13 @@ import (
 //
 // Scorer is the canonical scorer key (score.CanonicalKey); requests whose
 // scorer cannot be canonicalized are uncacheable and never reach the cache.
-// Epoch is the engine's query-epoch sequence at evaluation time: it changes
-// whenever the underlying data changes (append, seal, freeze swap), so stale
-// entries can never be returned — they simply stop being looked up and age
-// out of the LRU. Start/End are the resolved interval (whole-span defaults
-// already substituted), so an omitted interval and its explicit equivalent
-// share an entry.
+// Epoch is the engine's query-epoch sequence at evaluation time: it only
+// grows, and changes whenever the underlying data changes (append, seal,
+// freeze swap), so stale entries can never be returned — and since lookups
+// only ever ask for the current epoch, the first store at a newer epoch drops
+// the dataset's older entries (see PutResult). Start/End are the resolved
+// interval (whole-span defaults already substituted), so an omitted interval
+// and its explicit equivalent share an entry.
 type ResultKey struct {
 	Dataset       string
 	Op            string
@@ -52,6 +53,13 @@ type shardRef struct {
 // ref returns the partial key's shard identity.
 func (k partialKey) ref() shardRef {
 	return shardRef{dataset: k.dataset, lo: k.key.ShardLo, hi: k.key.ShardHi}
+}
+
+// resultEpoch is one dataset's resident whole-result entries; all of them
+// carry the same epoch, the newest one stored so far.
+type resultEpoch struct {
+	epoch uint64
+	keys  map[ResultKey]struct{}
 }
 
 // entry is one cached value; key is the map key (ResultKey or partialKey).
@@ -89,6 +97,11 @@ type Cache struct {
 	// the whole cache. Maintained by put and every removal path.
 	byShard map[shardRef]map[partialKey]struct{}
 
+	// byDataset indexes the resident whole-result entries by dataset, with
+	// the epoch they all share, so a store at a newer epoch can drop the
+	// superseded ones. Maintained by PutResult and every removal path.
+	byDataset map[string]*resultEpoch
+
 	hits, misses               uint64
 	partialHits, partialMisses uint64
 	invalidated                uint64
@@ -101,10 +114,11 @@ func NewCache(max int) *Cache {
 		max = 1
 	}
 	return &Cache{
-		max:     max,
-		items:   make(map[any]*list.Element),
-		lru:     list.New(),
-		byShard: make(map[shardRef]map[partialKey]struct{}),
+		max:       max,
+		items:     make(map[any]*list.Element),
+		lru:       list.New(),
+		byShard:   make(map[shardRef]map[partialKey]struct{}),
+		byDataset: make(map[string]*resultEpoch),
 	}
 }
 
@@ -122,11 +136,32 @@ func (c *Cache) GetResult(key ResultKey) (any, bool) {
 }
 
 // PutResult stores the whole answer for key, evicting the least recently used
-// entries if the cache is full.
+// entries if the cache is full. Epochs only move forward, and lookups only
+// ask for the current one, so an entry keyed on a superseded epoch can never
+// hit again: the first store at a newer epoch drops the dataset's older
+// entries (counted in Invalidated) rather than leaving them resident until
+// LRU pressure, and a store at an older epoch — a slow evaluation finishing
+// after the data moved on twice — is refused. A static dataset's epoch never
+// changes, so its entries are unaffected.
 func (c *Cache) PutResult(key ResultKey, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	re := c.byDataset[key.Dataset]
+	switch {
+	case re == nil:
+		re = &resultEpoch{epoch: key.Epoch, keys: make(map[ResultKey]struct{})}
+		c.byDataset[key.Dataset] = re
+	case key.Epoch < re.epoch:
+		return
+	case key.Epoch > re.epoch:
+		for old := range re.keys {
+			c.invalidate(old)
+		}
+		clear(re.keys)
+		re.epoch = key.Epoch
+	}
 	c.put(key, val)
+	re.keys[key] = struct{}{}
 }
 
 // put inserts or refreshes under c.mu.
@@ -159,10 +194,12 @@ func (c *Cache) put(key, val any) {
 	}
 }
 
-// unindex removes a departing key from the by-shard index under c.mu.
+// unindex removes an evicted key from its secondary index under c.mu.
 func (c *Cache) unindex(key any) {
 	pk, ok := key.(partialKey)
 	if !ok {
+		rk := key.(ResultKey)
+		delete(c.byDataset[rk.Dataset].keys, rk)
 		return
 	}
 	ref := pk.ref()
@@ -171,6 +208,16 @@ func (c *Cache) unindex(key any) {
 		if len(set) == 0 {
 			delete(c.byShard, ref)
 		}
+	}
+}
+
+// invalidate drops one resident entry that can never hit again, under c.mu;
+// the caller clears the secondary index it walked to find the key.
+func (c *Cache) invalidate(key any) {
+	if el, ok := c.items[key]; ok {
+		c.lru.Remove(el)
+		delete(c.items, key)
+		c.invalidated++
 	}
 }
 
@@ -184,11 +231,7 @@ func (c *Cache) invalidateShard(ref shardRef) {
 		return
 	}
 	for pk := range set {
-		if el, ok := c.items[pk]; ok {
-			c.lru.Remove(el)
-			delete(c.items, pk)
-			c.invalidated++
-		}
+		c.invalidate(pk)
 	}
 	delete(c.byShard, ref)
 }
@@ -247,7 +290,7 @@ type CacheStats struct {
 	PartialHits   uint64 // per-shard partial hits
 	PartialMisses uint64 // per-shard partial misses
 	Evicted       uint64 // entries dropped by the LRU bound
-	Invalidated   uint64 // partial entries dropped because their shard left the live set
+	Invalidated   uint64 // entries dropped because they could never hit again: partials whose shard left the live set, results of a superseded epoch
 }
 
 // HitRate returns whole-result hits over lookups, or 0 with no lookups.

@@ -148,6 +148,65 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestCacheResultEpochSupersedes: lookups only ever ask for a dataset's
+// current epoch, so a store at a newer epoch drops that dataset's older
+// results at once instead of leaving them resident until LRU pressure, and a
+// late store at an older epoch is refused. Other datasets, partial entries
+// and a static dataset's constant epoch are untouched.
+func TestCacheResultEpochSupersedes(t *testing.T) {
+	c := NewCache(64)
+	k := func(ds string, i int, epoch uint64) ResultKey {
+		return ResultKey{Dataset: ds, Op: "query", K: i, Epoch: epoch}
+	}
+	for i := 0; i < 5; i++ {
+		c.PutResult(k("live", i, 7), i)
+		c.PutResult(k("static", i, 0), i)
+	}
+	part := c.Partial("live")
+	pk := core.PartialKey{ShardLo: 0, ShardHi: 100, Lo: 10, Hi: 90, Scorer: "lin,x", K: 3}
+	part.PutPartial(pk, []int32{1})
+	if st := c.Stats(); st.Entries != 11 || st.Invalidated != 0 {
+		t.Fatalf("before: %+v", st)
+	}
+
+	c.PutResult(k("live", 0, 9), "fresh")
+	st := c.Stats()
+	if st.Entries != 7 || st.Invalidated != 5 || st.Evicted != 0 {
+		t.Fatalf("after a newer epoch: %+v, want 7 entries, 5 invalidated", st)
+	}
+	if v, ok := c.GetResult(k("live", 0, 9)); !ok || v != "fresh" {
+		t.Fatalf("newest entry: %v, %v", v, ok)
+	}
+	for i := 0; i < 5; i++ {
+		if _, ok := c.GetResult(k("live", i, 7)); ok {
+			t.Fatalf("superseded entry %d still resident", i)
+		}
+		if _, ok := c.GetResult(k("static", i, 0)); !ok {
+			t.Fatalf("static entry %d dropped", i)
+		}
+	}
+	if _, ok := part.GetPartial(pk); !ok {
+		t.Fatal("partial entry dropped by a result epoch change")
+	}
+
+	// A slow evaluation finishing after the data moved on must not park a
+	// dead entry.
+	c.PutResult(k("live", 1, 8), "late")
+	if _, ok := c.GetResult(k("live", 1, 8)); ok {
+		t.Fatal("store at a superseded epoch was accepted")
+	}
+	// Same-epoch stores keep accumulating, and eviction keeps the index
+	// consistent: the next epoch change drops exactly what is resident.
+	small := NewCache(3)
+	for i := 0; i < 5; i++ {
+		small.PutResult(k("live", i, 1), i)
+	}
+	small.PutResult(k("live", 0, 2), 0)
+	if st := small.Stats(); st.Entries != 1 || st.Evicted != 2 || st.Invalidated != 3 {
+		t.Fatalf("after eviction then epoch change: %+v", st)
+	}
+}
+
 func TestCachePartialScopedByDataset(t *testing.T) {
 	c := NewCache(8)
 	pk := core.PartialKey{ShardLo: 0, ShardHi: 100, Lo: 10, Hi: 90, Scorer: "lin,x", K: 3, Tau: 5}

@@ -198,7 +198,15 @@ func (v *View) QueryInto(s score.Scorer, k int, t1, t2 int64, sc *Scratch, dst [
 // QueryRangeInto is QueryRange with caller-provided working memory; see
 // Forest.QueryRangeInto for the Scratch/dst contract.
 func (v *View) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, dst []Item) []Item {
-	return forestQueryRange(v.ds, v.trees, v.bufStart, s, k, lo, hi, sc, dst)
+	m := sc.Merger(k)
+	v.MergeRange(&m, s, lo, hi, 0)
+	return m.Finish(dst)
+}
+
+// MergeRange continues m with the view's records [lo, hi), reported under
+// id+shift; see Index.MergeRange.
+func (v *View) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
+	forestMergeRange(m, v.ds, v.trees, v.bufStart, s, lo, hi, shift)
 }
 
 // UpperBoundAll returns a valid upper bound of the scorer over every record
@@ -292,21 +300,29 @@ func (f *Forest) QueryInto(s score.Scorer, k int, t1, t2 int64, sc *Scratch, dst
 	return f.QueryRangeInto(s, k, lo, hi, sc, dst)
 }
 
-// QueryRangeInto is QueryRange with caller-provided working memory: each
-// overlapping chunk tree is probed through its own scratch-backed bulk-scoring
-// path, the still-buffered tail is bulk-scored directly, and the per-tree
-// results merge in a k-heap living in sc. With a warmed Scratch and a reused
-// dst the whole fan-out performs zero allocations — the steady-state live
-// query path.
+// QueryRangeInto is QueryRange with caller-provided working memory: the
+// overlapping chunk trees and the still-buffered tail continue one merge (see
+// MergeRange) living in sc. With a warmed Scratch and a reused dst the whole
+// fan-out performs zero allocations — the steady-state live query path.
 func (f *Forest) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, dst []Item) []Item {
-	return forestQueryRange(f.tail, f.trees, f.bufStart, s, k, lo, hi, sc, dst)
+	m := sc.Merger(k)
+	f.MergeRange(&m, s, lo, hi, 0)
+	return m.Finish(dst)
 }
 
-// forestQueryRange is the shared probe core of Forest and View: trees and
+// MergeRange continues m with the records of the half-open append-order range
+// [lo, hi), reported under id+shift; see Index.MergeRange.
+func (f *Forest) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
+	forestMergeRange(m, f.tail, f.trees, f.bufStart, s, lo, hi, shift)
+}
+
+// forestMergeRange is the shared probe core of Forest and View: trees and
 // bufStart describe an indexed prefix of ds ([bufStart, ds.Len()) is scanned
 // unindexed); the range is clamped to ds, so a View's prefix storage pins hi
-// regardless of how far the parent forest has grown since the snapshot.
-func forestQueryRange(ds *data.Dataset, trees []chunkTree, bufStart int, s score.Scorer, k, lo, hi int, sc *Scratch, dst []Item) []Item {
+// regardless of how far the parent forest has grown since the snapshot. Every
+// chunk tree continues the caller's merge, so a tree descends only where it
+// can still beat the k-th item the earlier ones left.
+func forestMergeRange(m *Merger, ds *data.Dataset, trees []chunkTree, bufStart int, s score.Scorer, lo, hi, shift int) {
 	n := ds.Len()
 	if hi > n {
 		hi = n
@@ -314,34 +330,21 @@ func forestQueryRange(ds *data.Dataset, trees []chunkTree, bufStart int, s score
 	if lo < 0 {
 		lo = 0
 	}
-	if k <= 0 || lo >= hi {
-		return dst[:0]
+	if m.res.k <= 0 || lo >= hi {
+		return
 	}
-	res := kHeap{k: k, items: sc.fheap[:0]}
 	for _, ct := range trees {
-		clo, chi := ct.start, ct.start+ct.size
-		if clo < lo {
-			clo = lo
+		clo, chi := max(ct.start, lo), min(ct.start+ct.size, hi)
+		if clo < chi {
+			ct.idx.MergeRange(m, s, clo-ct.start, chi-ct.start, ct.start+shift)
 		}
-		if chi > hi {
-			chi = hi
-		}
-		if clo >= chi {
-			continue
-		}
-		items := ct.idx.QueryRangeInto(s, k, clo-ct.start, chi-ct.start, sc, sc.fbuf[:0])
-		for _, it := range items {
-			it.ID += int32(ct.start)
-			res.offer(it)
-		}
-		sc.fbuf = items[:0]
 	}
 	// Bulk-score the clipped still-buffered suffix in one stripe.
 	if blo, bhi := max(bufStart, lo), hi; blo < bhi {
 		times := ds.Times()
 		flat := ds.FlatAttrs()
 		d := ds.Dims()
-		buf := sc.scoreBuf(bhi - blo)
+		buf := m.sc.scoreBuf(bhi - blo)
 		if bulk, ok := s.(score.BulkScorer); ok {
 			bulk.ScoreRange(buf, flat, d, blo, bhi)
 		} else {
@@ -350,10 +353,7 @@ func forestQueryRange(ds *data.Dataset, trees []chunkTree, bufStart int, s score
 			}
 		}
 		for i := blo; i < bhi; i++ {
-			res.offer(Item{ID: int32(i), Time: times[i], Score: buf[i-blo]})
+			m.res.offer(Item{ID: int32(i + shift), Time: times[i], Score: buf[i-blo]})
 		}
 	}
-	out := append(dst[:0], res.sortedDesc()...)
-	sc.fheap = res.items[:0]
-	return out
 }

@@ -267,20 +267,39 @@ func (x *Index) QueryInto(s score.Scorer, k int, t1, t2 int64, sc *Scratch, dst 
 // QueryInto. With a warmed Scratch and a reused dst the probe performs zero
 // allocations.
 func (x *Index) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, dst []Item) []Item {
+	m := sc.Merger(k)
+	x.MergeRange(&m, s, lo, hi, 0)
+	return m.Finish(dst)
+}
+
+// MergeRange continues m with the records of the half-open index range
+// [lo, hi), reported under id+shift. The merge's current k-th item prunes the
+// branch-and-bound from the first node on — the root included, so a tree that
+// cannot improve a full merge costs one upper bound — which is what makes a
+// merge over several indexes (a forest's chunk trees, the shards under a
+// cross-shard region) cheaper than one top-k per index: later indexes descend
+// only where they can still beat what earlier ones found.
+func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 	if hi > len(x.times) {
 		hi = len(x.times)
 	}
 	if lo < 0 {
 		lo = 0
 	}
-	if k <= 0 || lo >= hi {
-		return dst[:0]
+	if m.res.k <= 0 || lo >= hi {
+		return
 	}
+	sc, res, sh := m.sc, m.res, int32(shift)
 	monotone := score.IsMonotone(s)
 	bulk, hasBulk := s.(score.BulkScorer)
-	res := kHeap{k: k, items: sc.heap[:0]}
 	pq := nodePQ{es: sc.pq[:0]}
-	pq.push(pqEntry{node: x.root, ub: math.Inf(1), maxT: x.times[hi-1]})
+	rootUB := math.Inf(1)
+	if len(res.items) == res.k {
+		rootUB = x.upperBound(s, monotone, bulk, sc, &x.nodes[x.root])
+	}
+	if maxT := x.times[hi-1]; res.wouldImprove(rootUB, maxT) {
+		pq.push(pqEntry{node: x.root, ub: rootUB, maxT: maxT})
+	}
 	for pq.len() > 0 {
 		e := pq.pop()
 		if !res.wouldImprove(e.ub, e.maxT) {
@@ -305,7 +324,7 @@ func (x *Index) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, d
 				}
 			}
 			for i := 0; i < span; i++ {
-				res.offer(Item{ID: clo + int32(i), Time: x.times[int(clo)+i], Score: buf[i]})
+				res.offer(Item{ID: clo + int32(i) + sh, Time: x.times[int(clo)+i], Score: buf[i]})
 			}
 			continue
 		}
@@ -322,11 +341,9 @@ func (x *Index) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, d
 			}
 		}
 	}
-	out := append(dst[:0], res.sortedDesc()...)
-	// Return grown buffers to the scratch for the next probe.
-	sc.heap = res.items[:0]
+	// Hand the grown buffers back for the next call.
+	m.res = res
 	sc.pq = pq.es[:0]
-	return out
 }
 
 // Member reports whether record id is in the top-k of the closed time window

@@ -12,7 +12,7 @@ import "sync"
 // GetScratch and return it with PutScratch, or embed a long-lived instance
 // in a single-threaded caller.
 type Scratch struct {
-	heap   []Item    // k-heap item storage
+	heap   []Item    // k-heap item storage; checked out while a Merger is open
 	pq     []pqEntry // frontier priority-queue storage
 	scores []float64 // bulk leaf-scan score buffer
 	gather []float64 // skyline upper-bound gather score buffer
@@ -21,12 +21,6 @@ type Scratch struct {
 	// bulk ScoreGather path (vs scalar skyline loops and MBR bounds); the
 	// perf snapshots record it to prove the gather path is exercised.
 	gatherHits int64
-
-	// Forest probes fan one query out over several per-chunk trees; they
-	// need storage disjoint from the per-tree probe's heap/pq above so the
-	// merged result survives the inner probes. See Forest.QueryRangeInto.
-	fheap []Item // forest merge k-heap storage
-	fbuf  []Item // forest per-tree probe result buffer
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(Scratch) }}
@@ -66,3 +60,52 @@ func (sc *Scratch) GatherHits() int64 { return sc.gatherHits }
 
 // ResetCounters zeroes the instrumentation counters (buffers are kept).
 func (sc *Scratch) ResetCounters() { sc.gatherHits = 0 }
+
+// Merger is one top-k accumulation shared by a sequence of range probes: each
+// MergeRange call (Index, Forest, View) continues the same k-heap, so the
+// current k-th item bounds every later probe. Results are the top-k of the
+// union of the merged ranges — arrival times are unique, so (score desc, time
+// desc) is a total order and the answer does not depend on how the union was
+// cut. Obtain one with Scratch.Merger and close it with Finish.
+type Merger struct {
+	sc  *Scratch
+	res kHeap
+}
+
+// Merger opens a k-item merge on sc's heap storage. The storage is checked
+// out until Finish: a probe that reuses sc in between (a building block of
+// another package answering through QueryRangeInto) allocates its own instead
+// of corrupting the merge.
+func (sc *Scratch) Merger(k int) Merger {
+	m := Merger{sc: sc, res: kHeap{k: k, items: sc.heap[:0]}}
+	sc.heap = nil
+	return m
+}
+
+// K returns the merge's k.
+func (m *Merger) K() int { return m.res.k }
+
+// Kth returns the merge's current k-th best item — the bar every further
+// item must beat; ok is false while fewer than k items have been merged.
+func (m *Merger) Kth() (it Item, ok bool) {
+	if m.res.k <= 0 || len(m.res.items) < m.res.k {
+		return Item{}, false
+	}
+	return m.res.items[0], true
+}
+
+// Offer merges one already-scored item.
+func (m *Merger) Offer(it Item) {
+	if m.res.k > 0 {
+		m.res.offer(it)
+	}
+}
+
+// Finish appends the merged items, best first, to dst[:0] (pass nil to
+// allocate) and hands the heap storage back to the Scratch. The Merger must
+// not be used afterwards.
+func (m *Merger) Finish(dst []Item) []Item {
+	out := append(dst[:0], m.res.sortedDesc()...)
+	m.sc.heap = m.res.items[:0]
+	return out
+}

@@ -101,6 +101,34 @@ func TestGoldenV1WireFraming(t *testing.T) {
 	}
 }
 
+// TestGoldenStatsFrame pins the stats object of a query response: with no
+// shard pruned it is byte-identical to what servers before shardsPruned sent,
+// and a pruned count appears under its own key without moving the others.
+func TestGoldenStatsFrame(t *testing.T) {
+	st := Stats{Algorithm: "s-hop", CheckQueries: 3, FindQueries: 2, MaintQueries: 1,
+		CandidateCount: 4, Visited: 5, ElapsedMicros: 6}
+	for _, g := range []struct {
+		pruned int
+		json   string
+	}{
+		{0, `{"algorithm":"s-hop","checkQueries":3,"findQueries":2,"maintQueries":1,"candidateCount":4,"visited":5,"elapsedMicros":6}`},
+		{2, `{"algorithm":"s-hop","checkQueries":3,"findQueries":2,"maintQueries":1,"candidateCount":4,"visited":5,"shardsPruned":2,"elapsedMicros":6}`},
+	} {
+		st.ShardsPruned = g.pruned
+		got, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != g.json {
+			t.Fatalf("stats frame drifted:\n got  %s\n want %s", got, g.json)
+		}
+		var back Stats
+		if err := json.Unmarshal([]byte(g.json), &back); err != nil || back != st {
+			t.Fatalf("round trip: %+v (err %v), want %+v", back, err, st)
+		}
+	}
+}
+
 // TestV2FieldsMarshalAway: the fields added for protocol v2 and v2.1 must be
 // invisible on v1 frames — a v1 request marshals without features/subId (or
 // the v2.1 backfill keys) and a v1 response without them either, so old

@@ -1062,6 +1062,7 @@ func (s *Server) handleQuery(req *Request) *Response {
 		MaintQueries:   res.Stats.MaintQueries,
 		CandidateCount: res.Stats.CandidateCount,
 		Visited:        res.Stats.Visited,
+		ShardsPruned:   res.Stats.ShardsPruned,
 		ElapsedMicros:  res.Stats.Elapsed.Microseconds(),
 	}}
 	resp.Records = make([]Record, 0, len(res.Records))

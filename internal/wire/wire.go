@@ -188,7 +188,11 @@ type Stats struct {
 	MaintQueries   int    `json:"maintQueries"`
 	CandidateCount int    `json:"candidateCount"`
 	Visited        int    `json:"visited"`
-	ElapsedMicros  int64  `json:"elapsedMicros"`
+	// ShardsPruned is core.Stats.ShardsPruned: shard visits a sharded engine
+	// skipped. Omitted when zero, so frames from unsharded datasets are
+	// byte-identical to those of servers that predate the field.
+	ShardsPruned  int   `json:"shardsPruned,omitempty"`
+	ElapsedMicros int64 `json:"elapsedMicros"`
 }
 
 // DatasetInfo describes one served dataset.

@@ -509,6 +509,21 @@ func TestShardedDatasetOverWire(t *testing.T) {
 		t.Fatalf("sharded wire answer differs:\n got %+v\nwant %+v", gotRecs, wantRecs)
 	}
 
+	// A narrow interval lets the router skip shards; the count must reach
+	// the client (and stay zero through the plain engine).
+	lo, _ := ds.Span()
+	narrow := Request{QuerySpec: QuerySpec{K: 3, Tau: 5, Start: lo, End: lo + 10, ExplicitInterval: true, Weights: []float64{1, 0.5}}}
+	for name, wantPruned := range map[string]bool{"plain": false, "sharded": true} {
+		narrow.Dataset = name
+		_, st, err := cl.Query(narrow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (st.ShardsPruned > 0) != wantPruned {
+			t.Fatalf("%s: shardsPruned = %d over the wire, want pruning %v", name, st.ShardsPruned, wantPruned)
+		}
+	}
+
 	for _, name := range []string{"plain", "sharded"} {
 		req := base
 		req.Dataset = name
