@@ -341,7 +341,11 @@ func TestRetireEverythingThenResume(t *testing.T) {
 // set. Run under -race in CI; correctness of the answers is the differential
 // harness's job — here every query must simply succeed against some epoch.
 func TestCompactionRaceStress(t *testing.T) {
-	const n = 3000
+	// Past RetainSpan + 2048 arrivals so that retention fires however fast
+	// compaction runs: when merges keep up the front shard is [0, 2048), which
+	// only falls behind the cutoff after time 4048 (with n = 3000 the run
+	// retired something only when compaction lagged, 3–6 of 20 runs did not).
+	const n = 4200
 	lse := compactLSE(t, 1, LiveShardOptions{
 		SealRows: 16, CompactFanout: 2, RetainSpan: 2000, StraddleThreshold: 1,
 	})

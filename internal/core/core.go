@@ -11,7 +11,8 @@
 //
 // Five algorithms are provided (§III, §IV):
 //
-//	T-Base  baseline continuous sliding window with incremental maintenance
+//	T-Base  baseline continuous sliding window, maintained incrementally in a
+//	        2k-deep buffer and recomputed only when fewer than k items remain
 //	T-Hop   time-prioritized with hop-skipping (Algorithm 1)
 //	S-Base  score-prioritized full sort with blocking intervals
 //	S-Band  durable k-skyband candidates + blocking (Algorithm 2; monotone f)
@@ -184,7 +185,7 @@ type Stats struct {
 	Algorithm      Algorithm
 	CheckQueries   int // building-block invocations for durability checks
 	FindQueries    int // invocations for candidate discovery (S-Hop, partitions/splits)
-	MaintQueries   int // from-scratch recomputations in T-Base's sliding window
+	MaintQueries   int // from-scratch (2k-deep) recomputations of T-Base's sliding window, the first fill included
 	CandidateCount int // |C| for S-Band; sorted-set size for S-Base
 	Visited        int // records popped/inspected by the main loop
 

@@ -106,9 +106,13 @@ type probe struct {
 
 var probePool = sync.Pool{New: func() interface{} { return new(probe) }}
 
+// newProbe checks out a probe for one evaluation — one query, hence one
+// scorer — and opens the scratch's memo session for it: node bounds and leaf
+// scores computed by one building-block call serve every later one.
 func newProbe() *probe {
 	pr := probePool.Get().(*probe)
 	pr.sc = topk.GetScratch()
+	pr.sc.BeginMemo()
 	return pr
 }
 

@@ -375,7 +375,6 @@ func (g *shardGroup) shardAt(idx int) int {
 type shardPart struct {
 	ids []int32 // global record ids, ascending
 	st  Stats
-	err error
 }
 
 // upperBoundAller is the optional Block capability behind shard-level score
@@ -524,9 +523,6 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	out := &Result{Stats: Stats{Algorithm: alg, ShardsPruned: len(g.shards) - len(tasks)}}
 	total := 0
 	for i := range parts {
-		if parts[i].err != nil {
-			return nil, parts[i].err
-		}
 		total += len(parts[i].ids)
 	}
 	out.Records = make([]ResultRecord, 0, total)
@@ -633,27 +629,19 @@ func (g *shardGroup) evalShard(pr *probe, sb *shardBounds, si int, q *Query, sco
 				return part
 			}
 		}
+		// The shard engine runs on this worker's probe, so what its memo
+		// learned about the shard's index serves the straddlers around the
+		// interior too, and no record is scored only to be dropped.
 		sub := *q
 		sub.Start, sub.End = g.ds.Time(iLo), g.ds.Time(iHi-1)
-		sub.WithDurations = false
-		res, err := sh.eng.DurableTopK(sub)
-		if err != nil {
-			part.err = err
-			return part
-		}
+		var st Stats
+		_, ids, mirrored := sh.eng.evalIDs(pr, &sub, sub.Algorithm, &st)
+		at := len(part.ids)
+		part.ids = appendGlobalIDs(part.ids, ids, sh.lo, sh.hi, mirrored)
 		if cacheable {
-			ids := make([]int32, 0, len(res.Records))
-			for _, r := range res.Records {
-				ids = append(ids, int32(sh.lo+r.ID))
-			}
-			g.pc.PutPartial(pkey, ids)
-			part.ids = append(part.ids, ids...)
-		} else {
-			for _, r := range res.Records {
-				part.ids = append(part.ids, int32(sh.lo+r.ID))
-			}
+			g.pc.PutPartial(pkey, append([]int32(nil), part.ids[at:]...))
 		}
-		addStats(&part.st, &res.Stats)
+		addStats(&part.st, &st)
 	}
 	g.evalStraddlers(pr, sb, &part, q, back, lead, iHi, subHi)
 	return part
@@ -723,17 +711,24 @@ func (g *shardGroup) evalStraddlers(pr *probe, sb *shardBounds, part *shardPart,
 	}
 	var st Stats
 	_, ids, mirrored := mini.evalIDs(pr, &sub, sub.Algorithm, &st)
-	if mirrored {
-		// Mirrored ids ascend in reversed time; emit in original order.
-		for i := len(ids) - 1; i >= 0; i-- {
-			part.ids = append(part.ids, int32(rhi-1-int(ids[i])))
-		}
-	} else {
-		for _, id := range ids {
-			part.ids = append(part.ids, int32(rlo)+id)
-		}
-	}
+	part.ids = appendGlobalIDs(part.ids, ids, rlo, rhi, mirrored)
 	addStats(&part.st, &st)
+}
+
+// appendGlobalIDs appends, in ascending order, the global ids of an evalIDs
+// answer over rows [lo, hi): forward id i is row lo+i; mirrored ids ascend in
+// reversed time, id r being row hi-1-r.
+func appendGlobalIDs(dst, ids []int32, lo, hi int, mirrored bool) []int32 {
+	if mirrored {
+		for i := len(ids) - 1; i >= 0; i-- {
+			dst = append(dst, int32(hi-1-int(ids[i])))
+		}
+		return dst
+	}
+	for _, id := range ids {
+		dst = append(dst, int32(lo)+id)
+	}
+	return dst
 }
 
 // mirrorCols is the column storage of one straddle region's time-mirrored

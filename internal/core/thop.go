@@ -11,7 +11,9 @@ func runTHop(v *view, pr *probe, q Query, st *Stats) []int32 {
 	ds := v.ds
 	loIdx := ds.LowerBound(q.Start)
 	cur := ds.UpperBound(q.End) - 1
-	var res []int32
+	a := &pr.a
+	a.reset()
+	res := a.ids // the answer lives in the probe's arena, like S-Hop's
 	for cur >= loIdx {
 		st.Visited++
 		t := ds.Time(cur)
@@ -31,6 +33,7 @@ func runTHop(v *view, pr *probe, q Query, st *Stats) []int32 {
 		}
 		cur = ds.At(maxT)
 	}
+	a.ids = res
 	reverse(res)
 	return res
 }

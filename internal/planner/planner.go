@@ -14,7 +14,13 @@
 //   - expected S-Band candidates from Lemma 5,
 //     E|C| ≈ E|S| · log^(d-1)(τ records),
 //   - probe counts from Lemma 1 / Lemma 3, |S| + k·⌈|I|/τ⌉,
-//   - a per-probe cost growing with log n, dimensionality and k.
+//   - a per-probe cost growing with log n, dimensionality and k,
+//   - for T-Base, a linear sweep of I plus one probe of depth 2k per k durable
+//     records: its sliding window is kept 2k deep and recomputed only when
+//     fewer than k items remain, so it no longer pays a probe per durable
+//     record. That makes it the cheapest plan at large k with dense answers,
+//     where every probe of a hop strategy is expensive and there are
+//     thousands of them (measured: TestMeasuredShapes).
 //
 // Costs are abstract units, not milliseconds: only their order matters.
 // Choose never eliminates a correct plan — eligibility rules (monotone
@@ -151,7 +157,7 @@ func Choose(in Inputs) Plan {
 	}
 
 	ests := []Estimate{
-		estTBase(in, expS, qcost),
+		estTBase(in, expS),
 		estTHop(in, probes, qcost),
 		estSBase(in, sortSpan),
 		estSBand(in, expS, expC, hopTerm, qcost),
@@ -213,14 +219,21 @@ func probeCost(in Inputs) float64 {
 	return (math.Log2(float64(in.N)+2) + 1) * (1 + 0.15*float64(in.Dims-1)) * (1 + 0.1*float64(in.K))
 }
 
-func estTBase(in Inputs, expS, qcost float64) Estimate {
+func estTBase(in Inputs, expS float64) Estimate {
 	if in.MidAnchor {
 		return Estimate{Strategy: TBase, Eligible: false, Reason: "mid-anchored window"}
 	}
-	cost := float64(in.NI)*cMaint*math.Log2(float64(in.K)+2) + expS*qcost
+	// The sliding window's buffer is 2k deep: a recomputation is a probe of
+	// depth 2k and leaves k spare items, which only expiring top-k members —
+	// the durable records, E|S| of them — use up. Measured recomputations are
+	// about one per run; E|S|/k bounds them.
+	deep := in
+	deep.K = 2 * in.K
+	recomputes := expS / float64(in.K)
+	cost := float64(in.NI)*cMaint*math.Log2(float64(in.K)+2) + recomputes*probeCost(deep)
 	return Estimate{
 		Strategy: TBase, Eligible: true, Cost: cost,
-		Reason: fmt.Sprintf("linear sweep of %d records", in.NI),
+		Reason: fmt.Sprintf("linear sweep of %d records, ~%.0f recomputations", in.NI, recomputes),
 	}
 }
 

@@ -81,14 +81,62 @@ func TestMidAnchorExcludesTBaseAndSBand(t *testing.T) {
 	}
 }
 
-func TestHighKMonotonePrefersSBand(t *testing.T) {
-	// The repo's Figure 9 reproduction: at 2 dimensions and large k, S-Band
-	// issues the fewest expensive probes and wins despite its sort.
+func TestHighKMonotonePrefersTBase(t *testing.T) {
+	// The repo's Figure 9 point at large k: 20 000 NBA-2 rows, k = 50, tau =
+	// 20 % of the span, pinned strategies, warm ladder. While T-Base recomputed
+	// its window for every expiring member this was S-Band's (s-band 11.7 ms,
+	// t-base 11.7, t-hop 17.6, s-hop 26.8); with the 2k-deep window T-Base
+	// recomputes once per ~k answers and runs in 1.7 ms against s-band 7.6,
+	// t-hop 11.4, s-base 15.0, s-hop 18.5.
 	in := base()
 	in.K = 50
-	p := Choose(in)
-	if p.Chosen != SBand {
-		t.Fatalf("high-k monotone 2-d query chose %v, want s-band\n%s", p.Chosen, p)
+	for _, ready := range []bool{false, true} {
+		in.SBandReady = ready
+		if p := Choose(in); p.Chosen != TBase {
+			t.Fatalf("high-k monotone 2-d query (ladder built: %v) chose %v, want t-base\n%s", ready, p.Chosen, p)
+		}
+	}
+}
+
+// TestMeasuredShapes states, for nine (k, tau, |I|) shapes of the exploration
+// grid, which strategies the planner may choose: those measured within 3.5x
+// of the shape's fastest. The timings are pinned-strategy means over 8 random
+// intervals and scorers each, in-process on the 8-shard 100 000-row NBA-2
+// archive (2 cores; tau and |I| in percent of the span, ≈ 150 000 ticks), in
+// the order t-base / t-hop / s-base / s-band / s-hop. Inputs are the ones the
+// served archive produces with no skyband ladder built — the state it stays in,
+// since no shape routes to S-Band cold.
+func TestMeasuredShapes(t *testing.T) {
+	const rows, span = 100_000, 150_000
+	shapes := []struct {
+		k, tauPct, ivlPct int
+		may               []Strategy
+	}{
+		{10, 10, 50, []Strategy{THop, SBand, SHop}},        // paper defaults: 3.93 / 1.21 / 42.4 / 1.46 / 2.12 ms
+		{5, 1, 10, []Strategy{TBase, THop, SBand, SHop}},   // 0.79 / 0.40 / 6.55 / 0.45 / 0.72
+		{5, 50, 80, []Strategy{THop, SBand, SHop}},         // 4.72 / 0.38 / 127.6 / 0.64 / 0.69
+		{10, 1, 80, []Strategy{TBase, THop, SBand, SHop}},  // 4.35 / 4.29 / 34.2 / 5.47 / 9.31
+		{20, 5, 50, []Strategy{TBase, THop, SBand, SHop}},  // 3.91 / 3.07 / 27.8 / 3.15 / 6.27
+		{50, 1, 80, []Strategy{TBase}},                     // 7.12 / 67.2 / 32.0 / 46.4 / 75.1
+		{50, 10, 80, []Strategy{TBase, THop}},              // 5.45 / 17.4 / 62.9 / 21.7 / 24.6
+		{50, 50, 80, []Strategy{TBase, THop, SBand, SHop}}, // 4.60 / 8.12 / 121.2 / 10.7 / 11.7
+		{50, 5, 20, []Strategy{TBase}},                     // 1.39 / 5.55 / 14.8 / 5.53 / 8.87
+	}
+	for _, sh := range shapes {
+		in := Inputs{
+			N: rows, Dims: 2, NI: rows * sh.ivlPct / 100,
+			K: sh.k, Tau: int64(span * sh.tauPct / 100), Window: int64(span * sh.ivlPct / 100),
+			Monotone: true,
+		}
+		p := Choose(in)
+		ok := false
+		for _, s := range sh.may {
+			ok = ok || p.Chosen == s
+		}
+		if !ok {
+			t.Errorf("k=%d tau=%d%% |I|=%d%%: chose %v, measured within 3.5x of the fastest: %v\n%s",
+				sh.k, sh.tauPct, sh.ivlPct, p.Chosen, sh.may, p)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ package topk
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/score"
@@ -82,6 +83,8 @@ type node struct {
 // Index is an immutable range top-k index over one dataset. Safe for
 // concurrent queries.
 type Index struct {
+	// id names the index in a Scratch's memo session; unique per Build.
+	id    uint64
 	ds    *data.Dataset
 	opts  Options
 	nodes []node
@@ -100,11 +103,15 @@ type dsPoints struct{ ds *data.Dataset }
 
 func (p dsPoints) Point(id int32) []float64 { return p.ds.Attrs(int(id)) }
 
+// indexSeq hands out Index.id.
+var indexSeq atomic.Uint64
+
 // Build constructs the index in O(n log n) time (subject to the skyline cap)
 // and O(n) space.
 func Build(ds *data.Dataset, opts Options) *Index {
 	opts = opts.withDefaults()
 	x := &Index{
+		id: indexSeq.Add(1),
 		ds: ds, opts: opts, pts: dsPoints{ds},
 		times: ds.Times(), flat: ds.FlatAttrs(), dims: ds.Dims(),
 	}
@@ -278,7 +285,9 @@ func (x *Index) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, d
 // cannot improve a full merge costs one upper bound — which is what makes a
 // merge over several indexes (a forest's chunk trees, the shards under a
 // cross-shard region) cheaper than one top-k per index: later indexes descend
-// only where they can still beat what earlier ones found.
+// only where they can still beat what earlier ones found. Inside a memo
+// session of m's Scratch, node bounds and leaf scores are looked up rather
+// than recomputed (see memo); the merged items are the same either way.
 func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 	if hi > len(x.times) {
 		hi = len(x.times)
@@ -291,11 +300,12 @@ func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 	}
 	sc, res, sh := m.sc, m.res, int32(shift)
 	monotone := score.IsMonotone(s)
-	bulk, hasBulk := s.(score.BulkScorer)
+	bulk, _ := s.(score.BulkScorer)
+	mi := sc.memoFor(x)
 	pq := nodePQ{es: sc.pq[:0]}
 	rootUB := math.Inf(1)
 	if len(res.items) == res.k {
-		rootUB = x.upperBound(s, monotone, bulk, sc, &x.nodes[x.root])
+		rootUB = x.nodeUB(s, monotone, bulk, sc, mi, x.root)
 	}
 	if maxT := x.times[hi-1]; res.wouldImprove(rootUB, maxT) {
 		pq.push(pqEntry{node: x.root, ub: rootUB, maxT: maxT})
@@ -311,21 +321,14 @@ func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 			continue
 		}
 		if n.left < 0 || int(chi-clo) <= x.opts.LengthThreshold {
+			if n.left < 0 && mi != nil && x.memoLeaf(&res, s, bulk, sc, mi, e.node, clo, chi, sh) {
+				continue
+			}
 			// Leaf or small clipped span: bulk-score the whole clipped span
 			// into the scratch column, then merge into the k-heap.
-			span := int(chi - clo)
-			buf := sc.scoreBuf(span)
-			if hasBulk {
-				bulk.ScoreRange(buf, x.flat, x.dims, int(clo), int(chi))
-			} else {
-				d := x.dims
-				for i := int(clo); i < int(chi); i++ {
-					buf[i-int(clo)] = s.Score(x.flat[i*d : (i+1)*d : (i+1)*d])
-				}
-			}
-			for i := 0; i < span; i++ {
-				res.offer(Item{ID: clo + int32(i) + sh, Time: x.times[int(clo)+i], Score: buf[i]})
-			}
+			buf := sc.scoreBuf(int(chi - clo))
+			x.scoreRows(buf, s, bulk, int(clo), int(chi))
+			x.offerRows(&res, buf, clo, clo, chi, sh)
 			continue
 		}
 		for _, c := range [2]int32{n.left, n.right} {
@@ -334,7 +337,7 @@ func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 			if cclo >= cchi {
 				continue
 			}
-			ub := x.upperBound(s, monotone, bulk, sc, cn)
+			ub := x.nodeUB(s, monotone, bulk, sc, mi, c)
 			maxT := x.times[cchi-1]
 			if res.wouldImprove(ub, maxT) {
 				pq.push(pqEntry{node: c, ub: ub, maxT: maxT})
@@ -344,6 +347,19 @@ func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 	// Hand the grown buffers back for the next call.
 	m.res = res
 	sc.pq = pq.es[:0]
+}
+
+// scoreRows scores records [lo, hi) into dst: one bulk call when the scorer has
+// kernels (bulk non-nil), one Score call per record otherwise.
+func (x *Index) scoreRows(dst []float64, s score.Scorer, bulk score.BulkScorer, lo, hi int) {
+	if bulk != nil {
+		bulk.ScoreRange(dst, x.flat, x.dims, lo, hi)
+		return
+	}
+	d := x.dims
+	for i := lo; i < hi; i++ {
+		dst[i-lo] = s.Score(x.flat[i*d : (i+1)*d : (i+1)*d])
+	}
 }
 
 // Member reports whether record id is in the top-k of the closed time window

@@ -21,6 +21,10 @@ type Scratch struct {
 	// bulk ScoreGather path (vs scalar skyline loops and MBR bounds); the
 	// perf snapshots record it to prove the gather path is exercised.
 	gatherHits int64
+
+	// memo is the evaluation-scoped work memo; idle unless BeginMemo opened a
+	// session.
+	memo memo
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(Scratch) }}
@@ -28,10 +32,11 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(Scratch) }}
 // GetScratch returns a Scratch from the shared pool.
 func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 
-// PutScratch returns sc to the shared pool. The caller must not use sc
-// afterwards.
+// PutScratch ends sc's memo session, if one is open, and returns sc to the
+// shared pool. The caller must not use sc afterwards.
 func PutScratch(sc *Scratch) {
 	if sc != nil {
+		sc.memo.on = false
 		scratchPool.Put(sc)
 	}
 }

@@ -924,11 +924,10 @@ func (s *Server) handleDatasets() *Response {
 		sv := s.sets[name]
 		ds := sv.eng.Dataset()
 		lo, hi := ds.Span()
+		// Discovered by capability, like epochSequenced: a Querier that
+		// decorates a sharded engine reports its shards by forwarding NumShards.
 		shards := 0
-		switch eng := sv.eng.(type) {
-		case *core.ShardedEngine:
-			shards = eng.NumShards()
-		case *core.LiveShardedEngine:
+		if eng, ok := sv.eng.(interface{ NumShards() int }); ok {
 			shards = eng.NumShards()
 		}
 		resp.Datasets = append(resp.Datasets, DatasetInfo{

@@ -370,10 +370,10 @@ func TestStandingQueryStress(t *testing.T) {
 	weightPool := [][]float64{{1, 0.5}, {0.2, 2}, {3, 1}}
 	anchorPool := []string{"", "look-back", "look-ahead"}
 	type specID struct {
-		k       int
-		tau     int64
-		wIdx    int
-		anchor  string
+		k      int
+		tau    int64
+		wIdx   int
+		anchor string
 	}
 	specs := make([]specID, 0, conns*subsPerConn)
 	for i := 0; i < conns*subsPerConn; i++ {
@@ -385,12 +385,35 @@ func TestStandingQueryStress(t *testing.T) {
 		})
 	}
 
+	// Every subscription is drained while the stream runs, by a collector that
+	// also notes the newest prefix a decision arrived for; the appender paces
+	// itself on that (below).
 	type subHandle struct {
-		spec specID
-		s    *Subscription
-		cl   *Client
+		spec    specID
+		s       *Subscription
+		cl      *Client
+		events  []Event       // owned by the collector until done closes
+		done    chan struct{} // closed when the event stream ended
+		decided int           // newest prefix a decision arrived for; guarded by paceMu
 	}
-	var handles []subHandle
+	var (
+		handles  []*subHandle
+		paceMu   sync.Mutex
+		paceCond = sync.NewCond(&paceMu)
+		stalled  bool // set by the pacing watchdog; guarded by paceMu
+	)
+	collect := func(h *subHandle) {
+		defer close(h.done)
+		for ev := range h.s.Events() {
+			h.events = append(h.events, ev)
+			if ev.Decision != nil {
+				paceMu.Lock()
+				h.decided = ev.Prefix
+				paceMu.Unlock()
+				paceCond.Broadcast()
+			}
+		}
+	}
 	clients := make([]*Client, conns)
 	for ci := 0; ci < conns; ci++ {
 		cl, err := Dial(addr)
@@ -410,7 +433,9 @@ func TestStandingQueryStress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			handles = append(handles, subHandle{spec: spec, s: s, cl: cl})
+			h := &subHandle{spec: spec, s: s, cl: cl, done: make(chan struct{})}
+			handles = append(handles, h)
+			go collect(h)
 		}
 	}
 	if len(handles) < 64 {
@@ -517,6 +542,32 @@ func TestStandingQueryStress(t *testing.T) {
 			t.Fatalf("append committed %d/%d", resp.Appended, n)
 		}
 		appended += n
+		// Pace on delivery, as a real producer behind a bounded queue must: a
+		// batch queues up to subsPerConn*batch = 680 event frames per follower
+		// connection, and the server — correctly — evicts a connection that
+		// falls eventQueueDepth (1024) frames behind. Unpaced, the second
+		// batch overflowed it on 2-3 of the 4 connections. Every subscription
+		// except the confirm-only ones gets one decision per append; once each
+		// has the decision for this batch's last row, at most that one row's
+		// frames are still queued anywhere.
+		watchdog := time.AfterFunc(30*time.Second, func() {
+			paceMu.Lock()
+			stalled = true
+			paceMu.Unlock()
+			paceCond.Broadcast()
+		})
+		paceMu.Lock()
+		for _, h := range handles {
+			for h.spec.anchor != "look-ahead" && h.decided < appended && !stalled {
+				paceCond.Wait()
+			}
+		}
+		timedOut := stalled
+		paceMu.Unlock()
+		watchdog.Stop()
+		if timedOut {
+			t.Fatalf("decisions for prefix %d did not reach every subscription within 30s", appended)
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -531,14 +582,11 @@ func TestStandingQueryStress(t *testing.T) {
 		if err := h.cl.Unsubscribe(h.s); err != nil {
 			t.Fatal(err)
 		}
-		var evs []Event
-		for ev := range h.s.Events() {
-			evs = append(evs, ev)
-		}
+		<-h.done
 		if d := h.s.Dropped(); d != 0 {
 			t.Fatalf("subscription dropped %d events client-side", d)
 		}
-		records = append(records, subRecord{spec: h.spec, events: evs})
+		records = append(records, subRecord{spec: h.spec, events: h.events})
 	}
 
 	// Re-derive every pushed verdict from batch engines over the exact

@@ -466,6 +466,15 @@ func TestMostDurableOverWire(t *testing.T) {
 // TestShardedDatasetOverWire registers the same dataset twice — one plain
 // engine, one time-sharded — and checks that every wire operation returns
 // identical answers through both.
+// forwardingQuerier is a Querier decorator as an embedder would write one
+// (tracing, metering): the embedded interface hides the engine's optional
+// capabilities, so the ones that matter are forwarded by hand.
+type forwardingQuerier struct{ core.Querier }
+
+func (q forwardingQuerier) NumShards() int {
+	return q.Querier.(interface{ NumShards() int }).NumShards()
+}
+
 func TestShardedDatasetOverWire(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
 	ds := testDataset(t, 600, 7)
@@ -482,6 +491,11 @@ func TestShardedDatasetOverWire(t *testing.T) {
 	if err := srv.AddSharded("sharded", ds, nil, core.Options{}, core.ShardOptions{Shards: 2}); err == nil {
 		t.Fatal("duplicate sharded registration accepted")
 	}
+	// A decorated engine: the server must find the shard count behind it.
+	wrapped := forwardingQuerier{core.NewShardedEngine(ds, core.Options{}, core.ShardOptions{Shards: 3, Workers: 2})}
+	if err := srv.AddQuerier("wrapped", wrapped, nil); err != nil {
+		t.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -493,6 +507,18 @@ func TestShardedDatasetOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
+
+	infos, err := cl.Datasets()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make(map[string]int)
+	for _, in := range infos {
+		shards[in.Name] = in.Shards
+	}
+	if want := map[string]int{"plain": 0, "sharded": 4, "wrapped": 3}; !reflect.DeepEqual(shards, want) {
+		t.Fatalf("dataset shard counts %v, want %v", shards, want)
+	}
 
 	base := Request{QuerySpec: QuerySpec{K: 3, Tau: 80, Weights: []float64{1, 0.5}, WithDurations: true}}
 	reqPlain, reqSharded := base, base
