@@ -40,6 +40,8 @@ type arena struct {
 	marked  map[int32]bool // records already reported durable
 	ids     []int32        // result id accumulator
 
+	stripes []float64 // T-Base's two score stripes, 2*tbaseStripe once used
+
 	blk *blocking.Set // reusable blocking treap (slab-backed)
 }
 

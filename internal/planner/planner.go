@@ -16,11 +16,18 @@
 //   - probe counts from Lemma 1 / Lemma 3, |S| + k·⌈|I|/τ⌉,
 //   - a per-probe cost growing with log n, dimensionality and k,
 //   - for T-Base, a linear sweep of I plus one probe of depth 2k per k durable
-//     records: its sliding window is kept 2k deep and recomputed only when
-//     fewer than k items remain, so it no longer pays a probe per durable
-//     record. That makes it the cheapest plan at large k with dense answers,
-//     where every probe of a hop strategy is expensive and there are
-//     thousands of them (measured: TestMeasuredShapes).
+//     records. The sweep runs on the time column and a bulk-filled score
+//     column and turns most rows away with two comparisons, so a swept row
+//     costs the same whatever k is (cMaint: on the served 100 000-row
+//     archive ≈ 13 ns of wall time, 22 with its recomputations, against
+//     3.9 µs for a k = 10 probe, which probeCost prices at 40 units); the
+//     window buffer is 2k deep and recomputed only when fewer than k items
+//     remain, so T-Base does not pay a probe per durable record either. That
+//     makes it the cheapest plan wherever the hop strategies need more than a
+//     few hundred probes: on that archive at k >= 20 for almost every tau and
+//     |I|, at k = 10 up to tau = 5 % of the span, at k = 5 only for tau = 1 %.
+//     At the paper's defaults (k = 10, tau = 10 %) and below, the hops still
+//     win (measured: TestMeasuredShapes).
 //
 // Costs are abstract units, not milliseconds: only their order matters.
 // Choose never eliminates a correct plan — eligibility rules (monotone
@@ -121,7 +128,7 @@ func (p Plan) String() string {
 // per element. Tuned so the model reproduces the paper's crossovers, not
 // absolute times.
 const (
-	cMaint     = 0.3  // T-Base per-record incremental window maintenance
+	cMaint     = 0.12 // T-Base per swept record
 	cSort      = 0.15 // per element-and-log of scoring + sorting a candidate
 	cBandBuild = 0.15 // per record of a cold durable k-skyband level build
 	cFindSplit = 2.0  // S-Hop find queries per durable record (splits)
@@ -223,14 +230,15 @@ func estTBase(in Inputs, expS float64) Estimate {
 	if in.MidAnchor {
 		return Estimate{Strategy: TBase, Eligible: false, Reason: "mid-anchored window"}
 	}
-	// The sliding window's buffer is 2k deep: a recomputation is a probe of
-	// depth 2k and leaves k spare items, which only expiring top-k members —
-	// the durable records, E|S| of them — use up. Measured recomputations are
-	// about one per run; E|S|/k bounds them.
+	// The sweep costs the same per record at every k: the buffer's depth shows
+	// only in the recomputations. The sliding window's buffer is 2k deep: a
+	// recomputation is a probe of depth 2k and leaves k spare items, which only
+	// expiring top-k members — the durable records, E|S| of them — use up.
+	// Measured recomputations are about one per run; E|S|/k bounds them.
 	deep := in
 	deep.K = 2 * in.K
 	recomputes := expS / float64(in.K)
-	cost := float64(in.NI)*cMaint*math.Log2(float64(in.K)+2) + recomputes*probeCost(deep)
+	cost := float64(in.NI)*cMaint + recomputes*probeCost(deep)
 	return Estimate{
 		Strategy: TBase, Eligible: true, Cost: cost,
 		Reason: fmt.Sprintf("linear sweep of %d records, ~%.0f recomputations", in.NI, recomputes),

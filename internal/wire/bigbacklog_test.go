@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -41,6 +42,12 @@ func TestResumePaginatesHugeBacklog(t *testing.T) {
 		}
 	}
 
+	// The client's reader never waits for its consumer and counts what it had
+	// to discard; a page with anything discarded on this side of the wire
+	// fails as that, so a consumer-side drop never reads as a gap or a stall in
+	// the server's stream.
+	poll := time.NewTicker(time.Second)
+	defer poll.Stop()
 	lastPrefix, pages := 0, 0
 	for lastPrefix < rows {
 		pages++
@@ -55,7 +62,12 @@ func TestResumePaginatesHugeBacklog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resume at prefix %d: %v", lastPrefix, err)
 		}
-		got := 0
+		got, progressed := 0, time.Now()
+		noneDropped := func() {
+			if d := rs.Dropped(); d != 0 {
+				t.Fatalf("page %d: the client dropped %d events (at prefix %d/%d after %d events)", pages, d, lastPrefix, rows, got)
+			}
+		}
 	drain:
 		for lastPrefix < rows {
 			select {
@@ -64,18 +76,82 @@ func TestResumePaginatesHugeBacklog(t *testing.T) {
 					break drain
 				}
 				if ev.Prefix != lastPrefix+1 {
+					noneDropped()
 					t.Fatalf("gap inside page %d: prefix %d after %d", pages, ev.Prefix, lastPrefix)
 				}
 				lastPrefix = ev.Prefix
 				got++
-			case <-time.After(15 * time.Second):
-				t.Fatalf("page %d stalled at prefix %d/%d after %d events", pages, lastPrefix, rows, got)
+				progressed = time.Now()
+			case <-poll.C:
+				noneDropped()
+				if time.Since(progressed) > 15*time.Second {
+					t.Fatalf("page %d stalled at prefix %d/%d after %d events", pages, lastPrefix, rows, got)
+				}
 			}
 		}
+		noneDropped()
 		rcl.Close()
 	}
 	if pages < 2 {
 		t.Fatalf("backlog of %d rows fit one page; eviction pagination untested", rows)
 	}
 	t.Logf("caught up %d rows in %d pages", rows, pages)
+}
+
+// TestSubscribeKeepsEveryParkedFrame: events that reach the client ahead of
+// their subscribe response — a resume's whole backlog page, when the
+// subscribing goroutine runs late — are parked by the reader and replayed by
+// Subscribe before any consumer exists. However many were parked, all of them
+// must come out of Events, in order, with nothing counted as dropped. The
+// second script hangs up right after the response, as an evicting server
+// does: whichever of Subscribe and the dying reader gets to the subscription
+// table first, the replay is the same.
+func TestSubscribeKeepsEveryParkedFrame(t *testing.T) {
+	const parked = subEventBuffer + 83
+	for _, hangUp := range []bool{false, true} {
+		cconn, sconn := net.Pipe()
+		cl := NewClient(cconn)
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			var req Request
+			if ReadFrame(sconn, &req) != nil {
+				return
+			}
+			WriteFrame(sconn, &Response{V: Version2, OK: true, Features: []string{FeatureEvents}})
+			if ReadFrame(sconn, &req) != nil {
+				return
+			}
+			for i := 1; i <= parked; i++ {
+				WriteFrame(sconn, &Event{V: Version2, Event: EventSub, SubID: 7, Prefix: i})
+			}
+			WriteFrame(sconn, &Response{V: Version2, OK: true, SubID: 7})
+			if hangUp {
+				sconn.Close()
+			}
+		}()
+		if _, _, err := cl.Hello(FeatureEvents); err != nil {
+			t.Fatal(err)
+		}
+		s, err := cl.Subscribe(Request{Dataset: "stream"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-served
+		for want := 1; want <= parked; want++ {
+			select {
+			case ev, ok := <-s.Events():
+				if !ok || ev.Prefix != want {
+					t.Fatalf("hang-up %v: event %d of %d parked: got prefix %d (open: %v)", hangUp, want, parked, ev.Prefix, ok)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("hang-up %v: only %d of %d parked events delivered", hangUp, want-1, parked)
+			}
+		}
+		if d := s.Dropped(); d != 0 {
+			t.Fatalf("hang-up %v: %d parked events dropped", hangUp, d)
+		}
+		cconn.Close()
+		sconn.Close()
+	}
 }

@@ -194,8 +194,9 @@ func (s *Subscription) Base() int { return s.base }
 
 // Events is the subscription's verdict stream. It closes when the
 // subscription is dropped (Unsubscribe) or the connection dies; consumers
-// should drain promptly — the channel buffers subEventBuffer frames and the
-// client drops, counting, beyond that.
+// should drain promptly — the channel buffers subEventBuffer frames (beyond
+// those that arrived ahead of the subscribe response, which are all kept) and
+// the client drops, counting, beyond that.
 func (s *Subscription) Events() <-chan Event { return s.events }
 
 // Dropped reports how many events were discarded because the consumer let
@@ -217,18 +218,25 @@ func (c *Client) Subscribe(req Request) (*Subscription, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Subscription{id: resp.SubID, subKey: resp.SubKey, base: resp.Base, c: c, events: make(chan Event, subEventBuffer)}
+	s := &Subscription{id: resp.SubID, subKey: resp.SubKey, base: resp.Base, c: c}
 	c.subMu.Lock()
+	// The frames the reader parked for this id are replayed before any
+	// consumer can have read one, so the channel is sized to take them all on
+	// top of its usual buffer: a resume's backlog page, parked whole while this
+	// goroutine waited for a CPU, would otherwise lose whatever lay beyond
+	// subEventBuffer — a gap the server never made.
+	parked := c.pending[resp.SubID]
+	delete(c.pending, resp.SubID)
+	s.events = make(chan Event, subEventBuffer+len(parked))
+	for _, ev := range parked {
+		s.deliver(ev)
+	}
 	if c.subs == nil {
-		// The reader died between the response and here. Frames it parked
-		// for this subscription before dying still count — a server that
-		// evicts immediately after replaying a backlog page closes exactly
-		// this way, and dropping the page would cost the consumer progress
-		// it already paid for — so deliver them, then close.
-		for _, ev := range c.pending[resp.SubID] {
-			s.deliver(ev)
-		}
-		delete(c.pending, resp.SubID)
+		// The reader died between the response and here. The frames it parked
+		// before dying still count — a server that evicts immediately after
+		// replaying a backlog page closes exactly this way, and dropping the
+		// page would cost the consumer progress it already paid for — so they
+		// were delivered above; now close.
 		c.subMu.Unlock()
 		close(s.events)
 		return s, nil
@@ -236,10 +244,6 @@ func (c *Client) Subscribe(req Request) (*Subscription, error) {
 	if resp.SubID > c.maxSub {
 		c.maxSub = resp.SubID
 	}
-	for _, ev := range c.pending[resp.SubID] {
-		s.deliver(ev)
-	}
-	delete(c.pending, resp.SubID)
 	c.subs[resp.SubID] = s
 	c.subMu.Unlock()
 	return s, nil

@@ -508,7 +508,20 @@ func TestStandingQueryStress(t *testing.T) {
 				t.Errorf("churn subscribe: %v", err)
 				return
 			}
-			time.Sleep(time.Millisecond)
+			if churnEvents.Load() == 0 {
+				// Hold a subscription until the first event any of them sees,
+				// so the coverage check below does not hang on an append
+				// landing inside a 1 ms window; from then on, churn.
+				select {
+				case _, ok := <-s.Events():
+					if ok {
+						churnEvents.Add(1)
+					}
+				case <-stop:
+				}
+			} else {
+				time.Sleep(time.Millisecond)
+			}
 			if err := churn.Unsubscribe(s); err != nil {
 				t.Errorf("churn unsubscribe: %v", err)
 				return
