@@ -14,9 +14,8 @@
 // where the repo's hot-path guarantees live: any probe that was
 // allocation-free in the baseline and allocates in the fresh run fails the
 // build, as does any other allocs_per_op increase on the probe rows, the
-// sharded sweep rows, and the live engine's steady-query allocations (the
-// live+sharded steady query gets the same pool-churn slack as the sharded
-// sweep rows). A baseline row that disappears from the fresh snapshot also
+// sharded sweep rows, and the live engines' steady-query allocations. A
+// baseline row that disappears from the fresh snapshot also
 // fails the build: a vanished row means its hot path silently stopped being
 // measured, which would let regressions land ungated. Warnings are emitted
 // in GitHub Actions annotation syntax so they surface on the workflow run.
@@ -148,28 +147,6 @@ func (g *gate) checkTopK(oldRep, newRep *bench.TopKReport) {
 	}
 }
 
-// allocsSlack is g.allocs with headroom for rows measured under real
-// parallelism: multi-worker fan-out rows are not perfectly host-independent
-// (per-P sync.Pool caches miss under contention, GC flushes re-allocate
-// pooled probes), so small drifts warn and only a meaningful increase —
-// beyond 25% or 32 allocs, whichever is larger — fails the build.
-func (g *gate) allocsSlack(kind, name string, old, new int64) {
-	fmt.Printf("%-10s %-14s allocs %d -> %d\n", kind, name, old, new)
-	limit := old + old/4
-	if limit < old+32 {
-		limit = old + 32
-	}
-	switch {
-	case new > limit:
-		fmt.Printf("::error::benchgate: %s %q allocs_per_op increased beyond pool-churn slack: %d -> %d (limit %d)\n",
-			kind, name, old, new, limit)
-		g.failed = true
-	case new > old:
-		fmt.Printf("::warning::benchgate: %s %q allocs_per_op drifted up within slack: %d -> %d\n", kind, name, old, new)
-		g.warn++
-	}
-}
-
 func (g *gate) checkShard(oldRep, newRep *bench.ShardReport) {
 	if oldRep.Records != newRep.Records || oldRep.K != newRep.K || oldRep.Dataset != newRep.Dataset {
 		fmt.Printf("::warning::benchgate: sharded workload drifted; ns ratios are indicative only\n")
@@ -196,7 +173,7 @@ func (g *gate) checkShard(oldRep, newRep *bench.ShardReport) {
 		}
 		name := fmt.Sprintf("shards=%d", n.Shards)
 		g.ns("sharded", name, o.NsPerOp, n.NsPerOp)
-		g.allocsSlack("sharded", name, o.AllocsPerOp, n.AllocsPerOp)
+		g.allocs("sharded", name, o.AllocsPerOp, n.AllocsPerOp)
 	}
 }
 
@@ -218,10 +195,7 @@ func (g *gate) checkStream(oldRep, newRep *bench.StreamReport) {
 	// Compaction rows: shard-count leverage is structural, timing warns.
 	g.checkStreamCompact(oldRep, newRep)
 	// The live+sharded lifecycle rows (absent from pre-lifecycle baselines;
-	// gated once a baseline records them). The steady query fans out across
-	// sealed shards on a worker pool, so its allocations get the same
-	// pool-churn slack as the sharded sweep rows rather than the strict
-	// single-engine gate.
+	// gated once a baseline records them).
 	// The freeze amortization is structural (host-independent) and needs no
 	// baseline: a row can be frozen at most once, so any value beyond
 	// 1 + epsilon means the seal path re-froze history and the lifecycle's
@@ -245,7 +219,7 @@ func (g *gate) checkStream(oldRep, newRep *bench.StreamReport) {
 		return
 	}
 	g.ns("stream", "ls-steady", oldRep.LiveShardedSteadyQueryNs, newRep.LiveShardedSteadyQueryNs)
-	g.allocsSlack("stream", "ls-steady", oldRep.LiveShardedSteadyQueryAllocs, newRep.LiveShardedSteadyQueryAllocs)
+	g.allocs("stream", "ls-steady", oldRep.LiveShardedSteadyQueryAllocs, newRep.LiveShardedSteadyQueryAllocs)
 }
 
 // checkStreamWAL gates the durability rows: WAL ingest throughput per fsync
@@ -374,8 +348,8 @@ func (g *gate) checkStreamStanding(oldRep, newRep *bench.StreamReport) {
 // cadence the uncompacted baseline carries ~one shard per seal, and the
 // compacted run must hold the live set strictly below half of that — the
 // O(log n) bound the LSM lifecycle exists to enforce. Steady-query ns is
-// wall-clock (warns), allocations get the usual fan-out slack, and a
-// vanished row fails like every other gated row.
+// wall-clock (warns), any allocation increase fails, and a vanished row fails
+// like every other gated row.
 func (g *gate) checkStreamCompact(oldRep, newRep *bench.StreamReport) {
 	if newRep.CompactSealRows > 0 {
 		if newRep.Compactions == 0 {
@@ -401,7 +375,7 @@ func (g *gate) checkStreamCompact(oldRep, newRep *bench.StreamReport) {
 		g.warn++
 	default:
 		g.ns("stream", "compact-steady", oldRep.CompactSteadyQueryNs, newRep.CompactSteadyQueryNs)
-		g.allocsSlack("stream", "compact-steady", oldRep.CompactSteadyQueryAllocs, newRep.CompactSteadyQueryAllocs)
+		g.allocs("stream", "compact-steady", oldRep.CompactSteadyQueryAllocs, newRep.CompactSteadyQueryAllocs)
 		g.throughput("stream", "compact-ingest", oldRep.CompactAppendsPerSec, newRep.CompactAppendsPerSec)
 	}
 }

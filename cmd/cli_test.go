@@ -113,11 +113,7 @@ func TestQueryModes(t *testing.T) {
 	if !strings.Contains(most, "most durable records") || strings.Count(most, "id=") != 4 {
 		t.Fatalf("mostdurable output wrong:\n%s", most)
 	}
-	par := run(t, "durquery", "-input", csv, "-k", "2", "-tau", "100", "-parallel", "4", "-stats")
 	seq := run(t, "durquery", "-input", csv, "-k", "2", "-tau", "100", "-stats")
-	if strings.Fields(par)[1] != strings.Fields(seq)[1] {
-		t.Fatalf("parallel CLI answer differs:\n%s\n%s", par, seq)
-	}
 	rmq := run(t, "durquery", "-input", csv, "-k", "2", "-tau", "100", "-rmq", "-stats")
 	if strings.Fields(rmq)[1] != strings.Fields(seq)[1] {
 		t.Fatalf("rmq CLI answer differs:\n%s\n%s", rmq, seq)
@@ -136,7 +132,7 @@ func TestQueryErrors(t *testing.T) {
 
 func TestBenchList(t *testing.T) {
 	out := run(t, "durbench", "-list")
-	for _, id := range []string{"fig1", "fig8", "fig12", "tab4", "tab6", "lemma4", "abl-block", "abl-parallel"} {
+	for _, id := range []string{"fig1", "fig8", "fig12", "tab4", "tab6", "lemma4", "abl-block"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("registry listing missing %s:\n%s", id, out)
 		}
@@ -300,7 +296,7 @@ func TestQueryShardedModes(t *testing.T) {
 	}
 	for _, extra := range [][]string{
 		{"-shards", "4"},
-		{"-shards", "4", "-parallel", "2"},
+		{"-shards", "4", "-alg", "s-band"},
 		{"-shards", "7", "-shardby", "timespan"},
 	} {
 		args := append([]string{"-input", csv, "-k", "3", "-tau", "150"}, extra...)
@@ -308,6 +304,10 @@ func TestQueryShardedModes(t *testing.T) {
 		if out != seq {
 			t.Fatalf("sharded CLI records differ (%v):\n%s\n---\n%s", extra, out, seq)
 		}
+	}
+	// A span has no skyband ladder: pinned S-Band hops, and the stats say so.
+	if band := run(t, "durquery", "-input", csv, "-k", "3", "-tau", "150", "-shards", "4", "-alg", "s-band", "-stats"); !strings.Contains(band, "alg=s-hop") {
+		t.Fatalf("sharded -alg s-band does not report s-hop:\n%s", band)
 	}
 	// Sharded durations and most-durable flow through the same Querier.
 	dur := run(t, "durquery", "-input", csv, "-k", "2", "-tau", "100", "-shards", "3", "-durations")

@@ -9,9 +9,8 @@
 //	         -weights 1,0.5 [-alg s-hop] [-anchor look-back] [-durations]
 //
 // -shards N evaluates through a time-sharded engine (N independent
-// per-shard indexes, -parallel workers fanning the query out; -shardby
-// picks count or timespan partitioning); answers are identical to the
-// single-engine run.
+// per-shard indexes, the query one span over them; -shardby picks count or
+// timespan partitioning); answers are identical to the single-engine run.
 //
 // The ranking can also be a scoring expression over the positional
 // attributes (monotonicity and index pruning bounds are derived
@@ -31,7 +30,7 @@
 // and demonstrate the live path from the command line. Adding -sealrows N
 // (and/or -sealspan T) replays the stream through the live+sharded
 // lifecycle: the mutable tail seals into immutable static shards as it
-// fills, and the query fans out over sealed shards plus the tail.
+// fills, and the query runs as one span over sealed shards plus the tail.
 //
 // -explain prints the cost-based planner's strategy assessment instead of
 // running the query.
@@ -80,7 +79,6 @@ func main() {
 		durations = flag.Bool("durations", false, "also report each result's maximum durability")
 		statsOnly = flag.Bool("stats", false, "print only summary statistics")
 		mostDur   = flag.Int("mostdurable", 0, "instead of DurTop, report the N all-time most durable records")
-		parallel  = flag.Int("parallel", 1, "evaluate the interval with this many workers")
 		shards    = flag.Int("shards", 1, "evaluate over this many time shards (independent per-shard engines)")
 		shardBy   = flag.String("shardby", "count", "shard partitioning: count|timespan")
 		useRMQ    = flag.Bool("rmq", false, "use the sparse-table RMQ building block (fixed-scorer workloads)")
@@ -180,15 +178,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// -parallel only overrides the shard fan-out width when given
-	// explicitly; otherwise the engine default min(shards, GOMAXPROCS)
-	// applies.
-	workers := 0
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "parallel" {
-			workers = *parallel
-		}
-	})
 	if (*sealRows > 0 || *sealSpan > 0) && !*live {
 		fatal(fmt.Errorf("-sealrows/-sealspan require -live (they configure the live+sharded lifecycle)"))
 	}
@@ -206,13 +195,11 @@ func main() {
 		}
 		if *sealRows > 0 || *sealSpan > 0 {
 			// Live+sharded lifecycle: the stream seals into static shards as
-			// it is replayed, and the query fans out over sealed + tail.
+			// it is replayed, and the query spans sealed + tail.
 			q, err := durable.Open(durable.FromStream(ds.Dims()),
 				durable.WithOptions(engOpts),
 				durable.WithLiveOptions(durable.LiveOptions{Capacity: ds.Len()}),
-				durable.WithLiveSharding(durable.LiveShardOptions{
-					SealRows: *sealRows, SealSpan: *sealSpan, Workers: workers,
-				}))
+				durable.WithLiveSharding(durable.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan}))
 			if err != nil {
 				fatal(err)
 			}
@@ -239,9 +226,7 @@ func main() {
 		eng = le
 	case *shards > 1:
 		q, err := durable.Open(durable.FromDataset(ds), durable.WithOptions(engOpts),
-			durable.WithSharding(durable.ShardOptions{
-				Shards: *shards, Workers: workers, Strategy: strategy,
-			}))
+			durable.WithSharding(durable.ShardOptions{Shards: *shards, Strategy: strategy}))
 		if err != nil {
 			fatal(err)
 		}
@@ -283,14 +268,7 @@ func main() {
 		fmt.Print(plan)
 		return
 	}
-	var res *durable.Result
-	if single, ok := eng.(*durable.Engine); ok && *parallel > 1 {
-		// Unsharded: -parallel splits the query interval across workers.
-		// Sharded engines already fan out per shard on their worker pool.
-		res, err = single.DurableTopKParallel(query, *parallel)
-	} else {
-		res, err = eng.DurableTopK(query)
-	}
+	res, err := eng.DurableTopK(query)
 	if err != nil {
 		fatal(err)
 	}

@@ -16,10 +16,10 @@
 // Generator specs are name=kind:n[:dims] with kind one of nba, network,
 // ind, anti, rpm.
 //
-// -shards N (with optional -shardby count|timespan and -workers W) serves
-// every dataset from a time-sharded engine: N independent per-shard indexes
-// over zero-copy dataset slices, with queries fanned out on a bounded worker
-// pool. Answers are identical to the single-engine deployment.
+// -shards N (with optional -shardby count|timespan) serves every dataset
+// from a time-sharded engine: N independent per-shard indexes over zero-copy
+// dataset slices, each query one span over them. Answers are identical to the
+// single-engine deployment.
 //
 // -live name=dims serves a live dataset: it starts empty and grows through
 // append requests on the wire (or -ingest below), with queries at any moment
@@ -35,15 +35,14 @@
 // -sealrows N and/or -sealspan T serve -live datasets through the
 // live+sharded lifecycle instead: appends route to a mutable tail shard that
 // is sealed into an immutable static shard every N records (or once its
-// arrivals span T ticks) — bounding rebuild work and query fan-out on an
-// unbounded stream:
+// arrivals span T ticks) — bounding rebuild work on an unbounded stream:
 //
 //	durgen -kind nba -n 1000000 | durserved -live games=2 -sealrows 100000 -ingest games
 //
 // -compactfanout N adds LSM leveling on top of the seal lifecycle: every run
 // of N adjacent same-level sealed shards is merged in the background into
-// one shard a level up, bounding the live shard count (and with it straddler
-// fan-out and checkpoint manifest size) to O(N·log n) however long the
+// one shard a level up, bounding the live shard count (and with it the shards
+// a probe walks and checkpoint manifest size) to O(N·log n) however long the
 // stream runs. -retain T bounds retention: sealed shards whose arrivals all
 // lag the stream head by more than T ticks are retired — queries then answer
 // over the retained suffix only. Both compose with -wal: merges land as
@@ -68,12 +67,10 @@
 // -queryworkers N serves connections pipelined: read-only requests evaluate
 // concurrently — across the requests of one connection and across
 // connections — on an admission pool of N workers, while responses still
-// leave each connection in request order (-workers, by contrast, sizes the
-// per-query shard fan-out inside one evaluation). -cache M adds a shared
-// result cache of M entries: exact-match repeated queries at an unchanged
-// data epoch replay their response without touching the engine, and sharded
-// engines additionally reuse each immutable shard's interior answers across
-// overlapping queries forever:
+// leave each connection in request order. -cache M adds a shared result cache
+// with a budget of M units of 64 result records (an answer costs 1 +
+// records/64 of them): exact-match repeated queries at an unchanged data epoch
+// replay their response without touching the engine:
 //
 //	durserved -gen net=network:1000000:4 -shards 16 -queryworkers 8 -cache 4096
 //
@@ -136,7 +133,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed for generated datasets")
 		shards   = flag.Int("shards", 1, "serve each dataset from this many time shards (sharded engine when > 1)")
 		shardBy  = flag.String("shardby", "count", "shard partitioning: count|timespan")
-		workers  = flag.Int("workers", 0, "per-query shard fan-out pool size (0 = min(shards, GOMAXPROCS))")
 		liveK    = flag.Int("livek", 0, "monitor live datasets online with this top-k (0 = no monitor)")
 		liveTau  = flag.Int64("livetau", 0, "durability window length for -livek monitoring")
 		ingest   = flag.String("ingest", "", "stream CSV records from stdin into this live dataset")
@@ -149,8 +145,8 @@ func main() {
 		fsyncEvy = flag.Duration("fsyncevery", 0, "fsync period for -fsync interval (0 = 50ms default)")
 		keepCk   = flag.Int("keepcheckpoints", 0, "with -wal, retain the newest N checkpoint-manifest generations as backups and garbage-collect older ones plus unreferenced page files (0 = single manifest, no GC)")
 		connTO   = flag.Duration("conntimeout", 0, "per-connection read/write deadline; idle or stalled clients are disconnected after this long (0 = none)")
-		qWorkers = flag.Int("queryworkers", 0, "admit this many concurrent query evaluations (pipelined serving; 0 = serial, one request at a time per connection)")
-		cacheSz  = flag.Int("cache", 0, "shared result cache size in entries; repeated queries at an unchanged data epoch replay without engine work (0 = no cache)")
+		qWorkers = flag.Int("queryworkers", 0, "admit this many concurrent query evaluations (pipelined serving; 0 = one request at a time per connection)")
+		cacheSz  = flag.Int("cache", 0, "shared result cache budget in units of 64 result records (an answer costs 1 + records/64); repeated queries at an unchanged data epoch replay without engine work (0 = no cache)")
 		subsOn   = flag.Bool("subscriptions", false, "serve standing queries: protocol-v2 clients may subscribe to live datasets and are pushed per-append durability verdicts")
 		files    keyValue
 		gens     keyValue
@@ -184,15 +180,13 @@ func main() {
 	}
 
 	srv := wire.NewServer(nil)
-	// Install the concurrency layer before registering datasets so sharded
-	// engines pick up the partial cache at registration.
 	if *qWorkers > 0 {
 		srv.SetScheduler(serve.NewScheduler(*qWorkers))
 		log.Printf("durserved: pipelined serving, %d query workers", *qWorkers)
 	}
 	if *cacheSz > 0 {
 		srv.SetCache(serve.NewCache(*cacheSz))
-		log.Printf("durserved: result cache, %d entries", *cacheSz)
+		log.Printf("durserved: result cache, %d units of 64 records", *cacheSz)
 	}
 	// Standing queries are an operator opt-in: without -subscriptions the
 	// "events" feature is withheld at hello time and subscribe requests fail
@@ -204,7 +198,7 @@ func main() {
 	// The bounded skyband scan keeps S-Band's lazy index build tractable on
 	// adversarial data while staying exact (see DESIGN.md §2).
 	engOpts := core.Options{SkybandScanBudget: 4096}
-	shardOpts := core.ShardOptions{Shards: *shards, Workers: *workers, Strategy: strategy}
+	shardOpts := core.ShardOptions{Shards: *shards, Strategy: strategy}
 	register := func(name string, ds *data.Dataset) {
 		var err error
 		suffix := ""
@@ -277,7 +271,7 @@ func main() {
 			st, err := durable.Recover(filepath.Join(*walDir, name), dims, durable.StoreOptions{
 				Sync: syncPolicy, SyncEvery: *fsyncEvy,
 				Engine: engOpts, Live: liveOpts,
-				Shard:           core.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan, Workers: *workers, CompactFanout: *compactN, RetainSpan: *retain},
+				Shard:           core.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan, CompactFanout: *compactN, RetainSpan: *retain},
 				KeepCheckpoints: *keepCk,
 				Logf:            log.Printf,
 			})
@@ -301,7 +295,7 @@ func main() {
 			// Live+sharded lifecycle: appends route to a mutable tail shard
 			// that seals into immutable static shards as it fills.
 			lse, err := srv.AddLiveSharded(name, dims, attrNames[name], engOpts, liveOpts,
-				core.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan, Workers: *workers, CompactFanout: *compactN, RetainSpan: *retain})
+				core.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan, CompactFanout: *compactN, RetainSpan: *retain})
 			if err != nil {
 				log.Fatalf("durserved: -live %s: %v", name, err)
 			}

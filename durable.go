@@ -133,15 +133,15 @@ func mustOpen(options ...OpenOption) Querier {
 	return q
 }
 
-// ShardedEngine scales durable top-k evaluation horizontally: contiguous
-// time-range shards, one independent engine per shard over a zero-copy
-// dataset view, queries fanned out on a bounded worker pool and merged with
-// exact handling of records whose durability window straddles shard
-// boundaries. Results are identical to Engine over the same dataset.
+// ShardedEngine scales durable top-k indexing horizontally: contiguous
+// time-range shards, one independent index per shard over a zero-copy
+// dataset view, and each query evaluated once as a single span whose range
+// top-k probes merge the overlapped shards' indexes. Results are identical
+// to Engine over the same dataset.
 type ShardedEngine = core.ShardedEngine
 
-// ShardOptions configures time sharding: shard count, fan-out worker pool
-// size and the partitioning strategy.
+// ShardOptions configures time sharding: shard count and the partitioning
+// strategy.
 type ShardOptions = core.ShardOptions
 
 // ShardStrategy selects the time-domain partitioning rule.
@@ -163,8 +163,9 @@ type Querier = core.Querier
 
 // NewSharded partitions ds into time shards and builds one engine per shard;
 // see ShardOptions for sizing. It shares the Query/Result contract with New:
-// the same queries return the same answers, evaluated shard-parallel. Thin
-// wrapper over Open(FromDataset(ds), WithOptions(opts), WithSharding(shards)).
+// the same queries return the same answers, each as one span over the
+// shards. Thin wrapper over Open(FromDataset(ds), WithOptions(opts),
+// WithSharding(shards)).
 func NewSharded(ds *Dataset, opts Options, shards ShardOptions) *ShardedEngine {
 	return mustOpen(FromDataset(ds), WithOptions(opts), WithSharding(shards)).(*ShardedEngine)
 }
@@ -202,16 +203,14 @@ func NewLive(d int, opts Options, live LiveOptions) (*LiveEngine, error) {
 // LiveShardedEngine composes live ingestion with time sharding: appends
 // route to a single mutable tail shard, and when the tail reaches a seal
 // threshold (row count or time span) it is frozen into an immutable static
-// shard and a fresh tail opens — the LSM-style lifecycle that bounds both
-// rebuild work and query fan-out on an unbounded stream. Queries fan out
-// over the sealed shards plus the tail with the exact cross-shard merge and
-// pruning of ShardedEngine; answers are bit-identical to a batch Engine over
-// the same prefix.
+// shard and a fresh tail opens — the LSM-style lifecycle that bounds rebuild
+// work on an unbounded stream. A query is one span over the sealed shards
+// plus the tail, with the merge probes and pruning of ShardedEngine; answers
+// are bit-identical to a batch Engine over the same prefix.
 type LiveShardedEngine = core.LiveShardedEngine
 
 // LiveShardOptions configures the seal/freeze lifecycle: the tail's seal
-// thresholds (rows and/or time span), the query fan-out pool, and straddler
-// handling.
+// thresholds (rows and/or time span), compaction and retention.
 type LiveShardOptions = core.LiveShardOptions
 
 // DefaultSealRows is the tail seal threshold used when LiveShardOptions sets

@@ -219,24 +219,6 @@ func TestPublicAPIMostDurable(t *testing.T) {
 	}
 }
 
-func TestPublicAPIParallel(t *testing.T) {
-	ds := buildDataset(t, 800)
-	eng := durable.New(ds)
-	lo, hi := ds.Span()
-	q := durable.Query{K: 2, Tau: 50, Start: lo, End: hi, Scorer: durable.MustLinear(1, 2)}
-	seq, err := eng.DurableTopK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := eng.DurableTopKParallel(q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par.IDs(), seq.IDs()) {
-		t.Fatal("parallel public API disagrees with sequential")
-	}
-}
-
 func TestPublicAPICompileScorer(t *testing.T) {
 	ds := buildDataset(t, 400)
 	eng := durable.New(ds)
@@ -354,33 +336,6 @@ func TestPublicAPIMonitor(t *testing.T) {
 	}
 }
 
-func TestPublicAPIParallelAutoConsistent(t *testing.T) {
-	ds := buildDataset(t, 800)
-	eng := durable.New(ds)
-	lo, hi := ds.Span()
-	q := durable.Query{K: 2, Tau: 60, Start: lo, End: hi, Scorer: durable.MustLinear(1, 0.5)}
-	seq, err := eng.DurableTopK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := eng.DurableTopKParallel(q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par.IDs(), seq.IDs()) {
-		t.Fatalf("parallel Auto answer differs: %v vs %v", par.IDs(), seq.IDs())
-	}
-	// Auto resolves once for the whole parallel run, so the reported
-	// algorithm is a single concrete strategy.
-	if par.Stats.Algorithm == durable.Auto {
-		t.Fatal("parallel run reported Auto instead of the resolved strategy")
-	}
-	if par.Stats.Algorithm != seq.Stats.Algorithm {
-		t.Fatalf("parallel resolved %v but sequential resolved %v",
-			par.Stats.Algorithm, seq.Stats.Algorithm)
-	}
-}
-
 func TestPublicAPISharded(t *testing.T) {
 	ds := buildDataset(t, 900)
 	eng := durable.New(ds)
@@ -392,9 +347,7 @@ func TestPublicAPISharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strategy := range []durable.ShardStrategy{durable.ByCount, durable.ByTimeSpan} {
-		se := durable.NewSharded(ds, durable.Options{}, durable.ShardOptions{
-			Shards: 6, Workers: 3, Strategy: strategy,
-		})
+		se := durable.NewSharded(ds, durable.Options{}, durable.ShardOptions{Shards: 6, Strategy: strategy})
 		if se.NumShards() != 6 {
 			t.Fatalf("%v: %d shards, want 6", strategy, se.NumShards())
 		}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/rmq"
 	"repro/internal/score"
-	"repro/internal/stats"
 )
 
 // runAblationBlock contrasts the default tree building block with the
@@ -69,43 +68,5 @@ func runAblationBlock(cfg Config, w io.Writer) error {
 	}
 	ta.flush()
 	fmt.Fprintln(w, "\nexpected: RMQ answers fixed-scorer probes faster; the tree needs no per-scorer preprocessing")
-	return nil
-}
-
-// runAblationParallel measures the interval-partitioned parallel evaluation.
-func runAblationParallel(cfg Config, w io.Writer) error {
-	cfg = cfg.withDefaults()
-	eng, err := EngineFor(cfg, "nba-2")
-	if err != nil {
-		return err
-	}
-	ds := eng.Dataset()
-	lo, hi := ds.Span()
-	span := hi - lo
-	s := RandomPreference(nil2rng(cfg.Seed), ds.Dims())
-	// A low-selectivity query (small tau) so there is real work to split.
-	q := core.Query{K: defaultK, Tau: span / 100, Start: lo + span/5, End: hi, Scorer: s, Algorithm: core.SHop}
-	header(w, "Ablation: interval-partitioned parallel evaluation (nba-2, s-hop, tau=1%)")
-	ta := newTable(w)
-	ta.row("workers", "time ms", "speedup", "|S|")
-	var base float64
-	for _, workers := range []int{1, 2, 4, 8} {
-		var msAll []float64
-		var answer int
-		for rep := 0; rep < cfg.Reps; rep++ {
-			res, err := eng.DurableTopKParallel(q, workers)
-			if err != nil {
-				return err
-			}
-			msAll = append(msAll, float64(res.Stats.Elapsed.Microseconds())/1000)
-			answer = len(res.Records)
-		}
-		mean := stats.Mean(msAll)
-		if workers == 1 {
-			base = mean
-		}
-		ta.row(workers, ms(msAll), fmt.Sprintf("%.2fx", base/mean), answer)
-	}
-	ta.flush()
 	return nil
 }

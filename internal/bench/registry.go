@@ -32,7 +32,6 @@ var registry = []Experiment{
 	{ID: "abl-bounds", Paper: "ablation", Title: "skyline vs MBR-only node bounds", Run: runAblationBounds},
 	{ID: "abl-forest", Paper: "ablation", Title: "static tree vs appendable forest", Run: runAblationForest},
 	{ID: "abl-block", Paper: "ablation", Title: "tree vs RMQ building block (fixed scorer)", Run: runAblationBlock},
-	{ID: "abl-parallel", Paper: "ablation", Title: "interval-partitioned parallel evaluation", Run: runAblationParallel},
 	{ID: "shardscale", Paper: "extension", Title: "time-sharded scale-out: latency vs shard count", Run: runShardScale},
 	{ID: "abl-planner", Paper: "ablation", Title: "cost-based Auto planner vs fixed strategies", Run: runAblationPlanner},
 	{ID: "ext-anchor", Paper: "extension", Title: "mid-anchored durability windows (lead sweep)", Run: runExtAnchor},
@@ -40,7 +39,7 @@ var registry = []Experiment{
 	{ID: "ext-stream", Paper: "extension", Title: "streaming durability: forest probes vs monitor", Run: runExtStream},
 	{ID: "streamscale", Paper: "extension", Title: "live ingestion: appends/sec, rebuild amortization, freshness", Run: runStreamScale},
 	{ID: "livesharded", Paper: "extension", Title: "live+sharded lifecycle: seal/freeze amortization, sealed+tail queries", Run: runLiveShardedScale},
-	{ID: "compaction", Paper: "extension", Title: "sealed-shard compaction: shard count, straddler fan-out and steady query with/without LSM leveling", Run: runCompactionScale},
+	{ID: "compaction", Paper: "extension", Title: "sealed-shard compaction: shard count, shards visited and steady query with/without LSM leveling", Run: runCompactionScale},
 	{ID: "servescale", Paper: "extension", Title: "concurrent serving: queries/sec vs client count, result-cache hit rate", Run: runServeScale},
 	{ID: "standing", Paper: "extension", Title: "standing queries: appends/sec and confirm latency vs subscription count", Run: runStandingScale},
 	{ID: "sliding-baseline", Paper: "footnote 1", Title: "sliding-window post-filter baseline", Run: runSlidingBaseline},

@@ -19,7 +19,6 @@ var shardSweep = []int{1, 2, 4, 8}
 // top-k latency through a ShardedEngine with the given shard count.
 type ShardPerf struct {
 	Shards      int     `json:"shards"`
-	Workers     int     `json:"workers"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	Speedup     float64 `json:"speedup_vs_1_shard"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -33,9 +32,9 @@ type ShardPerf struct {
 
 // ShardReport is the schema of BENCH_sharded.json: query latency and speedup
 // versus the single-shard baseline as the shard count grows, tracked across
-// PRs alongside BENCH_topk.json. Shard fan-out parallelism is bounded by
-// GOMAXPROCS, so the speedup column is only meaningful relative to the
-// recorded core count.
+// PRs alongside BENCH_topk.json. A query is one span evaluated on one
+// goroutine, so the speedup column shows what splitting the index costs a
+// probe, not a fan-out.
 type ShardReport struct {
 	Dataset    string      `json:"dataset"`
 	Records    int         `json:"records"`
@@ -50,8 +49,8 @@ type ShardReport struct {
 }
 
 // ShardScaleReport measures one durable top-k query evaluation per iteration
-// through ShardedEngine at each sweep point (workers = shards, ByCount
-// partitioning), on the synthetic workload of the given dataset.
+// through ShardedEngine at each sweep point (ByCount partitioning), on the
+// synthetic workload of the given dataset.
 func ShardScaleReport(cfg Config, dsName string) (*ShardReport, error) {
 	cfg = cfg.withDefaults()
 	ds, err := DatasetFor(cfg, dsName)
@@ -69,13 +68,11 @@ func ShardScaleReport(cfg Config, dsName string) (*ShardReport, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := RandomPreference(rng, ds.Dims())
 	// The hop strategy is the paper's general-purpose winner; pinning it
-	// keeps the sweep an apples-to-apples fan-out comparison rather than a
-	// planner comparison.
+	// keeps the sweep an apples-to-apples shard-count comparison rather than
+	// a planner comparison.
 	q := spec.Materialize(ds, s, core.SHop)
 	for _, shards := range shardSweep {
-		se := core.NewShardedEngine(ds, EngineOptions(), core.ShardOptions{
-			Shards: shards, Workers: shards,
-		})
+		se := core.NewShardedEngine(ds, EngineOptions(), core.ShardOptions{Shards: shards})
 		var evalErr error
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -95,7 +92,6 @@ func ShardScaleReport(cfg Config, dsName string) (*ShardReport, error) {
 		}
 		row := ShardPerf{
 			Shards:       shards,
-			Workers:      se.Workers(),
 			NsPerOp:      float64(r.NsPerOp()),
 			AllocsPerOp:  r.AllocsPerOp(),
 			BytesPerOp:   r.AllocedBytesPerOp(),
@@ -138,13 +134,10 @@ func runShardScale(cfg Config, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "dataset=%s n=%d d=%d | k=%d tau=%d%% |I|=%d%% | strategy=%s | GOMAXPROCS=%d\n",
 		rep.Dataset, rep.Records, rep.Dims, rep.K, rep.TauPct, rep.IPct, rep.Strategy, rep.GOMAXPROCS)
-	fmt.Fprintf(w, "%-8s %-9s %14s %10s %12s %8s\n", "shards", "workers", "ns/op", "speedup", "allocs/op", "pruned")
+	fmt.Fprintf(w, "%-8s %14s %10s %12s %8s\n", "shards", "ns/op", "speedup", "allocs/op", "pruned")
 	for _, row := range rep.Rows {
-		fmt.Fprintf(w, "%-8d %-9d %14.0f %9.2fx %12d %8d\n",
-			row.Shards, row.Workers, row.NsPerOp, row.Speedup, row.AllocsPerOp, row.ShardsPruned)
-	}
-	if rep.GOMAXPROCS == 1 {
-		fmt.Fprintln(w, "note: single-core host; shard fan-out runs serialized, so speedup ~1x is expected here")
+		fmt.Fprintf(w, "%-8d %14.0f %9.2fx %12d %8d\n",
+			row.Shards, row.NsPerOp, row.Speedup, row.AllocsPerOp, row.ShardsPruned)
 	}
 	return nil
 }

@@ -79,9 +79,9 @@ type StreamReport struct {
 	// without. The shard counts are the headline: without compaction the
 	// live set grows linearly with the seal count; with it the LSM leveling
 	// holds it at O(fanout · log n). VisitedShards counts the shards whose
-	// row range intersects the steady query's window reach — the straddler
-	// fan-out the query planner must stitch across — and the steady-query
-	// ns/allocs pairs price that fan-out with and without compaction.
+	// row range intersects the steady query's window reach — the shards its
+	// span's probes merge — and the steady-query ns/allocs pairs price that
+	// walk with and without compaction.
 	CompactSealRows          int     `json:"compact_seal_rows,omitempty"`
 	CompactFanout            int     `json:"compact_fanout,omitempty"`
 	Compactions              int     `json:"compactions,omitempty"`
@@ -380,7 +380,7 @@ func compactionLifecycle(rep *StreamReport, ds *data.Dataset, spec QuerySpec, s 
 		return float64(r.NsPerOp()), r.AllocsPerOp(), r.AllocedBytesPerOp(), evalErr
 	}
 	// visited counts the shards whose rows a look-back query over [Start-Tau,
-	// End] can touch: the straddler fan-out of the final epoch.
+	// End] can touch: the shards its span covers in the final epoch.
 	visited := func(lse *core.LiveShardedEngine, q core.Query) int {
 		count := 0
 		for _, in := range lse.Shards() {
@@ -438,7 +438,7 @@ func runCompactionScale(cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "%-34s %25d\n", "steady query allocs (with)", rep.CompactSteadyQueryAllocs)
 	fmt.Fprintln(w, "\nexpected: without compaction the shard count equals the seal count (linear"+
 		"\nin stream length); with it the count stays O(fanout * log n), shrinking the"+
-		"\nstraddler fan-out every windowed query pays to stitch across shard seams")
+		"\nshard walk every probe of a windowed query pays")
 	return nil
 }
 

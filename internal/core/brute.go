@@ -7,7 +7,8 @@ import (
 
 // BruteForce evaluates DurTop(k, I, tau) directly from the definition (§II):
 // record p is tau-durable iff fewer than k records in its anchored window
-// score strictly higher. O(n·w) time; the reference oracle for tests and the
+// score strictly higher (a NaN score ranks below every real one; see
+// outranks). O(n·w) time; the reference oracle for tests and the
 // slowest baseline in the benchmarks. For mid-anchored windows pass General
 // and use BruteForceAnchored.
 func BruteForce(ds *data.Dataset, s score.Scorer, k int, tau, start, end int64, anchor Anchor) []int {
@@ -16,6 +17,14 @@ func BruteForce(ds *data.Dataset, s score.Scorer, k int, tau, start, end int64, 
 		lead = tau
 	}
 	return BruteForceAnchored(ds, s, k, tau, lead, start, end)
+}
+
+// outranks reports whether score a counts as strictly higher than b. NaN
+// orders with nothing, so the oracle settles it the way every strategy's
+// membership test (score >= k-th) does once a window holds k real scores: a
+// NaN score ranks below every real one and never outranks anything.
+func outranks(a, b float64) bool {
+	return a > b || (b != b && a == a)
 }
 
 // BruteForceAnchored is BruteForce for the general anchor of §II: each
@@ -33,7 +42,7 @@ func BruteForceAnchored(ds *data.Dataset, s score.Scorer, k int, tau, lead, star
 		wlo, whi := ds.IndexRange(satSub(t, back), satAdd(t, lead))
 		higher := 0
 		for j := wlo; j < whi; j++ {
-			if scores[j] > scores[i] {
+			if outranks(scores[j], scores[i]) {
 				higher++
 				if higher >= k {
 					break
@@ -55,7 +64,7 @@ func BruteMaxDuration(ds *data.Dataset, s score.Scorer, k int, id int, anchor An
 	higher := 0
 	if anchor == LookBack {
 		for j := id - 1; j >= 0; j-- {
-			if s.Score(ds.Attrs(j)) > base {
+			if outranks(s.Score(ds.Attrs(j)), base) {
 				higher++
 				if higher == k {
 					return ds.Time(id) - ds.Time(j) - 1, false
@@ -65,7 +74,7 @@ func BruteMaxDuration(ds *data.Dataset, s score.Scorer, k int, id int, anchor An
 		return ds.Time(id) - ds.Time(0), true
 	}
 	for j := id + 1; j < ds.Len(); j++ {
-		if s.Score(ds.Attrs(j)) > base {
+		if outranks(s.Score(ds.Attrs(j)), base) {
 			higher++
 			if higher == k {
 				return ds.Time(j) - ds.Time(id) - 1, false

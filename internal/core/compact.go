@@ -6,44 +6,15 @@ import "sort"
 // (livesharded.go) produces a stream of small level-0 shards, and the
 // background compactor here merges runs of adjacent same-level shards into
 // exponentially larger shards one level up, bounding the live shard count —
-// and with it straddler fan-out, router work and checkpoint manifest size —
-// to O(CompactFanout · log n) on an unbounded stream. Retention (RetainSpan)
+// and with it the shards a probe walks and checkpoint manifest size — to
+// O(CompactFanout · log n) on an unbounded stream. Retention (RetainSpan)
 // retires whole ancient shards through the same publication path, so bounded
 // deployments shed history without ever reshaping a shard in place.
 //
 // Both paths preserve the engine's epoch discipline: a merge or retirement is
 // published as a new shardGroup epoch under the lifecycle lock, in-flight
 // queries keep evaluating their pinned epoch, and EpochSeq bumps so
-// whole-result caches invalidate by construction. Partial (interior) caches
-// need help — their entries are keyed by shard identity, which compaction and
-// retirement destroy — so every shard leaving the live set is announced
-// through PartialInvalidator.
-
-// PartialInvalidator is the optional invalidation surface of a PartialCache.
-// When the cache implements it, the engine calls InvalidateShard whenever a
-// sealed shard leaves the live set — compacted into a larger shard, or
-// retired by retention — with the departing shard's global row range. Entries
-// keyed by that exact (ShardLo, ShardHi) can never be looked up again (no
-// future epoch contains the shard), so a cache that does not implement the
-// interface leaks them instead of serving them stale; implementing it keeps
-// the cache tight under compaction.
-//
-// InvalidateShard is called with the engine's lifecycle lock held and must
-// not call back into the engine.
-type PartialInvalidator interface {
-	InvalidateShard(shardLo, shardHi int)
-}
-
-// invalidatePartialLocked announces that sealed shard [lo, hi) left the live
-// set. Caller holds mu.
-func (e *LiveShardedEngine) invalidatePartialLocked(lo, hi int) {
-	if e.pc == nil {
-		return
-	}
-	if inv, ok := e.pc.(PartialInvalidator); ok {
-		inv.InvalidateShard(lo, hi)
-	}
-}
+// whole-result caches invalidate by construction.
 
 // findSealedLocked locates the sealed shard with exactly the range [lo, hi),
 // if it is still live. Sealed shards tile ascending disjoint ranges, so a
@@ -131,12 +102,7 @@ func (e *LiveShardedEngine) installCompactedLocked(lo, hi, level int, eng *Engin
 	if b == a || e.sealed[b-1].hi != hi {
 		return false
 	}
-	// The constituents leave the live set: their interior cache entries are
-	// unreachable from every future epoch.
-	for _, sh := range e.sealed[a:b] {
-		e.invalidatePartialLocked(sh.lo, sh.hi)
-	}
-	merged := timeShard{lo: lo, hi: hi, eng: eng, level: level, immutable: true}
+	merged := timeShard{lo: lo, hi: hi, eng: eng, level: level}
 	e.sealed = append(e.sealed[:a], append([]timeShard{merged}, e.sealed[b:]...)...)
 	e.compactions++
 	e.compactedRows += hi - lo
@@ -150,8 +116,8 @@ func (e *LiveShardedEngine) installCompactedLocked(lo, hi, level int, eng *Engin
 // maybeRetireLocked retires every sealed shard whose last arrival is older
 // than latest − RetainSpan, always whole shards from the front of the
 // timeline. Retired rows leave every future query epoch — answers match a
-// batch engine over the retained suffix — and their interior cache entries
-// are invalidated; the rows themselves stay in the global columnar storage
+// batch engine over the retained suffix; the rows themselves stay in the
+// global columnar storage
 // (reclaiming their memory needs a storage compaction, a recorded follow-on).
 // Caller holds mu.
 func (e *LiveShardedEngine) maybeRetireLocked(latest int64) {
@@ -167,9 +133,6 @@ func (e *LiveShardedEngine) maybeRetireLocked(latest int64) {
 		return
 	}
 	lo, hi := e.sealed[0].lo, e.sealed[idx-1].hi
-	for _, sh := range e.sealed[:idx] {
-		e.invalidatePartialLocked(sh.lo, sh.hi)
-	}
 	e.sealed = append(e.sealed[:0:0], e.sealed[idx:]...)
 	e.retiredLo = hi
 	e.retires += idx

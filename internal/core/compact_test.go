@@ -136,72 +136,13 @@ func TestCompactionBitIdentity(t *testing.T) {
 	}
 }
 
-// recordingPartialCache records shard invalidations so tests can assert the
-// engine announces every shard that leaves the live set.
-type recordingPartialCache struct {
-	mu          sync.Mutex
-	invalidated [][2]int
-	puts        int
-}
-
-func (c *recordingPartialCache) GetPartial(key PartialKey) ([]int32, bool) { return nil, false }
-
-func (c *recordingPartialCache) PutPartial(key PartialKey, ids []int32) {
-	c.mu.Lock()
-	c.puts++
-	c.mu.Unlock()
-}
-
-func (c *recordingPartialCache) InvalidateShard(lo, hi int) {
-	c.mu.Lock()
-	c.invalidated = append(c.invalidated, [2]int{lo, hi})
-	c.mu.Unlock()
-}
-
-func (c *recordingPartialCache) ranges() [][2]int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([][2]int(nil), c.invalidated...)
-}
-
-// TestCompactionInvalidatesPartialCache: when shards are merged away, every
-// constituent's row range is announced through PartialInvalidator so caches
-// can drop entries that would otherwise leak forever.
-func TestCompactionInvalidatesPartialCache(t *testing.T) {
-	pc := &recordingPartialCache{}
-	lse := compactLSE(t, 1, LiveShardOptions{SealRows: 8, CompactFanout: 2})
-	lse.SetPartialCache(pc)
-	for i := 0; i < 16; i++ {
-		if _, _, err := lse.Append(int64(i+1), []float64{float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lse.WaitSealed()
-	lse.WaitCompacted()
-	if lse.Compactions() != 1 {
-		t.Fatalf("Compactions = %d, want exactly 1", lse.Compactions())
-	}
-	got := pc.ranges()
-	want := [][2]int{{0, 8}, {8, 16}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("invalidated ranges %v, want %v", got, want)
-	}
-	// The merged shard is live: exactly one sealed shard covering [0,16) L1.
-	infos := lse.Shards()
-	if len(infos) != 1 || infos[0].Lo != 0 || infos[0].Hi != 16 || infos[0].Level != 1 {
-		t.Fatalf("post-compaction shards = %+v, want one [0,16) level-1 shard", infos)
-	}
-}
-
 // TestRetainSpanRetires: with a retention span, ancient shards are retired
-// from the front, metrics expose the retired row count, invalidations fire,
-// and every query over the retained region answers exactly like a batch
-// engine over the retained suffix (IDs offset by the retired prefix).
+// from the front, metrics expose the retired row count, and every query
+// over the retained region answers exactly like a batch engine over the
+// retained suffix (IDs offset by the retired prefix).
 func TestRetainSpanRetires(t *testing.T) {
 	const n, sealRows, retain = 240, 10, 60
-	pc := &recordingPartialCache{}
 	lse := compactLSE(t, 1, LiveShardOptions{SealRows: sealRows, RetainSpan: retain})
-	lse.SetPartialCache(pc)
 	times := make([]int64, n)
 	vals := make([][]float64, n)
 	rng := rand.New(rand.NewSource(7))
@@ -231,19 +172,6 @@ func TestRetainSpanRetires(t *testing.T) {
 	if lse.Len() != n {
 		t.Fatalf("Len = %d, want %d (retirement is logical; rows stay addressable)", lse.Len(), n)
 	}
-	// Retired shards announced to the partial cache, one range per shard,
-	// tiling exactly [0, lo).
-	prev := 0
-	for _, r := range pc.ranges() {
-		if r[0] != prev {
-			t.Fatalf("invalidations %v do not tile the retired prefix", pc.ranges())
-		}
-		prev = r[1]
-	}
-	if prev != lo {
-		t.Fatalf("invalidations cover [0,%d), want [0,%d)", prev, lo)
-	}
-
 	// Differential over the retained region: batch engine over the suffix.
 	suffix, err := data.New(times[lo:n:n], vals[lo:n])
 	if err != nil {
@@ -347,7 +275,7 @@ func TestCompactionRaceStress(t *testing.T) {
 	// retired something only when compaction lagged, 3–6 of 20 runs did not).
 	const n = 4200
 	lse := compactLSE(t, 1, LiveShardOptions{
-		SealRows: 16, CompactFanout: 2, RetainSpan: 2000, StraddleThreshold: 1,
+		SealRows: 16, CompactFanout: 2, RetainSpan: 2000,
 	})
 	s := score.MustLinear(1)
 	// Seed rows so queriers never observe an empty engine.

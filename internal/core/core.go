@@ -106,6 +106,15 @@ func (a Anchor) String() string {
 }
 
 // Query describes one durable top-k query DurTop(k, I, tau).
+//
+// Scorers should not return NaN: it orders with nothing, so "fewer than k
+// records score strictly higher" has no answer for it. The oracle
+// (BruteForce*) ranks a NaN score below every real one, and so does the
+// T-Base sweep on an unsharded Engine wherever a window holds at least k
+// real-scored rows (a membership test, score >= k-th, never passes a NaN
+// row). Nothing else is defined under NaN: a NaN that enters a range top-k
+// probe's heap corrupts its order, so the probing strategies can return wrong
+// answers for the rows around it and T-Hop may fail to terminate.
 type Query struct {
 	K         int          // top-k parameter, >= 1
 	Tau       int64        // durability window length in time ticks, >= 0

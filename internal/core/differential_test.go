@@ -29,7 +29,7 @@ var diffShardCounts = []int{1, 2, 7, 16}
 
 // foreignBlock hides the tree index behind the bare Block contract, and
 // foreignScratchBlock behind Block plus ScratchBlock (embedding an interface
-// promotes only its own methods): what a straddle region meets when
+// promotes only its own methods): what a span meets when
 // Options.NewBlock supplies the building block, so its merge runs through
 // the re-offer fallback instead of continuing natively.
 type foreignBlock struct{ Block }
@@ -156,20 +156,11 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 	eng := NewEngine(ds, testEngineOpts())
 	sharded := make([]*ShardedEngine, len(diffShardCounts))
 	for i, count := range diffShardCounts {
-		// Alternate strategy, straddle path and building block so all get
-		// coverage.
-		sharded[i] = NewShardedEngine(ds, diffEngineOpts(i), ShardOptions{
-			Shards:            count,
-			Workers:           1 + rng.Intn(3),
-			Strategy:          ShardStrategy(rng.Intn(2)),
-			StraddleThreshold: []int{1, 16, 1 << 30}[rng.Intn(3)],
-		})
+		// Alternate strategy and building block so all get coverage.
+		sharded[i] = NewShardedEngine(ds, diffEngineOpts(i), testShardOpts(count, ShardStrategy(rng.Intn(2))))
 	}
-	// One engine always takes the region path, with enough shards for a
-	// region to cover several.
-	wide := NewShardedEngine(ds, diffEngineOpts(rng.Intn(3)), ShardOptions{
-		Shards: 6 + rng.Intn(6), Workers: 1 + rng.Intn(3), StraddleThreshold: 1,
-	})
+	// One engine with enough shards for a window to cover several.
+	wide := NewShardedEngine(ds, diffEngineOpts(rng.Intn(3)), ShardOptions{Shards: 6 + rng.Intn(6)})
 	sharded = append(sharded, wide)
 
 	fail := func(engine string, q Query, got, want []int) {
@@ -211,8 +202,8 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 		return q
 	}
 
-	// spanQuery makes every straddle region of the wide engine cover at least
-	// three shards: an interval across three or more of them and a window of
+	// spanQuery makes every window on the wide engine cover at least three
+	// shards: an interval across three or more of them and a window of
 	// two to three shard widths, looking back or ahead.
 	spanQuery := func() Query {
 		infos := wide.Shards()
@@ -262,8 +253,8 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 			}
 		}
 		for _, se := range sharded {
-			// Auto, then every strategy pinned: a straddle region runs the
-			// strategy the query names.
+			// Auto, then every strategy pinned: the span runs the strategy the
+			// query names (S-Hop for S-Band).
 			for _, alg := range append([]Algorithm{Auto}, Algorithms()...) {
 				sub := q
 				sub.Algorithm = alg
@@ -290,7 +281,7 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 // queries interleaved at every batch boundary — each answer compared
 // record-for-record (ID, time, score, durations) against a batch Engine
 // built fresh over exactly the prefix appended so far, across all five
-// strategies and both straddler paths. Most trials also run background
+// strategies. Most trials also run background
 // compaction, so queries land on epochs mid-merge and just after level
 // swaps.
 func runLiveShardedDifferentialTrial(t *testing.T, seed int64) {
@@ -302,8 +293,6 @@ func runLiveShardedDifferentialTrial(t *testing.T, seed int64) {
 	s := randScorer(rng, d)
 
 	so := LiveShardOptions{
-		Workers:           1 + rng.Intn(3),
-		StraddleThreshold: []int{1, 16, 1 << 30}[rng.Intn(3)],
 		// Background compaction on two trials out of three: merges race the
 		// interleaved queries below, so answers are checked against epochs
 		// before, during and after level swaps. (No RetainSpan here — the
@@ -348,9 +337,8 @@ func runLiveShardedDifferentialTrial(t *testing.T, seed int64) {
 		for qi := 0; qi < 3; qi++ {
 			q := diffQuery(rng, prefix)
 			if qi == 2 {
-				// The whole prefix under a window of a third of it: with the
-				// region path on, boundary runs resolve over regions covering
-				// several sealed shards and the live tail, both directions.
+				// The whole prefix under a window of a third of it: windows
+				// cover several sealed shards and the live tail, both directions.
 				lo, hi := prefix.Span()
 				q = Query{K: 1 + rng.Intn(6), Tau: (hi - lo) / 3, Start: lo, End: hi, Anchor: Anchor(rng.Intn(2))}
 			}

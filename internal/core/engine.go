@@ -60,7 +60,7 @@ type Engine struct {
 	opts Options
 	fwd  view
 
-	// rev is published once and read lock-free: a cross-shard region probe
+	// rev is published once and read lock-free: a cross-shard span probe
 	// resolves every overlapped shard's mirrored view on its hot path.
 	rev atomic.Pointer[view]
 

@@ -153,7 +153,9 @@ func FuzzLiveAppend(f *testing.F) {
 // seal thresholds, with queries interleaved at arbitrary points, must answer
 // exactly like a batch engine rebuilt over the same prefix — and like the
 // brute-force oracle. cfg bit 4 switches the seal rule from rows to time
-// span, bit 5 the straddler path; query points that coincide with a seal
+// span (bits 5-7 once chose a straddler path and a worker count and are
+// ignored, so committed seeds keep their meaning); query points that coincide
+// with a seal
 // boundary (the seed corpus pins several) exercise the just-sealed empty
 // tail. Run `go test -fuzz FuzzLiveShardedAppend ./internal/core` for
 // continuous fuzzing; the seed corpus below runs as a normal test.
@@ -168,9 +170,8 @@ func FuzzLiveShardedAppend(f *testing.F) {
 	// Span-triggered seals (bit 4), tiny span so boundaries are dense.
 	f.Add([]byte{240, 16, 240, 16, 240, 16, 240, 16}, uint8(3), uint8(4), uint8(2), uint8(16|2))
 	f.Add([]byte{255}, uint8(1), uint8(0), uint8(0), uint8(0))
-	// Wide straddle regions (bit 5) under tied scores: 5-row seals and tau 20
-	// put every boundary run's region across >= 3 sealed shards plus the live
-	// tail (query points at rows 8, 16, ... never sit on a seal boundary),
+	// Wide windows under tied scores: 5-row seals and tau 20 put every
+	// window across >= 3 sealed shards plus the live tail (query points at rows 8, 16, ... never sit on a seal boundary),
 	// look-back and look-ahead alternating; the second stream seals by span.
 	f.Add(tiedStream(44), uint8(1), uint8(20), uint8(4), uint8(32|7))
 	f.Add(tiedStream(60), uint8(2), uint8(33), uint8(6), uint8(32|16|4))
@@ -181,16 +182,11 @@ func FuzzLiveShardedAppend(f *testing.F) {
 		k := int(kRaw%8) + 1
 		tau := int64(tauRaw)
 		every := int(cfg%16) + 1
-		so := LiveShardOptions{Workers: 1 + int(cfg>>6)}
+		var so LiveShardOptions
 		if cfg&16 != 0 {
 			so.SealSpan = int64(sealRaw%12) + 1
 		} else {
 			so.SealRows = int(sealRaw%12) + 1
-		}
-		if cfg&32 != 0 {
-			so.StraddleThreshold = 1 // straddle regions over the shards' indexes
-		} else {
-			so.StraddleThreshold = 1 << 30 // per-record cross-shard probes
 		}
 		s := score.MustLinear(1)
 		opts := Options{Index: topk.Options{LengthThreshold: 4}}
@@ -251,7 +247,8 @@ func FuzzLiveShardedAppend(f *testing.F) {
 
 // FuzzCompaction fuzzes the LSM half of the lifecycle: arbitrary append
 // streams under tiny seal thresholds and fanouts 2..5, with retention
-// optionally shearing ancient shards off the front (cfg bit 6), must answer
+// optionally shearing ancient shards off the front (cfg bit 6; bit 3 once
+// chose a straddler path and is ignored), must answer
 // exactly like a batch engine rebuilt over the retained suffix of the same
 // prefix. Queries run right after quiescing the compactor, so they land on
 // freshly swapped levels; the seed corpus pins streams whose seal counts sit
@@ -279,9 +276,8 @@ func FuzzCompaction(f *testing.F) {
 		tau := int64(tauRaw)
 		every := int(cfg%8) + 1
 		so := LiveShardOptions{
-			SealRows:          int(sealRaw%6) + 1,
-			CompactFanout:     2 + int(cfg>>4&3),
-			StraddleThreshold: []int{1, 1 << 30}[int(cfg>>3&1)],
+			SealRows:      int(sealRaw%6) + 1,
+			CompactFanout: 2 + int(cfg>>4&3),
 		}
 		if cfg&64 != 0 {
 			so.RetainSpan = 8 + int64(tauRaw%32)
@@ -382,7 +378,9 @@ func tiedStream(n int) []byte {
 // FuzzShardedQuery fuzzes the shard-boundary invariants of ShardedEngine:
 // arbitrary datasets and shard counts against the single-engine and
 // brute-force answers, with the interval optionally pinned exactly onto a
-// shard boundary arrival and often narrower than one shard. Run
+// shard boundary arrival and often narrower than one shard (cfg bit 1 once
+// chose a straddler path and bits 2-3 a worker count; those readings are gone,
+// not re-packed, so committed seeds keep their meaning). Run
 // `go test -fuzz FuzzShardedQuery ./internal/core` for continuous fuzzing;
 // the seed corpus below runs as a normal test.
 func FuzzShardedQuery(f *testing.F) {
@@ -399,9 +397,8 @@ func FuzzShardedQuery(f *testing.F) {
 	f.Add([]byte{3, 7, 3, 7, 3, 7, 3, 7, 3, 7}, uint8(2), uint8(3), uint8(4), uint8(8|32|1), uint8(2))
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, uint8(1), uint8(1), uint8(6), uint8(8|32|2), uint8(3))
 	f.Add([]byte{240, 16, 240, 16, 240, 16, 240, 16}, uint8(3), uint8(4), uint8(3), uint8(8|32|16), uint8(1))
-	// Wide straddle regions (cfg bit 1) under tied scores: 8 shards of 6 rows
-	// and a tau of 2.5 to 7 shard widths, so every boundary run's region
-	// covers >= 3 shards; look-back, look-ahead (bit 0), and by-time-span
+	// Wide windows under tied scores: 8 shards of 6 rows and a tau of 2.5 to
+	// 7 shard widths, so every window covers >= 3 shards; look-back, look-ahead (bit 0), and by-time-span
 	// cuts (bit 4). tauRaw also sets the interval: 20..40 of the 47 ticks.
 	f.Add(tiedStream(48), uint8(1), uint8(20), uint8(7), uint8(2), uint8(0))
 	f.Add(tiedStream(48), uint8(2), uint8(40), uint8(7), uint8(2|1), uint8(3))
@@ -429,15 +426,9 @@ func FuzzShardedQuery(f *testing.F) {
 		if cfg&1 != 0 {
 			anchor = LookAhead
 		}
-		straddle := 1 << 30 // per-record cross-shard probes
-		if cfg&2 != 0 {
-			straddle = 1 // straddle regions over the shards' indexes
-		}
 		se := NewShardedEngine(ds, Options{Index: topk.Options{LengthThreshold: 4}}, ShardOptions{
-			Shards:            int(shardRaw%20) + 1,
-			Workers:           int(cfg>>2&3) + 1,
-			Strategy:          ShardStrategy(cfg >> 4 & 1),
-			StraddleThreshold: straddle,
+			Shards:   int(shardRaw%20) + 1,
+			Strategy: ShardStrategy(cfg >> 4 & 1),
 		})
 
 		// The interval: pinned exactly onto a shard-boundary arrival (the
@@ -503,8 +494,8 @@ func FuzzShardedQuery(f *testing.F) {
 			return
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("sharded (shards=%d straddle=%d) vs oracle: k=%d tau=%d I=[%d,%d] anchor=%v n=%d\n got %v\nwant %v",
-				se.NumShards(), straddle, k, tau, start, end, anchor, ds.Len(), got, want)
+			t.Fatalf("sharded (shards=%d) vs oracle: k=%d tau=%d I=[%d,%d] anchor=%v n=%d\n got %v\nwant %v",
+				se.NumShards(), k, tau, start, end, anchor, ds.Len(), got, want)
 		}
 		if !reflect.DeepEqual(got, single.IDs()) {
 			t.Fatalf("sharded vs single engine: got %v want %v", got, single.IDs())

@@ -23,12 +23,6 @@ type LiveShardOptions struct {
 	// time ticks (last arrival - first arrival >= SealSpan). 0 disables the
 	// span rule. When both rules are set, whichever trips first seals.
 	SealSpan int64
-	// Workers bounds the per-query shard fan-out pool; <= 0 selects
-	// min(shard count, GOMAXPROCS) per query.
-	Workers int
-	// StraddleThreshold tunes boundary-straddler handling exactly as in
-	// ShardOptions; 0 selects the default.
-	StraddleThreshold int
 	// CompactFanout, when >= 2, enables background LSM compaction: every run
 	// of CompactFanout adjacent sealed shards sharing a level is merged into
 	// one shard at the next level (see compact.go), bounding the live shard
@@ -62,19 +56,19 @@ type LiveShardOptions struct {
 const DefaultSealRows = 4096
 
 // LiveShardedEngine composes live ingestion with time sharding — the
-// LSM-flavored lifecycle that keeps both the unit of rebuild work and the
-// unit of query fan-out bounded on an unbounded stream. Appends route to a
+// LSM-flavored lifecycle that keeps the unit of rebuild work bounded on an
+// unbounded stream. Appends route to a
 // single mutable tail shard (a LiveEngine over an appendable columnar tail);
 // when the tail trips a seal threshold (row count or time span, see
 // LiveShardOptions) it is sealed — immediately immutable and queryable
 // through its pinned snapshot — then frozen in the background into a static
 // Engine shard over a zero-copy slice of the global storage, while a fresh
 // empty tail takes the appends.
-// Queries fan out over the sealed shards plus the tail with the exact
-// straddler/higher-count merge, reach-based shard routing and per-shard score
-// upper-bound pruning of ShardedEngine — the tail participates through an
-// append-stable snapshot (its score bounds are re-derived per epoch, so an
-// append can never leave a stale bound behind).
+// A query is one span over the sealed shards plus the tail, evaluated exactly
+// as on a ShardedEngine (merge probes over the shards' indexes, reach-based
+// routing, per-shard score upper-bound pruning) — the tail participates
+// through an append-stable snapshot (its score bounds are re-derived per
+// epoch, so an append can never leave a stale bound behind).
 //
 // Every append and seal swaps in a fresh immutable query epoch (shardGroup)
 // under a RW lock; a query snapshots the current epoch and then evaluates
@@ -140,11 +134,6 @@ type LiveShardedEngine struct {
 	rev    *data.Dataset
 	revLo  int
 	revLen int
-
-	// pc, when set (before serving; see SetPartialCache), is copied into
-	// every query epoch so sealed-shard interior answers are cached across
-	// queries and epochs.
-	pc PartialCache
 }
 
 // NewLiveShardedEngine returns an empty live+sharded engine for
@@ -220,7 +209,7 @@ func RestoreLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShar
 		if hi == lo {
 			continue
 		}
-		e.sealed = append(e.sealed, timeShard{lo: lo, hi: hi, eng: NewEngine(e.global.Slice(lo, hi), opts), level: s.Level, immutable: true})
+		e.sealed = append(e.sealed, timeShard{lo: lo, hi: hi, eng: NewEngine(e.global.Slice(lo, hi), opts), level: s.Level})
 		e.seals++
 		e.sealedRows += hi - lo
 		e.rebuilds++
@@ -327,12 +316,7 @@ func (e *LiveShardedEngine) sealLocked() {
 	tail, lo := e.tail, e.tailLo
 	te, _ := tail.Snapshot()
 	si := len(e.sealed)
-	// Sealed rows never change again, so the shard is immutable from the
-	// moment it retires — partial-cache entries built against it (under
-	// either its snapshot engine or the later freeze build, which answer
-	// bit-identically) stay valid for as long as the shard stays in the live
-	// set (compaction and retention announce departures; see compact.go).
-	e.sealed = append(e.sealed, timeShard{lo: lo, hi: n, eng: te, immutable: true})
+	e.sealed = append(e.sealed, timeShard{lo: lo, hi: n, eng: te})
 	e.seals++
 	e.sealedRows += n - lo
 	e.rebuilds += tail.Rebuilds()
@@ -425,15 +409,7 @@ func (e *LiveShardedEngine) snapshotEpoch() *shardGroup {
 		// the engine then answers like an empty one until the next append.
 		return nil
 	}
-	e.group = &shardGroup{
-		ds:       e.global.Prefix(n),
-		opts:     e.opts,
-		workers:  resolveShardWorkers(e.so.Workers, len(shards)),
-		straddle: resolveStraddle(e.so.StraddleThreshold),
-		shards:   shards,
-		seq:      e.seq,
-		pc:       e.pc,
-	}
+	e.group = &shardGroup{ds: e.global.Prefix(n), opts: e.opts, shards: shards, seq: e.seq}
 	e.groupSeq = e.seq
 	return e.group
 }
@@ -443,17 +419,6 @@ func (e *LiveShardedEngine) epoch() *shardGroup {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.snapshotEpoch()
-}
-
-// SetPartialCache attaches a cross-query cache for sealed-shard interior
-// answers; entries stay valid across epochs because sealed rows never change.
-// Call before serving queries — epochs already snapshotted keep whatever
-// cache (or none) they were assembled with.
-func (e *LiveShardedEngine) SetPartialCache(pc PartialCache) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.pc = pc
-	e.seq++ // retire the memoized epoch so the next query picks the cache up
 }
 
 // EpochSeq returns the current query-epoch sequence number: it changes on
@@ -557,8 +522,8 @@ func (e *LiveShardedEngine) Dataset() *data.Dataset {
 	return e.global.Prefix(e.global.Len())
 }
 
-// DurableTopK answers DurTop(k, I, tau) over the records appended so far,
-// fanned out across the sealed shards and the tail; the answer is identical
+// DurableTopK answers DurTop(k, I, tau) over the records appended so far, as
+// one span over the sealed shards and the tail; the answer is identical
 // to Engine.DurableTopK over a batch engine built on the same prefix. An
 // empty engine returns an empty result (after parameter validation), as does
 // a query whose interval the router proves no shard can answer.

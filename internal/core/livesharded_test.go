@@ -384,7 +384,7 @@ func TestLiveShardedConcurrent(t *testing.T) {
 	ds := diffDataset(rng, "clustered", n, 2)
 	s := score.MustLinear(0.5, 0.5)
 	lse, err := NewLiveShardedEngine(2, testEngineOpts(), LiveOptions{},
-		LiveShardOptions{SealRows: 48, Workers: 2})
+		LiveShardOptions{SealRows: 48})
 	if err != nil {
 		t.Fatal(err)
 	}

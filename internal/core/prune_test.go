@@ -15,7 +15,7 @@ func TestShardPruningNarrowInterval(t *testing.T) {
 	ds := randDataset(rng, 400, 2, false)
 	s := randScorer(rng, 2)
 	eng := NewEngine(ds, testEngineOpts())
-	se := NewShardedEngine(ds, testEngineOpts(), ShardOptions{Shards: 8, Workers: 2})
+	se := NewShardedEngine(ds, testEngineOpts(), ShardOptions{Shards: 8})
 	lo, hi := ds.Span()
 	for _, anchor := range []Anchor{LookBack, LookAhead} {
 		for _, tau := range []int64{0, 3, hi - lo} { // reach up to the whole domain
@@ -55,8 +55,7 @@ func TestShardPruningNarrowInterval(t *testing.T) {
 // TestShardPruningBoundaryReach sweeps queries whose window reach lands
 // exactly on a shard boundary arrival (and one tick to either side) — the
 // alignments where an off-by-one in reach arithmetic would flip a verdict —
-// and requires bit-identical answers to the oracle and the single engine,
-// on both straddler paths.
+// and requires bit-identical answers to the oracle and the single engine.
 func TestShardPruningBoundaryReach(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 6; trial++ {
@@ -64,52 +63,47 @@ func TestShardPruningBoundaryReach(t *testing.T) {
 		ds := randDataset(rng, n, 1, trial%2 == 0)
 		s := randScorer(rng, 1)
 		eng := NewEngine(ds, testEngineOpts())
-		for _, straddle := range []int{1, 1 << 30} {
-			se := NewShardedEngine(ds, testEngineOpts(), ShardOptions{
-				Shards: 2 + rng.Intn(6), Workers: 1 + rng.Intn(3),
-				Strategy: ShardStrategy(trial % 2), StraddleThreshold: straddle,
-			})
-			infos := se.Shards()
-			pruned := 0
-			for bi := 1; bi < len(infos); bi++ {
-				in := infos[bi]
-				prevEnd := infos[bi-1].End
-				gap := in.Start - prevEnd
-				for dt := int64(-1); dt <= 1; dt++ {
-					tau := gap + dt // back-reach lands on / beside the boundary arrival
-					if tau < 0 {
-						continue
+		se := NewShardedEngine(ds, testEngineOpts(), testShardOpts(2+rng.Intn(6), ShardStrategy(trial%2)))
+		infos := se.Shards()
+		pruned := 0
+		for bi := 1; bi < len(infos); bi++ {
+			in := infos[bi]
+			prevEnd := infos[bi-1].End
+			gap := in.Start - prevEnd
+			for dt := int64(-1); dt <= 1; dt++ {
+				tau := gap + dt // back-reach lands on / beside the boundary arrival
+				if tau < 0 {
+					continue
+				}
+				for _, anchor := range []Anchor{LookBack, LookAhead} {
+					q := Query{
+						K: 1 + rng.Intn(4), Tau: tau,
+						Start: in.Start, End: min64(in.End, in.Start+tau),
+						Scorer: s, Anchor: anchor,
 					}
-					for _, anchor := range []Anchor{LookBack, LookAhead} {
-						q := Query{
-							K: 1 + rng.Intn(4), Tau: tau,
-							Start: in.Start, End: min64(in.End, in.Start+tau),
-							Scorer: s, Anchor: anchor,
-						}
-						want := BruteForce(ds, s, q.K, q.Tau, q.Start, q.End, anchor)
-						res, err := se.DurableTopK(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got := res.IDs(); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
-							t.Fatalf("trial=%d straddle=%d boundary=%d dt=%d anchor=%v k=%d tau=%d I=[%d,%d]:\n got %v\nwant %v",
-								trial, straddle, bi, dt, anchor, q.K, q.Tau, q.Start, q.End, got, want)
-						}
-						single, err := eng.DurableTopK(q)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !reflect.DeepEqual(res.IDs(), single.IDs()) {
-							t.Fatalf("trial=%d boundary=%d dt=%d: sharded %v != single %v",
-								trial, bi, dt, res.IDs(), single.IDs())
-						}
-						pruned += res.Stats.ShardsPruned
+					want := BruteForce(ds, s, q.K, q.Tau, q.Start, q.End, anchor)
+					res, err := se.DurableTopK(q)
+					if err != nil {
+						t.Fatal(err)
 					}
+					if got := res.IDs(); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+						t.Fatalf("trial=%d boundary=%d dt=%d anchor=%v k=%d tau=%d I=[%d,%d]:\n got %v\nwant %v",
+							trial, bi, dt, anchor, q.K, q.Tau, q.Start, q.End, got, want)
+					}
+					single, err := eng.DurableTopK(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res.IDs(), single.IDs()) {
+						t.Fatalf("trial=%d boundary=%d dt=%d: sharded %v != single %v",
+							trial, bi, dt, res.IDs(), single.IDs())
+					}
+					pruned += res.Stats.ShardsPruned
 				}
 			}
-			if len(infos) > 2 && pruned == 0 {
-				t.Fatalf("trial=%d straddle=%d: boundary sweep never pruned a shard", trial, straddle)
-			}
+		}
+		if len(infos) > 2 && pruned == 0 {
+			t.Fatalf("trial=%d: boundary sweep never pruned a shard", trial)
 		}
 	}
 }

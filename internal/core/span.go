@@ -6,26 +6,26 @@ import (
 	"repro/internal/topk"
 )
 
-// spanBlock is the range top-k building block of a straddle region: rows
-// [rlo, rhi) of a shardGroup, answered from the overlapped shards' own
-// indexes instead of an index built over the region. A probe continues one
-// topk.Merger across the shards it touches, so each shard's branch-and-bound
-// starts from the k-th item the earlier shards left and most of them prune at
-// the root. Nothing is built on the query path: the forward block reads each
+// spanBlock is the range top-k building block of a shard group: rows
+// [rlo, rhi) of it — the span one query can read — answered from the
+// overlapped shards' own indexes instead of an index built over the span
+// (Jestes et al.: rank a segment once, merge prepared segments at query
+// time). A probe continues one topk.Merger across the shards it touches, so
+// each shard's branch-and-bound starts from the k-th item the earlier shards
+// left and most of them prune at the root. Nothing is built on the query path: the forward block reads each
 // shard engine's forward index, the mirrored block (look-ahead windows run as
 // look-back over reversed time) each shard engine's own lazily built,
 // persistent reversed() view.
 //
-// Block ids address the region: forward id i is global row rlo+i; mirrored id
+// Block ids address the span: forward id i is global row rlo+i; mirrored id
 // r is global row rhi-1-r, which shard sh's reversed view knows as
 // r-(rhi-sh.hi) — mirrored shard-local ids shift by rhi-sh.hi, forward ones
-// by sh.lo-rlo (either may be negative: regions start and end mid-shard).
+// by sh.lo-rlo (either may be negative: spans start and end mid-shard).
 // Times need no translation; a reversed view already stores them negated.
 type spanBlock struct {
 	g        *shardGroup
-	ds       *data.Dataset // the region's rows in block order; resolves time windows
+	ds       *data.Dataset // the span's rows in block order; resolves time windows
 	rlo, rhi int
-	first    int // index of the shard owning row rlo
 	mirrored bool
 }
 
@@ -62,12 +62,11 @@ func (b *spanBlock) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *topk.S
 	}
 	shards := b.g.shards
 	m := sc.Merger(k)
-	for si := b.first; si < len(shards) && shards[si].lo < ghi; si++ {
+	// A whole-query span over an LSM group can cover dozens of shards and
+	// every probe walks them, so the walk starts at the shard owning glo.
+	for si := b.g.shardAt(glo); si < len(shards) && shards[si].lo < ghi; si++ {
 		sh := &shards[si]
 		a, z := max(glo, sh.lo), min(ghi, sh.hi)
-		if a >= z {
-			continue
-		}
 		if b.mirrored {
 			dst = sh.eng.reversed().mergeRange(&m, s, sh.hi-z, sh.hi-a, b.rhi-sh.hi, sc, dst)
 		} else {

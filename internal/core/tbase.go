@@ -46,8 +46,7 @@ func runTBase(v *view, pr *probe, q Query, st *Stats) []int32 {
 	}
 	st.Visited += hiIdx - loIdx + 1
 	// The answer, the window buffer and the score stripes live in the probe's
-	// arena: a sharded evaluation runs T-Base once per shard interior and
-	// straddle region.
+	// arena.
 	a := &pr.a
 	a.reset()
 	res := a.ids

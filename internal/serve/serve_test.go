@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 func TestSchedulerBoundsConcurrency(t *testing.T) {
@@ -151,8 +149,8 @@ func TestCacheLRUEviction(t *testing.T) {
 // TestCacheResultEpochSupersedes: lookups only ever ask for a dataset's
 // current epoch, so a store at a newer epoch drops that dataset's older
 // results at once instead of leaving them resident until LRU pressure, and a
-// late store at an older epoch is refused. Other datasets, partial entries
-// and a static dataset's constant epoch are untouched.
+// late store at an older epoch is refused. Other datasets and a static
+// dataset's constant epoch are untouched.
 func TestCacheResultEpochSupersedes(t *testing.T) {
 	c := NewCache(64)
 	k := func(ds string, i int, epoch uint64) ResultKey {
@@ -162,17 +160,14 @@ func TestCacheResultEpochSupersedes(t *testing.T) {
 		c.PutResult(k("live", i, 7), i)
 		c.PutResult(k("static", i, 0), i)
 	}
-	part := c.Partial("live")
-	pk := core.PartialKey{ShardLo: 0, ShardHi: 100, Lo: 10, Hi: 90, Scorer: "lin,x", K: 3}
-	part.PutPartial(pk, []int32{1})
-	if st := c.Stats(); st.Entries != 11 || st.Invalidated != 0 {
+	if st := c.Stats(); st.Entries != 10 || st.Invalidated != 0 {
 		t.Fatalf("before: %+v", st)
 	}
 
 	c.PutResult(k("live", 0, 9), "fresh")
 	st := c.Stats()
-	if st.Entries != 7 || st.Invalidated != 5 || st.Evicted != 0 {
-		t.Fatalf("after a newer epoch: %+v, want 7 entries, 5 invalidated", st)
+	if st.Entries != 6 || st.Invalidated != 5 || st.Evicted != 0 {
+		t.Fatalf("after a newer epoch: %+v, want 6 entries, 5 invalidated", st)
 	}
 	if v, ok := c.GetResult(k("live", 0, 9)); !ok || v != "fresh" {
 		t.Fatalf("newest entry: %v, %v", v, ok)
@@ -184,9 +179,6 @@ func TestCacheResultEpochSupersedes(t *testing.T) {
 		if _, ok := c.GetResult(k("static", i, 0)); !ok {
 			t.Fatalf("static entry %d dropped", i)
 		}
-	}
-	if _, ok := part.GetPartial(pk); !ok {
-		t.Fatal("partial entry dropped by a result epoch change")
 	}
 
 	// A slow evaluation finishing after the data moved on must not park a
@@ -207,93 +199,92 @@ func TestCacheResultEpochSupersedes(t *testing.T) {
 	}
 }
 
-func TestCachePartialScopedByDataset(t *testing.T) {
-	c := NewCache(8)
-	pk := core.PartialKey{ShardLo: 0, ShardHi: 100, Lo: 10, Hi: 90, Scorer: "lin,x", K: 3, Tau: 5}
-	a, b := c.Partial("a"), c.Partial("b")
-	a.PutPartial(pk, []int32{1, 2, 3})
-	if _, ok := b.GetPartial(pk); ok {
-		t.Fatal("partial entry leaked across datasets")
+// answer is a cached value reporting its record count, as *wire.Response does.
+type answer int
+
+func (a answer) RecordCount() int { return int(a) }
+
+// TestCacheRecordBudget: the budget counts what the cache holds — an entry
+// costs 1 + records/64 units — so 4 096 units hold thousands of small answers
+// or a handful of huge ones, never thousands of huge ones.
+func TestCacheRecordBudget(t *testing.T) {
+	k := func(i int) ResultKey { return ResultKey{Dataset: "d", K: i} }
+	c := NewCache(4096)
+	for i := 0; i < 5000; i++ {
+		c.PutResult(k(i), answer(10)) // one unit each
 	}
-	ids, ok := a.GetPartial(pk)
-	if !ok || len(ids) != 3 || ids[0] != 1 {
-		t.Fatalf("GetPartial = %v, %v", ids, ok)
+	if st := c.Stats(); st.Entries != 4096 || st.Evicted != 5000-4096 || c.used != 4096 {
+		t.Fatalf("small answers: %+v, %d units used", st, c.used)
 	}
-	st := c.Stats()
-	if st.PartialHits != 1 || st.PartialMisses != 1 {
-		t.Fatalf("stats: %+v", st)
+	// One 10 000-record answer costs 157 units and evicts that many small ones.
+	c.PutResult(k(-1), answer(10_000))
+	if st := c.Stats(); st.Entries != 4096-157+1 || c.used != 4096 {
+		t.Fatalf("after a 10 000-record answer: %+v, %d units used", st, c.used)
+	}
+	if _, ok := c.GetResult(k(-1)); !ok {
+		t.Fatal("the large answer is not resident")
+	}
+	// Only 26 of them fit, where an entry-counted bound would hold 4 096.
+	big := NewCache(4096)
+	for i := 0; i < 100; i++ {
+		big.PutResult(k(i), answer(10_000))
+	}
+	if st := big.Stats(); st.Entries != 4096/157 || big.used != st.Entries*157 {
+		t.Fatalf("large answers: %+v, %d units used", st, big.used)
+	}
+	// An answer larger than the whole budget is not stored and evicts nothing.
+	big.PutResult(k(-1), answer(64*4096))
+	if st := big.Stats(); st.Entries != 4096/157 {
+		t.Fatalf("an over-budget answer disturbed the cache: %+v", st)
+	}
+
+	// A refresh of a resident key is charged its new cost, not the sum.
+	c = NewCache(8)
+	c.PutResult(k(1), answer(0))
+	c.PutResult(k(2), answer(0))
+	c.PutResult(k(1), answer(5*64)) // 1 unit -> 6 units
+	if st := c.Stats(); st.Entries != 2 || st.Evicted != 0 || c.used != 7 {
+		t.Fatalf("after a costlier refresh: %+v, %d units used", st, c.used)
+	}
+	c.PutResult(k(1), answer(7*64)) // 8 units: only fits alone
+	if st := c.Stats(); st.Entries != 1 || st.Evicted != 1 || c.used != 8 {
+		t.Fatalf("after a refresh that fills the budget: %+v, %d units used", st, c.used)
+	}
+	c.PutResult(k(1), answer(0))
+	if st := c.Stats(); st.Entries != 1 || c.used != 1 {
+		t.Fatalf("after a cheaper refresh: %+v, %d units used", st, c.used)
+	}
+	// Values that cannot report a size cost one unit.
+	c.PutResult(k(3), "opaque")
+	if c.used != 2 {
+		t.Fatalf("opaque value: %d units used, want 2", c.used)
 	}
 }
 
-func TestCacheInvalidateShard(t *testing.T) {
-	c := NewCache(32)
-	mk := func(lo, hi, k int) core.PartialKey {
-		return core.PartialKey{ShardLo: lo, ShardHi: hi, Lo: lo, Hi: hi, Scorer: "lin,x", K: k, Tau: 5}
-	}
-	a, b := c.Partial("a"), c.Partial("b")
-	// Two shards on dataset a (several entries each), one on dataset b that
-	// shares shard a's row range — invalidation must be dataset-scoped.
-	for k := 1; k <= 3; k++ {
-		a.PutPartial(mk(0, 100, k), []int32{int32(k)})
-		a.PutPartial(mk(100, 200, k), []int32{int32(k)})
-		b.PutPartial(mk(0, 100, k), []int32{int32(k)})
-	}
-	c.PutResult(ResultKey{Dataset: "a", K: 1}, "whole")
-
-	inv := a.(interface{ InvalidateShard(lo, hi int) })
-	inv.InvalidateShard(0, 100) // shard [0,100) of dataset a left the live set
-
-	for k := 1; k <= 3; k++ {
-		if _, ok := a.GetPartial(mk(0, 100, k)); ok {
-			t.Fatalf("entry k=%d of the invalidated shard survived", k)
-		}
-		if _, ok := a.GetPartial(mk(100, 200, k)); !ok {
-			t.Fatalf("entry k=%d of an unrelated shard was dropped", k)
-		}
-		if _, ok := b.GetPartial(mk(0, 100, k)); !ok {
-			t.Fatalf("dataset b entry k=%d dropped by dataset a's invalidation", k)
-		}
-	}
-	if _, ok := c.GetResult(ResultKey{Dataset: "a", K: 1}); !ok {
-		t.Fatal("whole-result entry dropped by a shard invalidation")
-	}
-	st := c.Stats()
-	if st.Invalidated != 3 {
-		t.Fatalf("Invalidated = %d, want 3", st.Invalidated)
-	}
-	if st.Entries != 7 {
-		t.Fatalf("Entries = %d, want 7 (9+1 inserted, 3 invalidated)", st.Entries)
-	}
-	// Idempotent: a second invalidation of the same (now absent) shard.
-	inv.InvalidateShard(0, 100)
-	if st := c.Stats(); st.Invalidated != 3 {
-		t.Fatalf("re-invalidation counted entries: %+v", st)
-	}
-}
-
-// TestCacheInvalidateAfterEviction: the by-shard index must track LRU
-// evictions, or invalidation could double-count or touch reinserted keys.
+// TestCacheInvalidateAfterEviction: eviction and epoch invalidation both give
+// an entry's units back exactly once, and an epoch change after evictions
+// drops — and counts — only what is still resident.
 func TestCacheInvalidateAfterEviction(t *testing.T) {
-	c := NewCache(2)
-	p := c.Partial("ds")
-	mk := func(lo, hi, k int) core.PartialKey {
-		return core.PartialKey{ShardLo: lo, ShardHi: hi, Lo: lo, Hi: hi, Scorer: "lin,x", K: k}
+	c := NewCache(10)
+	k := func(i int, epoch uint64) ResultKey { return ResultKey{Dataset: "live", K: i, Epoch: epoch} }
+	c.PutResult(k(1, 1), answer(3*64)) // 4 units
+	c.PutResult(k(2, 1), answer(3*64)) // 4 units
+	c.PutResult(k(3, 1), answer(6*64)) // 7 units: evicts both
+	if st := c.Stats(); st.Evicted != 2 || st.Entries != 1 || c.used != 7 {
+		t.Fatalf("after eviction: %+v, %d units used", st, c.used)
 	}
-	p.PutPartial(mk(0, 10, 1), []int32{1})
-	p.PutPartial(mk(0, 10, 2), []int32{2}) // cache full
-	p.PutPartial(mk(10, 20, 1), []int32{3})
-	p.PutPartial(mk(10, 20, 2), []int32{4}) // evicts both shard-[0,10) entries
-	if st := c.Stats(); st.Evicted != 2 {
-		t.Fatalf("Evicted = %d, want 2", st.Evicted)
-	}
-	p.(interface{ InvalidateShard(lo, hi int) }).InvalidateShard(0, 10)
-	if st := c.Stats(); st.Invalidated != 0 {
-		t.Fatalf("invalidation counted evicted entries: %+v", st)
-	}
-	p.(interface{ InvalidateShard(lo, hi int) }).InvalidateShard(10, 20)
+	c.PutResult(k(4, 1), answer(64)) // 2 units
+	c.PutResult(k(1, 2), answer(0))  // newer epoch: the two residents go
 	st := c.Stats()
-	if st.Invalidated != 2 || st.Entries != 0 {
-		t.Fatalf("stats after invalidating the live shard: %+v", st)
+	if st.Invalidated != 2 || st.Evicted != 2 || st.Entries != 1 || c.used != 1 {
+		t.Fatalf("after the epoch change: %+v, %d units used", st, c.used)
+	}
+	// The freed units are really free: nine more fit without an eviction.
+	for i := 10; i < 19; i++ {
+		c.PutResult(k(i, 2), answer(0))
+	}
+	if st := c.Stats(); st.Evicted != 2 || st.Entries != 10 || c.used != 10 {
+		t.Fatalf("after refilling: %+v, %d units used", st, c.used)
 	}
 }
 
@@ -304,7 +295,6 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			p := c.Partial("ds")
 			for i := 0; i < 200; i++ {
 				key := ResultKey{Dataset: "ds", K: i % 10, Epoch: uint64(g % 3)}
 				if v, ok := c.GetResult(key); ok {
@@ -313,14 +303,6 @@ func TestCacheConcurrentAccess(t *testing.T) {
 					}
 				} else {
 					c.PutResult(key, key.K)
-				}
-				pk := core.PartialKey{ShardLo: i % 5, K: 2}
-				if ids, ok := p.GetPartial(pk); ok {
-					if int(ids[0]) != pk.ShardLo {
-						t.Errorf("corrupted partial %v", ids)
-					}
-				} else {
-					p.PutPartial(pk, []int32{int32(pk.ShardLo)})
 				}
 			}
 		}(g)

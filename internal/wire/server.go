@@ -70,11 +70,10 @@ type Server struct {
 	// sched, when set, switches connections to pipelined serving: read-only
 	// requests are dispatched through the scheduler and evaluate concurrently
 	// (bounded by its worker pool) while responses still go out in request
-	// order. Nil (the default) keeps the serial one-request-at-a-time loop.
+	// order. Nil (the default) handles each request inline on the read loop.
 	sched atomic.Pointer[serve.Scheduler]
 	// cache, when set, is consulted before evaluating query and most-durable
-	// requests and installed as the per-shard partial cache of engines that
-	// support it.
+	// requests.
 	cache atomic.Pointer[serve.Cache]
 
 	// subsOff withholds the "events" feature from hello negotiation, so
@@ -343,8 +342,8 @@ func (s *Server) SetConnTimeout(d time.Duration) {
 // responses are still written in request order per connection. Appends keep
 // executing in arrival order on the connection's read loop, so an
 // append-then-query sequence on one connection always queries the appended
-// state. A nil scheduler restores the serial loop. Applies to connections
-// accepted after the call.
+// state. A nil scheduler handles every request inline, one at a time. Applies
+// to connections accepted after the call.
 func (s *Server) SetScheduler(sched *serve.Scheduler) { s.sched.Store(sched) }
 
 // SetSubscriptions enables or disables standing-query serving: when off, the
@@ -355,30 +354,9 @@ func (s *Server) SetScheduler(sched *serve.Scheduler) { s.sched.Store(sched) }
 func (s *Server) SetSubscriptions(on bool) { s.subsOff.Store(!on) }
 
 // SetCache installs the shared result cache: query and most-durable responses
-// are replayed verbatim for exact-match repeats at an unchanged data epoch,
-// and engines that support per-shard partial caching (the sharded flavors)
-// additionally memoize each immutable shard's interior answers across
-// queries. Installing a cache wires it into every registered dataset and
-// every dataset registered later; a nil cache disables both layers for
-// subsequent registrations and requests (already-installed partial views stay
-// on their engines). Safe to call while serving.
-func (s *Server) SetCache(c *serve.Cache) {
-	s.cache.Store(c)
-	if c == nil {
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for name, sv := range s.sets {
-		if pc, ok := sv.eng.(partialCacheSetter); ok {
-			pc.SetPartialCache(c.Partial(name))
-		}
-	}
-}
-
-// partialCacheSetter is implemented by engines that can memoize per-shard
-// interior answers (core.ShardedEngine, core.LiveShardedEngine).
-type partialCacheSetter interface{ SetPartialCache(core.PartialCache) }
+// are replayed verbatim for exact-match repeats at an unchanged data epoch. A
+// nil cache disables it for subsequent requests. Safe to call while serving.
+func (s *Server) SetCache(c *serve.Cache) { s.cache.Store(c) }
 
 // epochSequenced is implemented by engines whose query state changes over
 // time; EpochSeq ticks on every mutation. Static engines do not implement it
@@ -401,8 +379,8 @@ func (s *Server) Add(name string, ds *data.Dataset, attrs []string, opts core.Op
 }
 
 // AddSharded registers ds under name backed by a time-sharded engine: one
-// independent engine per contiguous time shard, queries fanned out on a
-// bounded worker pool (see core.ShardedEngine). The wire contract is
+// independent index per contiguous time shard, each query one span over them
+// (see core.ShardedEngine). The wire contract is
 // identical to Add — same requests, same answers.
 func (s *Server) AddSharded(name string, ds *data.Dataset, attrs []string, opts core.Options, shards core.ShardOptions) error {
 	return s.add(name, ds, attrs, func() core.Querier { return core.NewShardedEngine(ds, opts, shards) })
@@ -501,11 +479,6 @@ func (s *Server) addEntry(name string, ds *data.Dataset, attrs []string, build f
 		return fmt.Errorf("wire: dataset %q already registered", name)
 	}
 	sv := build()
-	if c := s.cache.Load(); c != nil {
-		if pc, ok := sv.eng.(partialCacheSetter); ok {
-			pc.SetPartialCache(c.Partial(name))
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.sets[name]; dup {
@@ -568,10 +541,10 @@ func (s *Server) Close() error {
 
 // ServeConn answers requests on one connection until EOF, a protocol error,
 // a deadline (SetConnTimeout) or server shutdown; it closes conn before
-// returning. With a scheduler installed (SetScheduler) the connection is
-// served pipelined — read-only requests evaluate concurrently, responses go
-// out in request order — otherwise one request at a time. Exported so tests
-// and embedders can drive the protocol over net.Pipe.
+// returning. Responses go out in request order; with a scheduler installed
+// (SetScheduler) read-only requests evaluate concurrently, otherwise each
+// request is handled inline on the read loop. Exported so tests and embedders
+// can drive the protocol over net.Pipe.
 func (s *Server) ServeConn(conn net.Conn) {
 	defer conn.Close()
 	s.lnMu.Lock()
@@ -586,44 +559,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.lnMu.Unlock()
 	}()
-	if sched := s.sched.Load(); sched != nil {
-		s.serveConnPipelined(conn, sched, newConnState())
-		return
-	}
-	for {
-		if !s.armRead(conn) {
-			return
-		}
-		var req Request
-		if err := ReadFrame(conn, &req); err != nil {
-			s.logReadErr(conn, err)
-			return
-		}
-		var resp *Response
-		var st *connState
-		if req.Op == OpHello {
-			// A hello may upgrade this connection to v2. The response is
-			// written below on the serial path; if v2 was negotiated the
-			// connection then switches to the event-capable loop (a writer
-			// goroutine is required to push events while the read loop is
-			// blocked on the next frame).
-			st = newConnState()
-			resp = s.handleHello(&req, st)
-		} else {
-			resp = s.handle(&req)
-		}
-		if timeout := time.Duration(s.connTimeout.Load()); timeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(timeout))
-		}
-		if err := WriteFrame(conn, resp); err != nil {
-			s.logf("wire: %s: write: %v", conn.RemoteAddr(), err)
-			return
-		}
-		if st != nil && st.v2 {
-			s.serveConnPipelined(conn, nil, st)
-			return
-		}
-	}
+	s.serveConnPipelined(conn, s.sched.Load(), newConnState())
 }
 
 // armRead prepares one frame read: it applies the current connection timeout
@@ -699,9 +635,8 @@ func concurrentOp(op string) bool {
 // paths rely on: events enqueued by a request's handler are flushed before
 // that request's response (so an unsubscribe's final truncated confirmations
 // precede its acknowledgment). With sched == nil every request is handled
-// inline on the read loop — the shape a serial v1 connection upgrades into
-// after a v2 hello, when it needs the writer to push events while the read
-// loop blocks on the next frame.
+// inline on the read loop, one at a time; the writer still pushes events while
+// the read loop blocks on the next frame.
 //
 // Backpressure: at most pipelineDepth responses may be outstanding; the
 // scheduler additionally bounds how many evaluate at once, with admission

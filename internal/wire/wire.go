@@ -247,6 +247,10 @@ type Response struct {
 	Base   int    `json:"base,omitempty"`
 }
 
+// RecordCount reports how many result records the response holds; the result
+// cache charges an entry by it.
+func (r *Response) RecordCount() int { return len(r.Records) }
+
 // Event is a server-initiated v2 frame pushed to a subscribed connection,
 // interleaved with responses. It is distinguishable from a Response by its
 // non-empty "event" key; clients sniff that key before decoding. Events for

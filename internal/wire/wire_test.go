@@ -483,8 +483,7 @@ func TestShardedDatasetOverWire(t *testing.T) {
 	if err := srv.AddQuerier("plain", core.NewEngine(ds, core.Options{}), nil); err != nil {
 		t.Fatal(err)
 	}
-	err := srv.AddSharded("sharded", ds, nil, core.Options{},
-		core.ShardOptions{Shards: 4, Workers: 2})
+	err := srv.AddSharded("sharded", ds, nil, core.Options{}, core.ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +491,7 @@ func TestShardedDatasetOverWire(t *testing.T) {
 		t.Fatal("duplicate sharded registration accepted")
 	}
 	// A decorated engine: the server must find the shard count behind it.
-	wrapped := forwardingQuerier{core.NewShardedEngine(ds, core.Options{}, core.ShardOptions{Shards: 3, Workers: 2})}
+	wrapped := forwardingQuerier{core.NewShardedEngine(ds, core.Options{}, core.ShardOptions{Shards: 3})}
 	if err := srv.AddQuerier("wrapped", wrapped, nil); err != nil {
 		t.Fatal(err)
 	}
