@@ -83,31 +83,38 @@ func (c *Client) readLoop() {
 			c.failRead(err)
 			return
 		}
-		var probe struct {
-			Event string `json:"event"`
-		}
-		if err := json.Unmarshal(payload, &probe); err != nil {
+		var f inboundFrame
+		if err := json.Unmarshal(payload, &f); err != nil {
 			c.failRead(fmt.Errorf("wire: decoding frame: %w", err))
 			return
 		}
-		if probe.Event != "" {
-			var ev Event
-			if err := json.Unmarshal(payload, &ev); err != nil {
-				c.failRead(fmt.Errorf("wire: decoding event frame: %w", err))
-				return
-			}
+		if f.Event != "" {
+			ev := f.event()
 			c.dispatchEvent(&ev)
 			continue
 		}
-		var resp Response
-		if err := json.Unmarshal(payload, &resp); err != nil {
-			c.failRead(fmt.Errorf("wire: decoding frame: %w", err))
-			return
-		}
 		// Buffered (capacity 1): with one request in flight there is at most
 		// one routable response, so this never blocks the demultiplexer.
-		c.respCh <- &resp
+		c.respCh <- &f.Response
 	}
+}
+
+// inboundFrame decodes either kind of v2 server frame in one pass. Response
+// and Event share only "v", "subId" and "confirms", with the same JSON types,
+// so the Event-only keys sit beside an embedded Response; a non-empty Event
+// marks an event frame.
+type inboundFrame struct {
+	Response
+	Event    string        `json:"event"`
+	Prefix   int           `json:"prefix"`
+	Seq      uint64        `json:"seq,omitempty"`
+	Decision *LiveDecision `json:"decision,omitempty"`
+}
+
+// event assembles the Event an event frame carried.
+func (f *inboundFrame) event() Event {
+	return Event{V: f.V, Event: f.Event, SubID: f.SubID, Prefix: f.Prefix,
+		Seq: f.Seq, Decision: f.Decision, Confirms: f.Confirms}
 }
 
 // failRead records the terminal read error, wakes the in-flight request (if

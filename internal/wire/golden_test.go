@@ -59,10 +59,7 @@ var goldenV1Frames = []struct {
 func TestGoldenV1RequestFrames(t *testing.T) {
 	for _, g := range goldenV1Frames {
 		t.Run(g.name, func(t *testing.T) {
-			got, err := json.Marshal(g.req)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := encodeBoth(t, &g.req)
 			if string(got) != g.json {
 				t.Fatalf("marshal drifted from the v1 capture:\n got  %s\n want %s", got, g.json)
 			}
@@ -122,6 +119,10 @@ func TestGoldenStatsFrame(t *testing.T) {
 		if string(got) != g.json {
 			t.Fatalf("stats frame drifted:\n got  %s\n want %s", got, g.json)
 		}
+		resp := encodeBoth(t, &Response{V: Version, OK: true, Stats: &st})
+		if want := `{"v":1,"ok":true,"stats":` + g.json + `}`; string(resp) != want {
+			t.Fatalf("response frame drifted:\n got  %s\n want %s", resp, want)
+		}
 		var back Stats
 		if err := json.Unmarshal([]byte(g.json), &back); err != nil || back != st {
 			t.Fatalf("round trip: %+v (err %v), want %+v", back, err, st)
@@ -143,9 +144,9 @@ func TestV2FieldsMarshalAway(t *testing.T) {
 			t.Fatalf("v1 request leaks v2 key %q: %s", key, b)
 		}
 	}
-	rb, err := json.Marshal(Response{V: Version, OK: true})
-	if err != nil {
-		t.Fatal(err)
+	rb := encodeBoth(t, &Response{V: Version, OK: true})
+	if string(rb) != `{"v":1,"ok":true}` {
+		t.Fatalf("v1 response frame drifted: %s", rb)
 	}
 	for _, key := range []string{"features", "subId", "event", "subKey", "base"} {
 		if bytes.Contains(rb, []byte(key)) {
@@ -159,25 +160,69 @@ func TestV2FieldsMarshalAway(t *testing.T) {
 // carry no subKey/base, and event frames no seq — so v2.0 golden bytes in
 // the field stay byte-identical.
 func TestV21FieldsMarshalAwayOnV20Frames(t *testing.T) {
-	rb, err := json.Marshal(Response{V: Version2, OK: true, SubID: 3})
-	if err != nil {
-		t.Fatal(err)
+	rb := encodeBoth(t, &Response{V: Version2, OK: true, SubID: 3})
+	if string(rb) != `{"v":2,"ok":true,"subId":3}` {
+		t.Fatalf("v2.0 subscribe response drifted: %s", rb)
 	}
 	for _, key := range []string{"subKey", "base", "backfill", "fromPrefix"} {
 		if bytes.Contains(rb, []byte(key)) {
 			t.Fatalf("v2.0 subscribe response leaks v2.1 key %q: %s", key, rb)
 		}
 	}
-	eb, err := json.Marshal(Event{V: Version2, Event: EventSub, SubID: 3, Prefix: 17,
+	eb := encodeBoth(t, &Event{V: Version2, Event: EventSub, SubID: 3, Prefix: 17,
 		Decision: &LiveDecision{ID: 16, Time: 99, Durable: true, Rank: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if bytes.Contains(eb, []byte("seq")) {
 		t.Fatalf("v2.0 event frame leaks v2.1 key \"seq\": %s", eb)
 	}
 	want := `{"v":2,"event":"sub","subId":3,"prefix":17,"decision":{"id":16,"time":99,"durable":true,"rank":1}}`
 	if string(eb) != want {
 		t.Fatalf("v2.0 event frame drifted:\n got  %s\n want %s", eb, want)
+	}
+}
+
+// encodeBoth encodes v with json.Marshal and as a frame through WriteFrame —
+// the server's path — and fails unless the header is right and the payload
+// is json.Marshal's, byte for byte. It returns the payload.
+func encodeBoth(t *testing.T, v interface{}) []byte {
+	t.Helper()
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	if n := binary.BigEndian.Uint32(frame); int(n) != len(frame)-4 {
+		t.Fatalf("length header %d, payload %d bytes", n, len(frame)-4)
+	}
+	if !bytes.Equal(frame[4:], want) {
+		t.Fatalf("WriteFrame differs from json.Marshal:\n got  %s\n want %s", frame[4:], want)
+	}
+	return want
+}
+
+// TestGoldenResponseFrame pins a query answer's frame: records with and
+// without a duration, a full-history flag, and stats with a pruned shard
+// count, keys in struct order and omitted fields absent.
+func TestGoldenResponseFrame(t *testing.T) {
+	resp := &Response{V: Version, OK: true,
+		Records: []Record{
+			{ID: 4, Time: 17, Score: 2.5, MaxDuration: 12, FullHistory: true},
+			{ID: 9, Time: 30, Score: -0.125, MaxDuration: -1},
+			{ID: 11, Time: 31, Score: 1e-7},
+		},
+		Stats: &Stats{Algorithm: "t-hop", CheckQueries: 5, FindQueries: 1, MaintQueries: 0,
+			CandidateCount: 2, Visited: 40, ShardsPruned: 3, ElapsedMicros: 87},
+	}
+	want := `{"v":1,"ok":true,"records":[` +
+		`{"id":4,"time":17,"score":2.5,"maxDuration":12,"fullHistory":true},` +
+		`{"id":9,"time":30,"score":-0.125,"maxDuration":-1},` +
+		`{"id":11,"time":31,"score":1e-7}],` +
+		`"stats":{"algorithm":"t-hop","checkQueries":5,"findQueries":1,"maintQueries":0,` +
+		`"candidateCount":2,"visited":40,"shardsPruned":3,"elapsedMicros":87}}`
+	if got := encodeBoth(t, resp); string(got) != want {
+		t.Fatalf("response frame drifted:\n got  %s\n want %s", got, want)
 	}
 }

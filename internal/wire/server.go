@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -654,10 +655,22 @@ func (s *Server) serveConnPipelined(conn net.Conn, sched *serve.Scheduler, st *c
 	go func() {
 		defer wg.Done()
 		write := func(v interface{}) bool {
+			frame, err := encodeFrame(v)
+			if _, isResp := v.(*Response); err != nil && isResp {
+				// The answer cannot travel; its request still gets exactly one
+				// response, naming why, and the connection lives on.
+				frame, err = encodeFrame(errResponse(unsendable(err)))
+			}
+			if err != nil {
+				s.logf("wire: %s: encode: %v", conn.RemoteAddr(), err)
+				return false
+			}
 			if timeout := time.Duration(s.connTimeout.Load()); timeout > 0 {
 				conn.SetWriteDeadline(time.Now().Add(timeout))
 			}
-			if err := WriteFrame(conn, v); err != nil {
+			_, err = conn.Write(*frame)
+			releaseFrame(frame)
+			if err != nil {
 				s.logf("wire: %s: write: %v", conn.RemoteAddr(), err)
 				return false
 			}
@@ -679,6 +692,10 @@ func (s *Server) serveConnPipelined(conn net.Conn, sched *serve.Scheduler, st *c
 		fail := func() {
 			st.dead.Store(true)
 			close(writeFailed)
+			// A client waiting for a response that will never come sees the
+			// connection end instead of waiting forever; the read loop wakes
+			// from its read and finishes.
+			conn.Close()
 			// Keep draining so in-flight handlers can deliver into their
 			// slots and exit; the frames are discarded, the client is gone.
 			for sl := range slots {
@@ -813,6 +830,20 @@ func isTimeout(err error) bool {
 
 func errResponse(err error) *Response {
 	return &Response{V: Version, Error: err.Error()}
+}
+
+// unsendable names why encodeFrame refused an answer: its size, or a value
+// JSON cannot carry — in a Response, only a ±Inf or NaN score is one. Any
+// other cause keeps the encoder's own words.
+func unsendable(err error) error {
+	var unsupported *json.UnsupportedValueError
+	switch {
+	case errors.Is(err, ErrFrameTooLarge):
+		return fmt.Errorf("wire: answer exceeds the frame limit (%v)", err)
+	case errors.As(err, &unsupported):
+		return fmt.Errorf("wire: record score is not finite (%v)", err)
+	}
+	return err
 }
 
 func (s *Server) handle(req *Request) *Response {

@@ -309,21 +309,16 @@ type ServerError struct {
 // Error keeps the historical "wire: server: ..." rendering.
 func (e *ServerError) Error() string { return "wire: server: " + e.Msg }
 
-// WriteFrame marshals v and writes one length-prefixed frame.
+// WriteFrame encodes v and writes it as one length-prefixed frame, header
+// and payload in a single Write. Nothing is written when v cannot be encoded
+// or its payload exceeds MaxFrame.
 func WriteFrame(w io.Writer, v interface{}) error {
-	payload, err := json.Marshal(v)
+	frame, err := encodeFrame(v)
 	if err != nil {
-		return fmt.Errorf("wire: encoding frame: %w", err)
-	}
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(payload)
+	_, err = w.Write(*frame)
+	releaseFrame(frame)
 	return err
 }
 
