@@ -433,8 +433,7 @@ func TestServedLiveIngest(t *testing.T) {
 	// ingested records seal exactly four 300-row shards (the tail is empty
 	// right at the drain point), all behind the same wire contract.
 	cmd := exec.Command(filepath.Join(binDir, "durserved"),
-		"-addr", "127.0.0.1:0", "-live", "feed=2", "-ingest", "feed",
-		"-livek", "3", "-livetau", "50", "-sealrows", "300")
+		"-addr", "127.0.0.1:0", "-live", "feed=2", "-ingest", "feed", "-sealrows", "300")
 	cmd.Stdin = feed
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -507,9 +506,9 @@ func TestServedLiveIngest(t *testing.T) {
 		t.Fatalf("no live answer over TCP: %d records", len(recs))
 	}
 
-	// Appending through the wire keeps working after stdin drained, and the
-	// monitor (livek=3) reports a decision per row. The ingest lock clears
-	// asynchronously once the feed goroutine exits, so retry briefly.
+	// Appending through the wire keeps working after stdin drained. The
+	// ingest lock clears asynchronously once the feed goroutine exits, so
+	// retry briefly.
 	infos, err := cl.Datasets()
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +520,7 @@ func TestServedLiveIngest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("append after ingest drain: %v (after %d retries)", err, cl.Retries())
 	}
-	if resp.Appended != 1 || len(resp.Decisions) != 1 {
+	if resp.Appended != 1 {
 		t.Fatalf("wire append response %+v", resp)
 	}
 }
@@ -582,8 +581,7 @@ func startServedAt(t *testing.T, addr string, args ...string) (*exec.Cmd, string
 // checkpointed shards loaded in bulk, only the unsealed tail replayed.
 func TestServedWALCrashRecovery(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
-	served := []string{"-live", "feed=2", "-livek", "2", "-livetau", "50",
-		"-sealrows", "100", "-wal", walDir, "-fsync", "always", "-conntimeout", "30s"}
+	served := []string{"-live", "feed=2", "-sealrows", "100", "-wal", walDir, "-fsync", "always", "-conntimeout", "30s"}
 	retry := wire.RetryPolicy{MaxAttempts: 100, BaseDelay: 10 * time.Millisecond, MaxElapsed: 10 * time.Second}
 
 	cmd, addr, _ := startServed(t, served...)
@@ -629,7 +627,7 @@ func TestServedWALCrashRecovery(t *testing.T) {
 	// Ingestion resumes at the exact next record, and queries serve the
 	// reunited stream.
 	resp, err := cl2.AppendRetry("feed", []wire.IngestRow{{Time: 251, Attrs: []float64{5, 5}}}, retry)
-	if err != nil || resp.Appended != 1 || len(resp.Decisions) != 1 {
+	if err != nil || resp.Appended != 1 {
 		t.Fatalf("resumed append: %+v, %v", resp, err)
 	}
 	recs, _, err := cl2.Query(wire.Request{Dataset: "feed", QuerySpec: wire.QuerySpec{K: 2, Tau: 40, Weights: []float64{1, 0.5}}})
@@ -657,8 +655,7 @@ func TestServedStandingQueryCrashResume(t *testing.T) {
 	ln.Close()
 
 	walDir := filepath.Join(t.TempDir(), "wal")
-	served := []string{"-live", "feed=2", "-livek", "2", "-livetau", "60",
-		"-sealrows", "60", "-wal", walDir, "-fsync", "always",
+	served := []string{"-live", "feed=2", "-sealrows", "60", "-wal", walDir, "-fsync", "always",
 		"-keepcheckpoints", "2", "-subscriptions", "-conntimeout", "30s"}
 	retry := wire.RetryPolicy{MaxAttempts: 100, BaseDelay: 10 * time.Millisecond, MaxElapsed: 10 * time.Second}
 

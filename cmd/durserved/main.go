@@ -24,11 +24,9 @@
 // -live name=dims serves a live dataset: it starts empty and grows through
 // append requests on the wire (or -ingest below), with queries at any moment
 // answering exactly as a batch engine over the records ingested so far.
-// -livek/-livetau additionally enable the online monitor (uniform linear
-// scoring): every append then reports the instant look-back durability
-// verdict plus look-ahead confirmations as windows close. -ingest name
-// streams the ReadCSV format from stdin into the named live dataset while
-// the server runs, so a producer can be piped straight in:
+// Per-append durability verdicts are standing queries (-subscriptions below).
+// -ingest name streams the ReadCSV format from stdin into the named live
+// dataset while the server runs, so a producer can be piped straight in:
 //
 //	durgen -kind nba -n 100000 | durserved -live games=2 -ingest games
 //
@@ -105,7 +103,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/datagen"
-	"repro/internal/score"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -133,8 +130,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "seed for generated datasets")
 		shards   = flag.Int("shards", 1, "serve each dataset from this many time shards (sharded engine when > 1)")
 		shardBy  = flag.String("shardby", "count", "shard partitioning: count|timespan")
-		liveK    = flag.Int("livek", 0, "monitor live datasets online with this top-k (0 = no monitor)")
-		liveTau  = flag.Int64("livetau", 0, "durability window length for -livek monitoring")
 		ingest   = flag.String("ingest", "", "stream CSV records from stdin into this live dataset")
 		sealRows = flag.Int("sealrows", 0, "serve -live datasets live+sharded: seal the mutable tail into a static shard every N records (0 = plain live engine)")
 		sealSpan = flag.Int64("sealspan", 0, "serve -live datasets live+sharded: seal the tail once its arrivals span this many ticks (0 = no span rule)")
@@ -200,24 +195,22 @@ func main() {
 	engOpts := core.Options{SkybandScanBudget: 4096}
 	shardOpts := core.ShardOptions{Shards: *shards, Strategy: strategy}
 	register := func(name string, ds *data.Dataset) {
-		var err error
-		suffix := ""
+		options := []durable.OpenOption{durable.FromDataset(ds), durable.WithOptions(engOpts)}
 		if *shards > 1 {
-			// Build first so the log reports the shard count actually
-			// constructed (cut collapse can yield fewer than requested).
-			q, oerr := durable.Open(durable.FromDataset(ds),
-				durable.WithOptions(engOpts), durable.WithSharding(shardOpts))
-			if oerr != nil {
-				log.Fatalf("durserved: %v", oerr)
-			}
-			se := q.(*core.ShardedEngine)
-			err = srv.AddQuerier(name, se, attrNames[name])
-			suffix = fmt.Sprintf(", %d %s-partitioned time shards", se.NumShards(), strategy)
-		} else {
-			err = srv.Add(name, ds, attrNames[name], engOpts)
+			options = append(options, durable.WithSharding(shardOpts))
 		}
+		q, err := durable.Open(options...)
 		if err != nil {
 			log.Fatalf("durserved: %v", err)
+		}
+		if err := srv.AddQuerier(name, q, attrNames[name]); err != nil {
+			log.Fatalf("durserved: %v", err)
+		}
+		suffix := ""
+		if se, ok := q.(*core.ShardedEngine); ok {
+			// The shard count actually built (cut collapse can yield fewer
+			// than requested).
+			suffix = fmt.Sprintf(", %d %s-partitioned time shards", se.NumShards(), strategy)
 		}
 		lo, hi := ds.Span()
 		log.Printf("durserved: serving %q: %d records, %d dims, time [%d, %d]%s",
@@ -251,27 +244,14 @@ func main() {
 		if err != nil || dims < 1 {
 			log.Fatalf("durserved: -live %s=%s: want name=dims", name, lives.values[i])
 		}
-		liveOpts := core.LiveOptions{}
-		if *liveK > 0 {
-			w := make([]float64, dims)
-			for j := range w {
-				w[j] = 1
-			}
-			s, err := score.NewLinear(w)
-			if err != nil {
-				log.Fatalf("durserved: %v", err)
-			}
-			liveOpts = core.LiveOptions{
-				MonitorK: *liveK, MonitorTau: *liveTau, MonitorScorer: s, TrackAhead: true,
-			}
-		}
 		var le liveServed
 		suffix := ""
+		lifecycle := core.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan, CompactFanout: *compactN, RetainSpan: *retain}
 		if *walDir != "" {
 			st, err := durable.Recover(filepath.Join(*walDir, name), dims, durable.StoreOptions{
 				Sync: syncPolicy, SyncEvery: *fsyncEvy,
-				Engine: engOpts, Live: liveOpts,
-				Shard:           core.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan, CompactFanout: *compactN, RetainSpan: *retain},
+				Engine:          engOpts,
+				Shard:           lifecycle,
 				KeepCheckpoints: *keepCk,
 				Logf:            log.Printf,
 			})
@@ -291,27 +271,24 @@ func main() {
 			stores = append(stores, st)
 			le = st
 			suffix = fmt.Sprintf(", crash-safe (wal under %s, fsync=%s)", filepath.Join(*walDir, name), syncPolicy)
-		} else if *sealRows > 0 || *sealSpan > 0 {
-			// Live+sharded lifecycle: appends route to a mutable tail shard
-			// that seals into immutable static shards as it fills.
-			lse, err := srv.AddLiveSharded(name, dims, attrNames[name], engOpts, liveOpts,
-				core.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan, CompactFanout: *compactN, RetainSpan: *retain})
-			if err != nil {
-				log.Fatalf("durserved: -live %s: %v", name, err)
-			}
-			le = lse
-			suffix = fmt.Sprintf(", sealing every %s", sealRuleString(*sealRows, *sealSpan))
 		} else {
-			plain, err := srv.AddLive(name, dims, attrNames[name], engOpts, liveOpts)
+			options := []durable.OpenOption{durable.FromStream(dims), durable.WithOptions(engOpts)}
+			if *sealRows > 0 || *sealSpan > 0 {
+				// Live+sharded lifecycle: appends route to a mutable tail
+				// shard that seals into immutable static shards as it fills.
+				options = append(options, durable.WithLiveSharding(lifecycle))
+				suffix = fmt.Sprintf(", sealing every %s", sealRuleString(*sealRows, *sealSpan))
+			}
+			q, err := durable.Open(options...)
 			if err != nil {
 				log.Fatalf("durserved: -live %s: %v", name, err)
 			}
-			le = plain
+			le = q.(liveServed)
+			if err := srv.AddLiveQuerier(name, q, le, attrNames[name]); err != nil {
+				log.Fatalf("durserved: -live %s: %v", name, err)
+			}
 		}
 		liveEngines[name] = le
-		if *liveK > 0 {
-			suffix += fmt.Sprintf(", monitored k=%d tau=%d", *liveK, *liveTau)
-		}
 		log.Printf("durserved: serving live %q: %d dims, awaiting appends%s", name, dims, suffix)
 	}
 
@@ -332,41 +309,23 @@ func main() {
 					log.Printf("durserved: %v", err)
 				}
 			}()
-			// The monitor's per-record verdicts would swamp the log on a
-			// bulk feed; aggregate them and report the totals at drain
-			// time. Wire appends still return verdicts row by row.
 			// Rows go through the server's append path (not the bare
 			// engine) so standing-query subscribers observe the stdin feed
 			// exactly like wire appends, at exact prefixes.
-			var n, instant, confirmedDur, confirmed int
+			n := 0
 			err := data.StreamCSV(os.Stdin, func(t int64, attrs []float64) error {
-				dec, confirms, err := srv.AppendRow(*ingest, t, attrs)
-				if err != nil {
+				if err := srv.AppendRow(*ingest, t, attrs); err != nil {
 					return err
 				}
 				n++
-				if dec.Durable {
-					instant++
-				}
-				confirmed += len(confirms)
-				for _, c := range confirms {
-					if c.Durable {
-						confirmedDur++
-					}
-				}
 				return nil
 			})
 			if err != nil {
 				log.Printf("durserved: ingest %q: %v (after %d records)", *ingest, err, n)
 				return
 			}
-			suffix := ""
-			if le.Monitored() {
-				suffix = fmt.Sprintf("; monitor: %d instant-durable, %d/%d look-ahead windows confirmed durable (%d still open)",
-					instant, confirmedDur, confirmed, n-confirmed)
-			}
-			log.Printf("durserved: ingest %q: stdin drained after %d records (%d index rebuilds)%s",
-				*ingest, n, le.Rebuilds(), suffix)
+			log.Printf("durserved: ingest %q: stdin drained after %d records (%d index rebuilds)",
+				*ingest, n, le.Rebuilds())
 		}()
 	}
 
@@ -402,7 +361,7 @@ func isClosed(err error) bool {
 }
 
 // liveServed is the ingestion surface durserved needs from a live dataset's
-// engine, satisfied by both core.LiveEngine and core.LiveShardedEngine.
+// engine, satisfied by core.LiveEngine, core.LiveShardedEngine and the store.
 type liveServed interface {
 	wire.LiveIngest
 	Rebuilds() int

@@ -113,26 +113,6 @@ func NewDataset(times []int64, attrs [][]float64) (*Dataset, error) {
 // NewBuilder returns a dataset builder for d-dimensional records.
 func NewBuilder(d, capacity int) *Builder { return data.NewBuilder(d, capacity) }
 
-// New builds an engine (and its range top-k index) over ds with default
-// options. Thin wrapper over Open(FromDataset(ds)).
-func New(ds *Dataset) *Engine { return mustOpen(FromDataset(ds)).(*Engine) }
-
-// NewWithOptions builds an engine with explicit options. Thin wrapper over
-// Open(FromDataset(ds), WithOptions(opts)).
-func NewWithOptions(ds *Dataset, opts Options) *Engine {
-	return mustOpen(FromDataset(ds), WithOptions(opts)).(*Engine)
-}
-
-// mustOpen backs the historical constructors that cannot return an error;
-// their option combinations are valid by construction.
-func mustOpen(options ...OpenOption) Querier {
-	q, err := Open(options...)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}
-
 // ShardedEngine scales durable top-k indexing horizontally: contiguous
 // time-range shards, one independent index per shard over a zero-copy
 // dataset view, and each query evaluated once as a single span whose range
@@ -161,15 +141,6 @@ const (
 // Querier is the query-serving contract shared by Engine and ShardedEngine.
 type Querier = core.Querier
 
-// NewSharded partitions ds into time shards and builds one engine per shard;
-// see ShardOptions for sizing. It shares the Query/Result contract with New:
-// the same queries return the same answers, each as one span over the
-// shards. Thin wrapper over Open(FromDataset(ds), WithOptions(opts),
-// WithSharding(shards)).
-func NewSharded(ds *Dataset, opts Options, shards ShardOptions) *ShardedEngine {
-	return mustOpen(FromDataset(ds), WithOptions(opts), WithSharding(shards)).(*ShardedEngine)
-}
-
 // ParseShardStrategy converts "count" or "timespan" to a ShardStrategy.
 func ParseShardStrategy(s string) (ShardStrategy, error) { return core.ParseShardStrategy(s) }
 
@@ -180,25 +151,14 @@ func ParseShardStrategy(s string) (ShardStrategy, error) { return core.ParseShar
 // point returns exactly what a batch Engine built over the records appended
 // so far would. Look-ahead and S-Band queries build their auxiliary
 // structures (reversed view, skyband ladder) per prefix; for per-arrival
-// look-ahead verdicts use the built-in monitor instead, which emits instant
+// verdicts serve the engine and subscribe to it (a standing query: instant
 // look-back decisions with each arrival and delayed look-ahead confirmations
-// as durability windows close in O(log w) per record.
+// as durability windows close, in O(log w) per record), or run a Monitor
+// beside it.
 type LiveEngine = core.LiveEngine
 
-// LiveOptions configures live ingestion: storage capacity hints and the
-// optional online durability monitor (fixed k, tau and scorer).
+// LiveOptions configures live ingestion: the storage capacity hint.
 type LiveOptions = core.LiveOptions
-
-// NewLive returns an empty live engine for d-dimensional records. Feed it
-// with Append; query it at any time through the same Querier contract as New
-// and NewSharded. Thin wrapper over Open(FromStream(d), ...).
-func NewLive(d int, opts Options, live LiveOptions) (*LiveEngine, error) {
-	q, err := Open(FromStream(d), WithOptions(opts), WithLiveOptions(live))
-	if err != nil {
-		return nil, err
-	}
-	return q.(*LiveEngine), nil
-}
 
 // LiveShardedEngine composes live ingestion with time sharding: appends
 // route to a single mutable tail shard, and when the tail reaches a seal
@@ -216,20 +176,6 @@ type LiveShardOptions = core.LiveShardOptions
 // DefaultSealRows is the tail seal threshold used when LiveShardOptions sets
 // neither a row nor a span rule.
 const DefaultSealRows = core.DefaultSealRows
-
-// NewLiveSharded returns an empty live+sharded engine for d-dimensional
-// records. Feed it with Append (seals happen automatically; Seal forces
-// one); query it at any time through the same Querier contract as New,
-// NewSharded and NewLive. live configures capacity hints and the optional
-// online monitor, which spans seals.
-// Thin wrapper over Open(FromStream(d), ..., WithLiveSharding(shards)).
-func NewLiveSharded(d int, opts Options, live LiveOptions, shards LiveShardOptions) (*LiveShardedEngine, error) {
-	q, err := Open(FromStream(d), WithOptions(opts), WithLiveOptions(live), WithLiveSharding(shards))
-	if err != nil {
-		return nil, err
-	}
-	return q.(*LiveShardedEngine), nil
-}
 
 // NewLinear returns the preference scorer f(p) = sum w_i * x_i.
 func NewLinear(weights []float64) (Scorer, error) { return score.NewLinear(weights) }

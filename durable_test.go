@@ -26,9 +26,29 @@ func buildDataset(t testing.TB, n int) *durable.Dataset {
 	return ds
 }
 
+// openEngine opens a batch engine over ds, failing the test on error.
+func openEngine(t testing.TB, ds *durable.Dataset, options ...durable.OpenOption) *durable.Engine {
+	t.Helper()
+	q, err := durable.Open(append([]durable.OpenOption{durable.FromDataset(ds)}, options...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q.(*durable.Engine)
+}
+
+// openSharded opens a time-sharded engine over ds.
+func openSharded(t testing.TB, ds *durable.Dataset, shards durable.ShardOptions) *durable.ShardedEngine {
+	t.Helper()
+	q, err := durable.Open(durable.FromDataset(ds), durable.WithSharding(shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q.(*durable.ShardedEngine)
+}
+
 func TestPublicAPIQuickstartFlow(t *testing.T) {
 	ds := buildDataset(t, 500)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	lo, hi := ds.Span()
 	q := durable.Query{
 		K:             2,
@@ -58,7 +78,7 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 
 func TestPublicAPIAlgorithmsAgree(t *testing.T) {
 	ds := buildDataset(t, 800)
-	eng := durable.NewWithOptions(ds, durable.Options{})
+	eng := openEngine(t, ds)
 	lo, hi := ds.Span()
 	scorer, err := durable.Log1pCombo([]float64{1, 2})
 	if err != nil {
@@ -93,7 +113,7 @@ func TestPublicAPIBuilder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	scorer, err := durable.NewSingleAttr(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +129,7 @@ func TestPublicAPIBuilder(t *testing.T) {
 
 func TestPublicAPITopK(t *testing.T) {
 	ds := buildDataset(t, 200)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	lo, hi := ds.Span()
 	items := eng.TopK(durable.MustLinear(1, 1), 5, lo, hi)
 	if len(items) != 5 {
@@ -134,7 +154,7 @@ func TestPublicAPIParseAlgorithm(t *testing.T) {
 
 func TestPublicAPICosine(t *testing.T) {
 	ds := buildDataset(t, 300)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	lo, hi := ds.Span()
 	cos, err := durable.NewCosine([]float64{1, 2})
 	if err != nil {
@@ -164,7 +184,7 @@ func TestPublicAPIErrorPropagation(t *testing.T) {
 		t.Fatal("empty weights must fail")
 	}
 	ds := buildDataset(t, 10)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	if _, err := eng.DurableTopK(durable.Query{K: 0, Scorer: durable.MustLinear(1, 1)}); err == nil {
 		t.Fatal("bad query must fail")
 	}
@@ -172,7 +192,7 @@ func TestPublicAPIErrorPropagation(t *testing.T) {
 
 func TestPublicAPIMaxDuration(t *testing.T) {
 	ds := buildDataset(t, 400)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	s := durable.MustLinear(1, 1)
 	dur, full := eng.MaxDuration(200, 3, s, durable.LookBack)
 	if dur < 0 {
@@ -187,7 +207,7 @@ func TestPublicAPIRMQBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := durable.NewWithOptions(ds, durable.WithRMQBlock(durable.Options{}))
+	eng := openEngine(t, ds, durable.WithOptions(durable.WithRMQBlock(durable.Options{})))
 	lo, hi := ds.Span()
 	res, err := eng.DurableTopK(durable.Query{K: 3, Tau: 40, Start: lo, End: hi, Scorer: scorer})
 	if err != nil {
@@ -201,7 +221,7 @@ func TestPublicAPIRMQBlock(t *testing.T) {
 
 func TestPublicAPIMostDurable(t *testing.T) {
 	ds := buildDataset(t, 500)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	s := durable.MustLinear(1, 1)
 	top, err := eng.MostDurable(3, s, durable.LookBack, 5)
 	if err != nil {
@@ -221,7 +241,7 @@ func TestPublicAPIMostDurable(t *testing.T) {
 
 func TestPublicAPICompileScorer(t *testing.T) {
 	ds := buildDataset(t, 400)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	lo, hi := ds.Span()
 
 	compiled, err := durable.CompileScorer("x0 + 0.5*x1", 2, nil)
@@ -263,7 +283,7 @@ func TestPublicAPICompileScorer(t *testing.T) {
 
 func TestPublicAPIGeneralAnchor(t *testing.T) {
 	ds := buildDataset(t, 400)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	lo, hi := ds.Span()
 	s := durable.MustLinear(1, 0)
 	const tau, lead = 60, 25
@@ -283,7 +303,7 @@ func TestPublicAPIGeneralAnchor(t *testing.T) {
 
 func TestPublicAPIExplain(t *testing.T) {
 	ds := buildDataset(t, 400)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	lo, hi := ds.Span()
 	plan, err := eng.Explain(durable.Query{
 		K: 2, Tau: 40, Start: lo, End: hi, Scorer: durable.MustLinear(1, 1),
@@ -338,7 +358,7 @@ func TestPublicAPIMonitor(t *testing.T) {
 
 func TestPublicAPISharded(t *testing.T) {
 	ds := buildDataset(t, 900)
-	eng := durable.New(ds)
+	eng := openEngine(t, ds)
 	scorer := durable.MustLinear(1, 0.5)
 	lo, hi := ds.Span()
 	q := durable.Query{K: 3, Tau: 120, Start: lo, End: hi, Scorer: scorer}
@@ -347,7 +367,7 @@ func TestPublicAPISharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strategy := range []durable.ShardStrategy{durable.ByCount, durable.ByTimeSpan} {
-		se := durable.NewSharded(ds, durable.Options{}, durable.ShardOptions{Shards: 6, Strategy: strategy})
+		se := openSharded(t, ds, durable.ShardOptions{Shards: 6, Strategy: strategy})
 		if se.NumShards() != 6 {
 			t.Fatalf("%v: %d shards, want 6", strategy, se.NumShards())
 		}
@@ -368,7 +388,7 @@ func TestPublicAPISharded(t *testing.T) {
 		}
 	}
 	// Both engine flavors satisfy the shared Querier contract.
-	for _, qr := range []durable.Querier{eng, durable.NewSharded(ds, durable.Options{}, durable.ShardOptions{Shards: 2})} {
+	for _, qr := range []durable.Querier{eng, openSharded(t, ds, durable.ShardOptions{Shards: 2})} {
 		if qr.Dataset().Len() != ds.Len() {
 			t.Fatal("Querier dataset mismatch")
 		}

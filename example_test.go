@@ -22,7 +22,10 @@ func scoreboard() *durable.Dataset {
 // ExampleEngine_DurableTopK finds the records that were top-1 over the
 // three ticks leading up to their own arrival.
 func ExampleEngine_DurableTopK() {
-	eng := durable.New(scoreboard())
+	eng, err := durable.Open(durable.FromDataset(scoreboard()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := eng.DurableTopK(durable.Query{
 		K:      1,
 		Tau:    3,
@@ -44,7 +47,10 @@ func ExampleEngine_DurableTopK() {
 // ExampleEngine_MostDurable reports the records that kept their top-1 rank
 // the longest.
 func ExampleEngine_MostDurable() {
-	eng := durable.New(scoreboard())
+	eng, err := durable.Open(durable.FromDataset(scoreboard()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	top, err := eng.MostDurable(1, durable.MustLinear(1), durable.LookBack, 2)
 	if err != nil {
 		log.Fatal(err)
@@ -64,7 +70,10 @@ func ExampleEngine_MostDurable() {
 // ExampleQuery_lookAhead asks the forward-looking question instead: which
 // records were never beaten during the following three ticks?
 func ExampleQuery_lookAhead() {
-	eng := durable.New(scoreboard())
+	eng, err := durable.Open(durable.FromDataset(scoreboard()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := eng.DurableTopK(durable.Query{
 		K:      1,
 		Tau:    3,
@@ -101,7 +110,10 @@ func ExampleCompileScorer() {
 // ExampleQuery_general uses a mid-anchored durability window: each record is
 // judged over one tick before and two ticks after its own arrival.
 func ExampleQuery_general() {
-	eng := durable.New(scoreboard())
+	eng, err := durable.Open(durable.FromDataset(scoreboard()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := eng.DurableTopK(durable.Query{
 		K:      1,
 		Tau:    3,
@@ -125,7 +137,10 @@ func ExampleQuery_general() {
 
 // ExampleEngine_Explain shows the planner's reasoning for one query.
 func ExampleEngine_Explain() {
-	eng := durable.New(scoreboard())
+	eng, err := durable.Open(durable.FromDataset(scoreboard()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	plan, err := eng.Explain(durable.Query{
 		K: 1, Tau: 3, Start: 1, End: 10, Scorer: durable.MustLinear(1),
 	})

@@ -15,7 +15,7 @@ import (
 	"log"
 	"net"
 
-	"repro/internal/core"
+	durable "repro"
 	"repro/internal/datagen"
 	"repro/internal/wire"
 )
@@ -28,8 +28,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	err = srv.Add("games", games, []string{"points", "assists", "rebounds"}, core.Options{})
+	eng, err := durable.Open(durable.FromDataset(games))
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := srv.AddQuerier("games", eng, []string{"points", "assists", "rebounds"}); err != nil {
 		log.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0") // ephemeral port

@@ -188,8 +188,12 @@ func backfillReplay(rep *StreamReport, ds *data.Dataset, n int, tau int64, seed 
 // that append's event; the append lock, registry emit and channel/TCP hops
 // in between give the happens-before chain that makes this race-free.
 func standingRun(ds *data.Dataset, n int, tau int64, subs int, seed int64) (appendsPerSec, confirmLatNs float64, err error) {
+	le, err := core.NewLiveEngine(ds.Dims(), EngineOptions(), core.LiveOptions{})
+	if err != nil {
+		return 0, 0, err
+	}
 	srv := wire.NewServer(func(string, ...interface{}) {})
-	if _, err := srv.AddLive("live", ds.Dims(), nil, EngineOptions(), core.LiveOptions{}); err != nil {
+	if err := srv.AddLiveQuerier("live", le, le, nil); err != nil {
 		return 0, 0, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -279,7 +283,7 @@ func standingRun(ds *data.Dataset, n int, tau int64, subs int, seed int64) (appe
 			}
 		}
 		t0[i] = time.Now()
-		if _, _, err := srv.AppendRow("live", ds.Time(i), ds.Attrs(i)); err != nil {
+		if err := srv.AppendRow("live", ds.Time(i), ds.Attrs(i)); err != nil {
 			return 0, 0, err
 		}
 	}

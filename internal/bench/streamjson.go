@@ -144,35 +144,58 @@ type StreamReport struct {
 	BackfillReplayEventsPerSec float64 `json:"backfill_replay_events_per_sec,omitempty"`
 }
 
-// StreamPerfReport measures the live-ingestion subsystem on the given
-// dataset: ingest throughput, rebuild amortization, interleaved
-// append+query freshness, and steady-state live query latency.
-func StreamPerfReport(cfg Config, dsName string) (*StreamReport, error) {
+// streamSection measures one group of BENCH_stream.json rows into rep. s is
+// the report's random preference scorer and spec its query shape.
+type streamSection func(rep *StreamReport, ds *data.Dataset, spec QuerySpec, s score.Scorer) error
+
+// allStreamSections is every section of BENCH_stream.json, in report order.
+var allStreamSections = []streamSection{liveRows, liveShardedRows, compactionLifecycle, durabilityRows,
+	func(rep *StreamReport, ds *data.Dataset, _ QuerySpec, _ score.Scorer) error {
+		return serveThroughput(rep, ds, rep.Seed)
+	},
+	func(rep *StreamReport, ds *data.Dataset, _ QuerySpec, _ score.Scorer) error {
+		return standingThroughput(rep, ds, rep.Seed)
+	},
+}
+
+// StreamPerfReport measures the given sections of the live-ingestion report
+// on the named dataset; the registry experiments each run the one section
+// they print, WriteStreamJSON runs allStreamSections.
+func StreamPerfReport(cfg Config, dsName string, sections ...streamSection) (*StreamReport, error) {
 	cfg = cfg.withDefaults()
 	ds, err := DatasetFor(cfg, dsName)
 	if err != nil {
 		return nil, err
 	}
-	n, d := ds.Len(), ds.Dims()
 	spec := QuerySpec{K: defaultK, TauPct: defaultTauPct, IPct: defaultIPct}
 	rep := &StreamReport{
-		Dataset: dsName, Records: n, Dims: d,
+		Dataset: dsName, Records: ds.Len(), Dims: ds.Dims(),
 		K: spec.K, TauPct: spec.TauPct,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Seed:       cfg.Seed,
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := RandomPreference(rng, d)
+	s := RandomPreference(rand.New(rand.NewSource(cfg.Seed)), ds.Dims())
+	for _, section := range sections {
+		if err := section(rep, ds, spec, s); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
 
-	// Pure ingestion throughput + rebuild amortization.
+// liveRows fills the plain live-engine rows: pure ingest throughput and
+// rebuild amortization, interleaved append+query freshness, and the steady
+// live query.
+func liveRows(rep *StreamReport, ds *data.Dataset, spec QuerySpec, s score.Scorer) error {
+	n, d := ds.Len(), ds.Dims()
 	le, err := core.NewLiveEngine(d, EngineOptions(), core.LiveOptions{})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		if _, _, err := le.Append(ds.Time(i), ds.Attrs(i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	elapsed := time.Since(start).Seconds()
@@ -184,7 +207,7 @@ func StreamPerfReport(cfg Config, dsName string) (*StreamReport, error) {
 	// append, measuring how fresh answers stay while the stream runs.
 	le2, err := core.NewLiveEngine(d, EngineOptions(), core.LiveOptions{})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lo, hi := ds.Span()
 	tau := (hi - lo) * int64(spec.TauPct) / 100
@@ -193,13 +216,13 @@ func StreamPerfReport(cfg Config, dsName string) (*StreamReport, error) {
 	for i := 0; i < n; i++ {
 		t := ds.Time(i)
 		if _, _, err := le2.Append(t, ds.Attrs(i)); err != nil {
-			return nil, err
+			return err
 		}
 		qs := time.Now()
 		if _, err := le2.DurableTopK(core.Query{
 			K: spec.K, Tau: tau, Start: t - tau, End: t, Scorer: s, Algorithm: core.SHop,
 		}); err != nil {
-			return nil, err
+			return err
 		}
 		queryNs += time.Since(qs).Nanoseconds()
 	}
@@ -209,41 +232,48 @@ func StreamPerfReport(cfg Config, dsName string) (*StreamReport, error) {
 	// Steady state: the batch-comparable query workload over the fully
 	// ingested live engine, measured with allocation accounting so the
 	// benchmark gate can fail on per-query allocation growth.
-	q := spec.Materialize(le.Dataset(), s, core.SHop)
+	r, err := steadyQuery(le, spec.Materialize(le.Dataset(), s, core.SHop))
+	rep.SteadyQueryNs, rep.SteadyQueryAllocs, rep.SteadyQueryBytes = float64(r.NsPerOp()), r.AllocsPerOp(), r.AllocedBytesPerOp()
+	return err
+}
+
+// steadyQuery benchmarks q repeated against eng with no appends in between.
+func steadyQuery(eng core.Querier, q core.Query) (testing.BenchmarkResult, error) {
 	var evalErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := le.DurableTopK(q); err != nil {
+			if _, err := eng.DurableTopK(q); err != nil {
 				evalErr = err
 				b.FailNow()
 			}
 		}
 	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	rep.SteadyQueryNs = float64(r.NsPerOp())
-	rep.SteadyQueryAllocs = r.AllocsPerOp()
-	rep.SteadyQueryBytes = r.AllocedBytesPerOp()
+	return r, evalErr
+}
 
-	// Live+sharded lifecycle: the same ingest through the seal/freeze
-	// engine (8 seals across the stream), then the steady query over the
-	// resulting sealed+tail epoch.
-	sealRows := n / 8
-	if sealRows < 1 {
-		sealRows = 1
-	}
+// liveSealRows is the seal cadence of the live+sharded and WAL rows: eight
+// seals across the stream.
+func liveSealRows(n int) int {
+	return max(n/8, 1)
+}
+
+// liveShardedRows fills the live+sharded lifecycle rows: the same ingest
+// through the seal/freeze engine, then the steady query over the resulting
+// sealed+tail epoch.
+func liveShardedRows(rep *StreamReport, ds *data.Dataset, spec QuerySpec, s score.Scorer) error {
+	n, d := ds.Len(), ds.Dims()
+	sealRows := liveSealRows(n)
 	rep.LiveShardedSealRows = sealRows
 	lse, err := core.NewLiveShardedEngine(d, EngineOptions(), core.LiveOptions{Capacity: sealRows},
 		core.LiveShardOptions{SealRows: sealRows})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	start = time.Now()
+	start := time.Now()
 	for i := 0; i < n; i++ {
 		if _, _, err := lse.Append(ds.Time(i), ds.Attrs(i)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Freeze builds run in the background; include their completion in the
@@ -255,36 +285,22 @@ func StreamPerfReport(cfg Config, dsName string) (*StreamReport, error) {
 	rep.LiveShardedSealedRowsPerAppend = float64(lse.SealedRows()) / float64(n)
 	rep.LiveShardedIndexedRowsPerAppend = float64(lse.IndexedRows()) / float64(n)
 
-	qs := spec.Materialize(lse.Dataset(), s, core.SHop)
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := lse.DurableTopK(qs); err != nil {
-				evalErr = err
-				b.FailNow()
-			}
-		}
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	rep.LiveShardedSteadyQueryNs = float64(r.NsPerOp())
-	rep.LiveShardedSteadyQueryAllocs = r.AllocsPerOp()
-	rep.LiveShardedSteadyQueryBytes = r.AllocedBytesPerOp()
+	r, err := steadyQuery(lse, spec.Materialize(lse.Dataset(), s, core.SHop))
+	rep.LiveShardedSteadyQueryNs, rep.LiveShardedSteadyQueryAllocs, rep.LiveShardedSteadyQueryBytes =
+		float64(r.NsPerOp()), r.AllocsPerOp(), r.AllocedBytesPerOp()
+	return err
+}
 
-	// Compaction: fine seal cadence, with and without LSM leveling.
-	if err := compactionLifecycle(rep, ds, spec, s); err != nil {
-		return nil, err
-	}
-
-	// Durability: the ingest write-ahead logged through the crash-safe store,
-	// once per fsync policy.
+// durabilityRows fills the WAL rows: the ingest write-ahead logged through
+// the crash-safe store once per fsync policy, then the recovery replay rate.
+func durabilityRows(rep *StreamReport, ds *data.Dataset, _ QuerySpec, _ score.Scorer) error {
+	n, d := ds.Len(), ds.Dims()
 	rep.WALBatchRows = walBatchRows
 	rep.WALAppendsPerSec = make(map[string]float64, 3)
 	for _, pol := range []wal.SyncPolicy{wal.SyncNone, wal.SyncInterval, wal.SyncAlways} {
-		perSec, err := walIngestRate(ds, pol, sealRows)
+		perSec, err := walIngestRate(ds, pol, liveSealRows(n))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		rep.WALAppendsPerSec[pol.String()] = perSec
 	}
@@ -292,42 +308,29 @@ func StreamPerfReport(cfg Config, dsName string) (*StreamReport, error) {
 	// Recovery replay: a WAL holding the full stream (the seal threshold
 	// sits beyond the dataset, so no checkpoint short-circuits the replay)
 	// driven back through the normal append path at Open.
-	rfs := wal.NewMemFS()
-	ropts := store.Options{FS: rfs, Sync: wal.SyncNone,
+	ropts := store.Options{FS: wal.NewMemFS(), Sync: wal.SyncNone,
 		Engine: EngineOptions(), Shard: core.LiveShardOptions{SealRows: n + 1}}
 	st, err := store.Open("replay", d, ropts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := feedStore(st, ds); err != nil {
-		return nil, err
+		return err
 	}
 	if err := st.Close(); err != nil {
-		return nil, err
+		return err
 	}
-	start = time.Now()
+	start := time.Now()
 	rec, err := store.Open("replay", d, ropts)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	recoverSecs := time.Since(start).Seconds()
 	if replayed := rec.Stats().ReplayedRows; replayed != n {
-		return nil, fmt.Errorf("bench: recovery replayed %d of %d rows", replayed, n)
+		return fmt.Errorf("bench: recovery replayed %d of %d rows", replayed, n)
 	}
 	rep.RecoveryReplayRowsPerSec = float64(n) / recoverSecs
-	if err := rec.Close(); err != nil {
-		return nil, err
-	}
-
-	// Concurrent serving throughput + cache effectiveness over the wire.
-	if err := serveThroughput(rep, ds, cfg.Seed); err != nil {
-		return nil, err
-	}
-	// Standing-query fan-out: appends with 1/16/256 subscriptions attached.
-	if err := standingThroughput(rep, ds, cfg.Seed); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return rec.Close()
 }
 
 // compactFanout is the size-tiered merge fanout of the compaction rows:
@@ -367,17 +370,8 @@ func compactionLifecycle(rep *StreamReport, ds *data.Dataset, spec QuerySpec, s 
 		return lse, float64(n) / time.Since(start).Seconds(), nil
 	}
 	steady := func(lse *core.LiveShardedEngine, q core.Query) (ns float64, allocs, bytes int64, err error) {
-		var evalErr error
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := lse.DurableTopK(q); err != nil {
-					evalErr = err
-					b.FailNow()
-				}
-			}
-		})
-		return float64(r.NsPerOp()), r.AllocsPerOp(), r.AllocedBytesPerOp(), evalErr
+		r, err := steadyQuery(lse, q)
+		return float64(r.NsPerOp()), r.AllocsPerOp(), r.AllocedBytesPerOp(), err
 	}
 	// visited counts the shards whose rows a look-back query over [Start-Tau,
 	// End] can touch: the shards its span covers in the final epoch.
@@ -423,7 +417,7 @@ func runCompactionScale(cfg Config, w io.Writer) error {
 	if cfg.Quick {
 		dsName = "ind-4000"
 	}
-	rep, err := StreamPerfReport(cfg, dsName)
+	rep, err := StreamPerfReport(cfg, dsName, compactionLifecycle)
 	if err != nil {
 		return err
 	}
@@ -482,9 +476,10 @@ func feedStore(st *store.Store, ds *data.Dataset) error {
 	return nil
 }
 
-// WriteStreamJSON runs StreamPerfReport and writes BENCH_stream.json.
+// WriteStreamJSON runs every section of StreamPerfReport and writes
+// BENCH_stream.json.
 func WriteStreamJSON(cfg Config, dsName, path string) error {
-	rep, err := StreamPerfReport(cfg, dsName)
+	rep, err := StreamPerfReport(cfg, dsName, allStreamSections...)
 	if err != nil {
 		return err
 	}
@@ -502,7 +497,7 @@ func runStreamScale(cfg Config, w io.Writer) error {
 	if cfg.Quick {
 		dsName = "ind-4000"
 	}
-	rep, err := StreamPerfReport(cfg, dsName)
+	rep, err := StreamPerfReport(cfg, dsName, liveRows, durabilityRows)
 	if err != nil {
 		return err
 	}
@@ -535,7 +530,7 @@ func runLiveShardedScale(cfg Config, w io.Writer) error {
 	if cfg.Quick {
 		dsName = "ind-4000"
 	}
-	rep, err := StreamPerfReport(cfg, dsName)
+	rep, err := StreamPerfReport(cfg, dsName, liveRows, liveShardedRows)
 	if err != nil {
 		return err
 	}

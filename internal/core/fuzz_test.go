@@ -81,9 +81,7 @@ func FuzzLiveAppend(f *testing.F) {
 		every := int(stride%16) + 1
 		s := score.MustLinear(1)
 		opts := Options{Index: topk.Options{LengthThreshold: 4}}
-		le, err := NewLiveEngine(1, opts, LiveOptions{
-			MonitorK: k, MonitorTau: tau, MonitorScorer: s,
-		})
+		le, err := NewLiveEngine(1, opts, LiveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,8 +94,7 @@ func FuzzLiveAppend(f *testing.F) {
 			tt += int64(by&3) + 1
 			times = append(times, tt)
 			rows = append(rows, []float64{float64(by >> 4)})
-			dec, _, err := le.Append(tt, rows[i])
-			if err != nil {
+			if _, _, err := le.Append(tt, rows[i]); err != nil {
 				t.Fatal(err)
 			}
 			if (i+1)%every != 0 && i != len(raw)-1 {
@@ -129,20 +126,6 @@ func FuzzLiveAppend(f *testing.F) {
 			if !reflect.DeepEqual(got.Records, wantRes.Records) {
 				t.Fatalf("live vs batch at prefix %d: k=%d tau=%d anchor=%v\n got %v\nwant %v",
 					i+1, k, tau, anchor, got.Records, wantRes.Records)
-			}
-			// The instant monitor decision is the look-back verdict for the
-			// arriving (latest) record itself, which the oracle's answer
-			// over [lo, hi] also contains or omits.
-			if anchor == LookBack {
-				inAnswer := false
-				for _, id := range want {
-					if id == i {
-						inAnswer = true
-					}
-				}
-				if dec.Durable != inAnswer {
-					t.Fatalf("monitor decision for record %d: %v, oracle %v", i, dec.Durable, inAnswer)
-				}
 			}
 		}
 	})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"repro/internal/data"
@@ -17,18 +16,6 @@ type LiveOptions struct {
 	// Capacity pre-sizes the columnar storage for that many records; 0 is
 	// fine (growth is amortized either way).
 	Capacity int
-
-	// MonitorK, together with MonitorScorer, enables the online durability
-	// monitor: every Append additionally reports the instant look-back
-	// verdict for the arriving record under the fixed parameters
-	// (MonitorK, MonitorTau, MonitorScorer), and — with TrackAhead — the
-	// delayed look-ahead confirmations of past records whose forward
-	// windows just closed. MonitorK <= 0 disables monitoring; ad-hoc
-	// DurableTopK queries work either way.
-	MonitorK      int
-	MonitorTau    int64
-	MonitorScorer score.Scorer
-	TrackAhead    bool
 }
 
 // LiveEngine answers durable top-k queries over a still-growing dataset: the
@@ -44,14 +31,9 @@ type LiveOptions struct {
 // (LookAhead/General anchors) and the skyband ladders (S-Band) are built
 // lazily by the snapshot engine and are only reused until the next append.
 // An append-then-LookAhead-query loop therefore rebuilds the reversed index
-// each iteration — run such workloads through the monitor (look-ahead
-// confirmations are O(log w) per arrival) or batch queries between appends;
-// making these structures incremental is an open roadmap item.
-//
-// An optional monitor (see LiveOptions) additionally decides durability
-// online under one fixed (k, tau, scorer) triple: instant look-back
-// decisions with each arrival, and delayed look-ahead confirmations emitted
-// as durability windows close.
+// each iteration — run such workloads as standing queries (package sub: its
+// look-ahead confirmations are O(log w) per arrival) or batch queries between
+// appends; making these structures incremental is an open roadmap item.
 //
 // Appends are serialized against queries with a RW lock: any number of
 // concurrent queries, one writer.
@@ -60,7 +42,6 @@ type LiveEngine struct {
 	mu   sync.RWMutex
 
 	forest *topk.Forest
-	mon    *monitor.Monitor
 
 	// engMu guards the memoized per-prefix engine; a query at an unchanged
 	// length reuses it (keeping lazily built reversed views and skyband
@@ -78,21 +59,6 @@ func NewLiveEngine(d int, opts Options, live LiveOptions) (*LiveEngine, error) {
 	}
 	le := &LiveEngine{opts: opts, forest: topk.NewForest(d, opts.Index)}
 	le.forest.Dataset().Reserve(live.Capacity)
-	if live.MonitorK > 0 {
-		if live.MonitorScorer == nil {
-			return nil, errors.New("core: live monitor needs a scorer")
-		}
-		if live.MonitorScorer.Dims() != d {
-			return nil, fmt.Errorf("%w: monitor scorer wants %d, live dataset has %d",
-				ErrDims, live.MonitorScorer.Dims(), d)
-		}
-		mon, err := monitor.New(live.MonitorK, live.MonitorTau, live.MonitorScorer,
-			monitor.Options{TrackAhead: live.TrackAhead})
-		if err != nil {
-			return nil, err
-		}
-		le.mon = mon
-	}
 	return le, nil
 }
 
@@ -119,9 +85,6 @@ func (le *LiveEngine) IndexedRows() int {
 	return le.forest.IndexedRows()
 }
 
-// Monitored reports whether the online monitor is enabled.
-func (le *LiveEngine) Monitored() bool { return le.mon != nil }
-
 // EpochSeq returns the current query-epoch sequence number. A live engine's
 // query state is fully keyed by its prefix length (appends only extend it),
 // so the length is the epoch; results computed at equal seqs are
@@ -133,34 +96,12 @@ func (le *LiveEngine) EpochSeq() uint64 {
 }
 
 // Append commits one record: t must exceed the last appended time and attrs
-// must have exactly Dims values (copied). With the monitor enabled, the
-// returned Decision is the record's instant look-back durability verdict and
-// confirms holds the look-ahead confirmations of records whose forward
-// windows closed strictly before t; without it both are zero.
-func (le *LiveEngine) Append(t int64, attrs []float64) (dec monitor.Decision, confirms []monitor.Confirmation, err error) {
+// must have exactly Dims values (copied). The Decision and confirmations are
+// always zero; per-append verdicts come from standing queries (package sub).
+func (le *LiveEngine) Append(t int64, attrs []float64) (monitor.Decision, []monitor.Confirmation, error) {
 	le.mu.Lock()
 	defer le.mu.Unlock()
-	if err = le.forest.Append(t, attrs); err != nil {
-		return dec, nil, err
-	}
-	if le.mon != nil {
-		// The forest accepted the record, so the monitor (same ordering
-		// rule, same dims) cannot reject it.
-		dec, confirms, err = le.mon.Observe(t, attrs)
-	}
-	return dec, confirms, err
-}
-
-// Finish force-confirms every pending look-ahead candidate of the monitor at
-// the current end of stream (see monitor.Monitor.Finish). Appends may
-// continue afterwards.
-func (le *LiveEngine) Finish() []monitor.Confirmation {
-	le.mu.Lock()
-	defer le.mu.Unlock()
-	if le.mon == nil {
-		return nil
-	}
-	return le.mon.Finish()
+	return monitor.Decision{}, nil, le.forest.Append(t, attrs)
 }
 
 // Dataset returns a stable snapshot view of the records appended so far.

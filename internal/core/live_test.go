@@ -101,78 +101,6 @@ func TestLiveEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestLiveEngineMonitor checks the online wiring: instant look-back
-// decisions and delayed look-ahead confirmations coming out of Append must
-// agree with the offline brute-force oracle over the final dataset.
-func TestLiveEngineMonitor(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const n, k, tau = 300, 3, 40
-	ds := diffDataset(rng, "adversarial", n, 1)
-	s := score.MustLinear(1)
-	le, err := NewLiveEngine(1, testEngineOpts(), LiveOptions{
-		MonitorK: k, MonitorTau: tau, MonitorScorer: s, TrackAhead: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !le.Monitored() {
-		t.Fatal("monitor should be enabled")
-	}
-
-	lookBack := map[int]bool{}
-	for _, id := range BruteForce(ds, s, k, tau, ds.Time(0), ds.Time(n-1), LookBack) {
-		lookBack[id] = true
-	}
-	lookAhead := map[int]bool{}
-	for _, id := range BruteForce(ds, s, k, tau, ds.Time(0), ds.Time(n-1), LookAhead) {
-		lookAhead[id] = true
-	}
-
-	confirmed := map[int]bool{}
-	var confirmedTrunc []int
-	for i := 0; i < n; i++ {
-		dec, confirms, err := le.Append(ds.Time(i), ds.Attrs(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.ID != i {
-			t.Fatalf("decision id=%d want %d", dec.ID, i)
-		}
-		if dec.Durable != lookBack[i] {
-			t.Fatalf("record %d: instant decision %v, oracle %v", i, dec.Durable, lookBack[i])
-		}
-		for _, c := range confirms {
-			if c.Truncated {
-				t.Fatalf("record %d confirmed truncated mid-stream", c.ID)
-			}
-			confirmed[c.ID] = c.Durable
-		}
-	}
-	for _, c := range le.Finish() {
-		if c.Truncated {
-			confirmedTrunc = append(confirmedTrunc, c.ID)
-			continue
-		}
-		confirmed[c.ID] = c.Durable
-	}
-	for id, durable := range confirmed {
-		if durable != lookAhead[id] {
-			t.Fatalf("record %d: confirmation %v, oracle %v", id, durable, lookAhead[id])
-		}
-	}
-	// Truncated confirmations are exactly those whose forward window
-	// extends past the last arrival.
-	for _, id := range confirmedTrunc {
-		if ds.Time(id)+tau <= ds.Time(n-1) {
-			t.Fatalf("record %d truncated but its window closed in-stream", id)
-		}
-	}
-	if len(confirmed)+len(confirmedTrunc) != n {
-		t.Fatalf("confirmed %d + truncated %d records, want %d",
-			len(confirmed), len(confirmedTrunc), n)
-	}
-}
-
 // TestLiveEngineEmptyAndErrors pins the edge contract: queries on an empty
 // live engine answer empty (not panic), invalid appends leave it unchanged,
 // and profile operations report the empty state as an error.
@@ -212,12 +140,6 @@ func TestLiveEngineEmptyAndErrors(t *testing.T) {
 	}
 	if _, err := NewLiveEngine(0, Options{}, LiveOptions{}); err == nil {
 		t.Fatal("d=0 must fail")
-	}
-	if _, err := NewLiveEngine(2, Options{}, LiveOptions{MonitorK: 1}); err == nil {
-		t.Fatal("monitor without scorer must fail")
-	}
-	if _, err := NewLiveEngine(2, Options{}, LiveOptions{MonitorK: 1, MonitorScorer: score.MustLinear(1)}); err == nil {
-		t.Fatal("monitor scorer dim mismatch must fail")
 	}
 }
 

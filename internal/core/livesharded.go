@@ -82,8 +82,6 @@ type LiveShardedEngine struct {
 	so   LiveShardOptions
 	dims int
 
-	mon *monitor.Monitor
-
 	// mu serializes lifecycle transitions (append, seal) against epoch
 	// snapshots; queries hold it only while grabbing the current epoch.
 	mu        sync.RWMutex
@@ -137,9 +135,8 @@ type LiveShardedEngine struct {
 }
 
 // NewLiveShardedEngine returns an empty live+sharded engine for
-// d-dimensional records. live configures storage capacity hints and the
-// optional online monitor (which spans seals: it watches the whole stream,
-// not the current tail); so configures the seal lifecycle.
+// d-dimensional records. live configures the storage capacity hint; so
+// configures the seal lifecycle.
 func NewLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShardOptions) (*LiveShardedEngine, error) {
 	if d < 1 {
 		return nil, errors.New("core: live sharded engine needs dimensionality >= 1")
@@ -158,21 +155,6 @@ func NewLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShardOpt
 		return nil, err
 	}
 	e := &LiveShardedEngine{opts: opts, so: so, dims: d, global: global}
-	if live.MonitorK > 0 {
-		if live.MonitorScorer == nil {
-			return nil, errors.New("core: live monitor needs a scorer")
-		}
-		if live.MonitorScorer.Dims() != d {
-			return nil, fmt.Errorf("%w: monitor scorer wants %d, live dataset has %d",
-				ErrDims, live.MonitorScorer.Dims(), d)
-		}
-		mon, err := monitor.New(live.MonitorK, live.MonitorTau, live.MonitorScorer,
-			monitor.Options{TrackAhead: live.TrackAhead})
-		if err != nil {
-			return nil, err
-		}
-		e.mon = mon
-	}
 	e.tail = e.newTail()
 	return e, nil
 }
@@ -191,10 +173,7 @@ type RestoredShard struct {
 // sealed shards, in order. Each shard's rows are bulk-appended to the global
 // columnar storage and frozen synchronously into a static shard — no WAL
 // replay, no incremental index work — after which the engine's tail is empty
-// and appends resume at the exact next row. The monitor (when configured)
-// re-observes every restored row so its online state matches a process that
-// never crashed; the resulting decisions are discarded (they were already
-// emitted before the crash).
+// and appends resume at the exact next row.
 func RestoreLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShardOptions, shards []RestoredShard) (*LiveShardedEngine, error) {
 	e, err := NewLiveShardedEngine(d, opts, live, so)
 	if err != nil {
@@ -216,13 +195,6 @@ func RestoreLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShar
 		e.indexedRows += hi - lo
 		e.tailLo = hi
 		e.seq++
-		if e.mon != nil {
-			for i := lo; i < hi; i++ {
-				if _, _, err := e.mon.Observe(e.global.Time(i), e.global.Attrs(i)); err != nil {
-					return nil, fmt.Errorf("core: restoring monitor at row %d: %w", i, err)
-				}
-			}
-		}
 	}
 	// A crash can land between a merge's install and its durable level swap;
 	// the restored layout then still holds the constituent run, and re-planning
@@ -233,8 +205,7 @@ func RestoreLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShar
 	return e, nil
 }
 
-// newTail opens a fresh empty tail engine sized for one seal cycle. The tail
-// never carries its own monitor — the wrapper's monitor spans seals.
+// newTail opens a fresh empty tail engine sized for one seal cycle.
 func (e *LiveShardedEngine) newTail() *LiveEngine {
 	cap := e.so.SealRows
 	if cap <= 0 || cap > DefaultSealRows {
@@ -252,14 +223,15 @@ func (e *LiveShardedEngine) newTail() *LiveEngine {
 // tail shard; if it trips a seal threshold the tail is sealed — retired to
 // an immutable shard and replaced by a fresh tail — before Append returns,
 // with the static freeze index built in the background (see sealLocked).
-// With the monitor enabled, the returned values mirror LiveEngine.Append.
-func (e *LiveShardedEngine) Append(t int64, attrs []float64) (dec monitor.Decision, confirms []monitor.Confirmation, err error) {
+// The Decision and confirmations are always zero; per-append verdicts come
+// from standing queries (package sub).
+func (e *LiveShardedEngine) Append(t int64, attrs []float64) (monitor.Decision, []monitor.Confirmation, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err = e.global.AppendRow(t, attrs); err != nil {
-		return dec, nil, err
+	if err := e.global.AppendRow(t, attrs); err != nil {
+		return monitor.Decision{}, nil, err
 	}
-	if _, _, err = e.tail.Append(t, attrs); err != nil {
+	if _, _, err := e.tail.Append(t, attrs); err != nil {
 		// Unreachable: the tail shares the global ordering and dimension
 		// rules and starts strictly after every sealed record. A failure
 		// here would desynchronize tail and global storage, so fail loudly.
@@ -269,10 +241,7 @@ func (e *LiveShardedEngine) Append(t int64, attrs []float64) (dec monitor.Decisi
 	if e.sealDue(t) {
 		e.sealLocked()
 	}
-	if e.mon != nil {
-		dec, confirms, err = e.mon.Observe(t, attrs)
-	}
-	return dec, confirms, err
+	return monitor.Decision{}, nil, nil
 }
 
 // sealDue reports whether the tail has reached a seal threshold after an
@@ -498,21 +467,6 @@ func (e *LiveShardedEngine) Shards() []ShardInfo {
 		return nil
 	}
 	return g.infos()
-}
-
-// Monitored reports whether the online monitor is enabled.
-func (e *LiveShardedEngine) Monitored() bool { return e.mon != nil }
-
-// Finish force-confirms every pending look-ahead candidate of the monitor at
-// the current end of stream (see monitor.Monitor.Finish). Appends may
-// continue afterwards.
-func (e *LiveShardedEngine) Finish() []monitor.Confirmation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.mon == nil {
-		return nil
-	}
-	return e.mon.Finish()
 }
 
 // Dataset returns a stable snapshot view of the records appended so far.

@@ -445,59 +445,6 @@ func TestLiveShardedConcurrent(t *testing.T) {
 	lse.WaitSealed()
 }
 
-// TestLiveShardedMonitor checks that the online monitor spans seals: instant
-// look-back decisions and delayed look-ahead confirmations keep agreeing with
-// the offline oracle while the lifecycle freezes shards underneath.
-func TestLiveShardedMonitor(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const n, k, tau = 200, 3, 30
-	ds := diffDataset(rng, "adversarial", n, 1)
-	s := score.MustLinear(1)
-	lse, err := NewLiveShardedEngine(1, testEngineOpts(), LiveOptions{
-		MonitorK: k, MonitorTau: tau, MonitorScorer: s, TrackAhead: true,
-	}, LiveShardOptions{SealRows: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lse.Monitored() {
-		t.Fatal("monitor should be enabled")
-	}
-	lookBack := map[int]bool{}
-	for _, id := range BruteForce(ds, s, k, tau, ds.Time(0), ds.Time(n-1), LookBack) {
-		lookBack[id] = true
-	}
-	lookAhead := map[int]bool{}
-	for _, id := range BruteForce(ds, s, k, tau, ds.Time(0), ds.Time(n-1), LookAhead) {
-		lookAhead[id] = true
-	}
-	confirmed := map[int]bool{}
-	for i := 0; i < n; i++ {
-		dec, confirms, err := lse.Append(ds.Time(i), ds.Attrs(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.Durable != lookBack[i] {
-			t.Fatalf("record %d: instant decision %v, oracle %v", i, dec.Durable, lookBack[i])
-		}
-		for _, c := range confirms {
-			confirmed[c.ID] = c.Durable
-		}
-	}
-	for _, c := range lse.Finish() {
-		if !c.Truncated {
-			confirmed[c.ID] = c.Durable
-		}
-	}
-	for id, durable := range confirmed {
-		if durable != lookAhead[id] {
-			t.Fatalf("record %d: confirmation %v, oracle %v", id, durable, lookAhead[id])
-		}
-	}
-	if lse.Seals() < 5 {
-		t.Fatalf("seals=%d; the monitor test should span several seals", lse.Seals())
-	}
-}
-
 // TestLiveShardedValidation pins constructor and append validation.
 func TestLiveShardedValidation(t *testing.T) {
 	if _, err := NewLiveShardedEngine(0, Options{}, LiveOptions{}, LiveShardOptions{}); err == nil {
@@ -505,12 +452,6 @@ func TestLiveShardedValidation(t *testing.T) {
 	}
 	if _, err := NewLiveShardedEngine(1, Options{}, LiveOptions{}, LiveShardOptions{SealRows: -1}); err == nil {
 		t.Fatal("negative SealRows must fail")
-	}
-	if _, err := NewLiveShardedEngine(1, Options{}, LiveOptions{MonitorK: 1}, LiveShardOptions{}); err == nil {
-		t.Fatal("monitor without scorer must fail")
-	}
-	if _, err := NewLiveShardedEngine(2, Options{}, LiveOptions{MonitorK: 1, MonitorScorer: score.MustLinear(1)}, LiveShardOptions{}); err == nil {
-		t.Fatal("monitor scorer dim mismatch must fail")
 	}
 	lse, err := NewLiveShardedEngine(2, Options{}, LiveOptions{}, LiveShardOptions{})
 	if err != nil {

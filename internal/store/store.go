@@ -45,7 +45,7 @@ type Options struct {
 	SyncEvery time.Duration
 	// SegmentSize is the WAL segment rotation threshold (default 4 MiB).
 	SegmentSize int64
-	// Engine, Live and Shard configure the underlying live+sharded engine
+	// Engine and Shard configure the underlying live+sharded engine
 	// exactly as core.NewLiveShardedEngine; Shard.OnSeal, Shard.OnCompact
 	// and Shard.OnRetire are reserved for the store's checkpointer and must
 	// be nil. Shard.CompactFanout enables LSM compaction (the checkpointer
@@ -53,7 +53,6 @@ type Options struct {
 	// Shard.RetainSpan bounded retention (mirrored as a manifest base
 	// advance).
 	Engine core.Options
-	Live   core.LiveOptions
 	Shard  core.LiveShardOptions
 	// KeepCheckpoints, when positive, retains the newest N manifest
 	// generations as MANIFEST.<gen> backups (the newest is always
@@ -209,7 +208,7 @@ func Open(dir string, dims int, opts Options) (*Store, error) {
 	so.OnSeal = s.onSeal
 	so.OnCompact = s.onCompact
 	so.OnRetire = s.onRetire
-	eng, err := core.RestoreLiveShardedEngine(dims, opts.Engine, opts.Live, so, restored)
+	eng, err := core.RestoreLiveShardedEngine(dims, opts.Engine, core.LiveOptions{}, so, restored)
 	if err != nil {
 		return nil, err
 	}
@@ -333,12 +332,6 @@ func (s *Store) onRetire(lo, hi int) {
 // must go through the store.
 func (s *Store) Engine() *core.LiveShardedEngine { return s.eng }
 
-// Monitored reports whether the underlying engine runs an online monitor.
-// Together with Append it lets a Store stand in wherever a live engine's
-// ingestion surface is expected (e.g. wire.LiveIngest), so served appends
-// are write-ahead logged.
-func (s *Store) Monitored() bool { return s.eng.Monitored() }
-
 // Rebuilds mirrors the engine's index rebuild count (see
 // core.LiveShardedEngine.Rebuilds).
 func (s *Store) Rebuilds() int { return s.eng.Rebuilds() }
@@ -368,39 +361,43 @@ func (s *Store) validate(t int64, attrs []float64) error {
 }
 
 // append logs and applies one pre-validated row. Caller holds s.mu.
-func (s *Store) appendLocked(t int64, attrs []float64) (monitor.Decision, []monitor.Confirmation, error) {
+func (s *Store) appendLocked(t int64, attrs []float64) error {
 	if _, err := s.log.Append(t, attrs); err != nil {
-		return monitor.Decision{}, nil, err
+		return err
 	}
-	dec, confirms, err := s.eng.Append(t, attrs)
-	if err != nil {
+	if _, _, err := s.eng.Append(t, attrs); err != nil {
 		// Unreachable: validate() enforced the engine's rules before the
 		// row was logged. Diverging here would leave the WAL ahead of the
 		// engine, so fail loudly (matching the engine's own desync panic).
 		panic(fmt.Sprintf("store: engine rejected a logged row: %v", err))
 	}
 	s.lastTime, s.hasRows = t, true
-	return dec, confirms, nil
+	return nil
 }
 
 // Append durably commits one record: the row is framed into the WAL and
 // committed under the configured fsync policy before the engine applies it.
-// With the monitor enabled, the returned values mirror LiveEngine.Append.
+// The Decision and confirmations are always zero; per-append verdicts come
+// from the store's standing-query registry (see Registry).
 func (s *Store) Append(t int64, attrs []float64) (monitor.Decision, []monitor.Confirmation, error) {
+	return monitor.Decision{}, nil, s.appendRow(t, attrs)
+}
+
+// appendRow is Append without the always-zero verdict results.
+func (s *Store) appendRow(t int64, attrs []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return monitor.Decision{}, nil, wal.ErrClosed
+		return wal.ErrClosed
 	}
 	if s.err != nil {
-		return monitor.Decision{}, nil, s.err
+		return s.err
 	}
 	if err := s.validate(t, attrs); err != nil {
-		return monitor.Decision{}, nil, err
+		return err
 	}
-	dec, confirms, err := s.appendLocked(t, attrs)
-	if err != nil {
-		return dec, confirms, err
+	if err := s.appendLocked(t, attrs); err != nil {
+		return err
 	}
 	if err := s.log.Commit(); err != nil {
 		// The row reached the engine but its durability is unknown; poison
@@ -408,10 +405,10 @@ func (s *Store) Append(t int64, attrs []float64) (monitor.Decision, []monitor.Co
 		// registry never observes the row: subscribers must not be told
 		// about a row that may not survive a crash.
 		s.err = fmt.Errorf("store: wal commit: %w", err)
-		return dec, confirms, s.err
+		return s.err
 	}
 	s.observe(t, attrs)
-	return dec, confirms, nil
+	return nil
 }
 
 // Row is one record of a batch append.
@@ -424,9 +421,10 @@ type Row struct {
 // Commit makes the whole batch durable (one fsync under wal.SyncAlways),
 // then the engine applies them. On a validation failure the valid prefix is
 // committed and applied, and the error identifies the offending row; the
-// returned count is the number of rows actually appended. Decisions carries
-// one entry per appended row when the monitor is enabled.
-func (s *Store) AppendBatch(rows []Row) (appended int, decs []monitor.Decision, confirms []monitor.Confirmation, err error) {
+// returned count is the number of rows actually appended. The decisions and
+// confirmations are always nil; per-append verdicts come from the store's
+// standing-query registry (see Registry).
+func (s *Store) AppendBatch(rows []Row) (appended int, _ []monitor.Decision, _ []monitor.Confirmation, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -435,33 +433,27 @@ func (s *Store) AppendBatch(rows []Row) (appended int, decs []monitor.Decision, 
 	if s.err != nil {
 		return 0, nil, nil, s.err
 	}
-	mon := s.eng.Monitored()
 	for i, r := range rows {
 		if verr := s.validate(r.T, r.Attrs); verr != nil {
 			err = fmt.Errorf("row %d: %w", i, verr)
 			break
 		}
-		dec, conf, aerr := s.appendLocked(r.T, r.Attrs)
-		if aerr != nil {
+		if aerr := s.appendLocked(r.T, r.Attrs); aerr != nil {
 			err = fmt.Errorf("row %d: %w", i, aerr)
 			break
 		}
 		appended++
-		if mon {
-			decs = append(decs, dec)
-			confirms = append(confirms, conf...)
-		}
 	}
 	if cerr := s.log.Commit(); cerr != nil {
 		s.err = fmt.Errorf("store: wal commit: %w", cerr)
-		return appended, decs, confirms, s.err
+		return appended, nil, nil, s.err
 	}
 	// Only now that the single group commit made the batch durable do
 	// subscribers get to see it.
 	for _, r := range rows[:appended] {
 		s.observe(r.T, r.Attrs)
 	}
-	return appended, decs, confirms, err
+	return appended, nil, nil, err
 }
 
 // Sync forces everything appended so far onto stable storage, regardless of
@@ -517,7 +509,12 @@ func (s *Store) Close() error {
 	// checkpointer drains and exits (a swap missed here is merely redone
 	// after the next Open, but shutting down clean avoids the rework).
 	s.eng.WaitCompacted()
+	// stop closes under ckptMu like every other condition the checkpointer
+	// waits on; closed outside it, the broadcast could fall between the
+	// loop's stopped() check and its Wait and be lost.
+	s.ckptMu.Lock()
 	close(s.stop)
+	s.ckptMu.Unlock()
 	s.cond.Broadcast()
 	s.wg.Wait()
 	s.eng.WaitSealed()
@@ -554,7 +551,8 @@ func (s *Store) checkpointLoop() {
 				s.ckptMu.Unlock()
 				return
 			}
-			// Close broadcasts after closing stop, so this always wakes.
+			// Close closes stop under ckptMu and then broadcasts, so
+			// this always wakes.
 			s.cond.Wait()
 		}
 		var w ckptWork
@@ -583,13 +581,9 @@ func (s *Store) checkpointLoop() {
 			err = s.retire(w)
 		}
 
-		s.ckptMu.Lock()
-		s.busy = false
-		if err == nil && doCkpt && w.kind == workSeal {
-			s.checkpoints++
-		}
-		s.ckptMu.Unlock()
-		s.cond.Broadcast()
+		// The sticky error lands before busy clears: SyncSubscriptions reads
+		// it as soon as it sees the checkpointer idle, and must not report a
+		// failed publish as durable.
 		if err != nil {
 			if doCkpt {
 				s.logf("store: checkpoint work (kind %d) on rows [%d,%d) failed: %v", w.kind, w.lo, w.hi, err)
@@ -602,6 +596,13 @@ func (s *Store) checkpointLoop() {
 			}
 			s.mu.Unlock()
 		}
+		s.ckptMu.Lock()
+		s.busy = false
+		if err == nil && doCkpt && w.kind == workSeal {
+			s.checkpoints++
+		}
+		s.ckptMu.Unlock()
+		s.cond.Broadcast()
 	}
 }
 

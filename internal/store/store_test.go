@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/score"
 	"repro/internal/wal"
 )
 
@@ -172,58 +171,6 @@ func TestStoreValidation(t *testing.T) {
 	}
 	if st.Len() != 1 {
 		t.Fatalf("Len = %d after one valid append", st.Len())
-	}
-}
-
-func TestStoreMonitorSurvivesRecovery(t *testing.T) {
-	fs := wal.NewMemFS()
-	opts := testOpts(fs)
-	opts.Live = core.LiveOptions{MonitorK: 2, MonitorTau: 50, MonitorScorer: score.MustLinear(1)}
-	st, err := Open("db", 1, opts)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	rows := genRows(rng, 200, 1)
-	var liveDecs []bool
-	for _, r := range rows[:150] {
-		dec, _, err := st.Append(r.T, r.Attrs)
-		if err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-		liveDecs = append(liveDecs, dec.Durable)
-	}
-	st.WaitCheckpoints()
-	st.Close()
-
-	// A parallel uninterrupted store is the reference for post-recovery
-	// monitor decisions.
-	ref, err := Open("ref", 1, opts)
-	if err != nil {
-		t.Fatalf("ref Open: %v", err)
-	}
-	defer ref.Close()
-	for _, r := range rows[:150] {
-		ref.Append(r.T, r.Attrs)
-	}
-
-	st2, err := Open("db", 1, opts)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	defer st2.Close()
-	for _, r := range rows[150:] {
-		gotDec, _, err := st2.Append(r.T, r.Attrs)
-		if err != nil {
-			t.Fatalf("post-recovery Append: %v", err)
-		}
-		wantDec, _, err := ref.Append(r.T, r.Attrs)
-		if err != nil {
-			t.Fatalf("ref Append: %v", err)
-		}
-		if gotDec != wantDec {
-			t.Fatalf("monitor decision diverged after recovery at t=%d: got %+v want %+v", r.T, gotDec, wantDec)
-		}
 	}
 }
 

@@ -231,8 +231,7 @@ func (c *Client) Explain(req Request) (string, error) {
 }
 
 // Append ingests rows into the named live dataset, in order. It returns the
-// full append response: the committed row count and — on monitored live
-// datasets — the instant decisions and window-close confirmations. A partial
+// append response, which carries the committed row count. A partial
 // failure (some rows committed, then one rejected) is reported as an error
 // with the response still carrying the committed count.
 func (c *Client) Append(dataset string, rows []IngestRow) (*Response, error) {
@@ -251,8 +250,7 @@ func (c *Client) Append(dataset string, rows []IngestRow) (*Response, error) {
 // p, resuming after the committed prefix: rows the server acknowledged in a
 // partially-applied response are never re-sent, so as long as the server
 // keeps answering, each row commits exactly once. The returned response
-// aggregates the committed count, decisions and confirmations across
-// attempts. Non-transient failures (validation errors, unknown dataset)
+// aggregates the committed count across attempts. Non-transient failures (validation errors, unknown dataset)
 // return immediately — and so do transport-level failures (timeout, reset
 // connection): with no response frame the commit state of the in-flight rows
 // is unknown and this client never re-dials, so blindly re-sending could
@@ -274,8 +272,6 @@ func (c *Client) AppendRetry(dataset string, rows []IngestRow, p RetryPolicy) (*
 			// Keep the committed prefix even when the attempt failed
 			// part-way: retrying re-sends only what is still pending.
 			total.Appended += resp.Appended
-			total.Decisions = append(total.Decisions, resp.Decisions...)
-			total.Confirms = append(total.Confirms, resp.Confirms...)
 			rows = rows[resp.Appended:]
 		} else if err != nil {
 			// No response frame: the connection failed mid-request, so the

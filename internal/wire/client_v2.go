@@ -100,15 +100,16 @@ func (c *Client) readLoop() {
 }
 
 // inboundFrame decodes either kind of v2 server frame in one pass. Response
-// and Event share only "v", "subId" and "confirms", with the same JSON types,
-// so the Event-only keys sit beside an embedded Response; a non-empty Event
-// marks an event frame.
+// and Event share only "v" and "subId", with the same JSON types, so the
+// Event-only keys sit beside an embedded Response; a non-empty Event marks an
+// event frame.
 type inboundFrame struct {
 	Response
-	Event    string        `json:"event"`
-	Prefix   int           `json:"prefix"`
-	Seq      uint64        `json:"seq,omitempty"`
-	Decision *LiveDecision `json:"decision,omitempty"`
+	Event    string             `json:"event"`
+	Prefix   int                `json:"prefix"`
+	Seq      uint64             `json:"seq,omitempty"`
+	Decision *LiveDecision      `json:"decision,omitempty"`
+	Confirms []LiveConfirmation `json:"confirms,omitempty"`
 }
 
 // event assembles the Event an event frame carried.

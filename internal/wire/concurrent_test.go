@@ -41,7 +41,7 @@ func startConcurrentServer(tb testing.TB, workers, cacheSize int) (*Server, *ser
 // violation between the two paths shows up as a shape mismatch.
 func TestPipelinedOrdering(t *testing.T) {
 	srv, _, addr := startConcurrentServer(t, 4, 0)
-	if err := srv.Add("games", testDataset(t, 300, 3), nil, core.Options{}); err != nil {
+	if err := addStatic(srv, "games", testDataset(t, 300, 3), nil); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := net.Dial("tcp", addr)
@@ -93,7 +93,7 @@ func TestExplicitIntervalZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(func(string, ...interface{}) {})
-	if err := srv.Add("zero", ds, nil, core.Options{}); err != nil {
+	if err := addStatic(srv, "zero", ds, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng := core.NewEngine(ds, core.Options{})
@@ -154,7 +154,7 @@ func mustScorer(t *testing.T, weights ...float64) *score.Linear {
 // it idles past the bound.
 func TestConnTimeoutPerIteration(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
-	if err := srv.Add("games", testDataset(t, 50, 4), nil, core.Options{}); err != nil {
+	if err := addStatic(srv, "games", testDataset(t, 50, 4), nil); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -195,10 +195,7 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
 	cache := serve.NewCache(64)
 	srv.SetCache(cache)
-	le, err := srv.AddLive("live", 1, nil, core.Options{}, core.LiveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	le := addLive(t, srv, "live", 1, nil)
 	for i := 1; i <= 20; i++ {
 		if _, _, err := le.Append(int64(i), []float64{float64(i % 5)}); err != nil {
 			t.Fatal(err)
@@ -241,7 +238,7 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 // per dataset and that distinct sources stay distinct.
 func TestExprCompileCache(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
-	if err := srv.Add("games", testDataset(t, 50, 5), []string{"points", "assists"}, core.Options{}); err != nil {
+	if err := addStatic(srv, "games", testDataset(t, 50, 5), []string{"points", "assists"}); err != nil {
 		t.Fatal(err)
 	}
 	sv, err := srv.lookup("games")
@@ -283,10 +280,7 @@ func TestConcurrentServingStress(t *testing.T) {
 		batches, batchRows, queriers = 8, 30, 3
 	}
 	srv, cache, addr := startConcurrentServer(t, 4, 512)
-	if _, err := srv.AddLiveSharded("stream", 2, nil, core.Options{},
-		core.LiveOptions{}, core.LiveShardOptions{SealRows: 64}); err != nil {
-		t.Fatal(err)
-	}
+	addLiveSharded(t, srv, "stream", 2, nil, core.LiveShardOptions{SealRows: 64})
 
 	appender, err := Dial(addr)
 	if err != nil {

@@ -61,7 +61,7 @@ func (h hugeAnswer) DurableTopK(core.Query) (*core.Result, error) {
 func TestUnsendableAnswerIsAnError(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
 	ds := testDataset(t, 500, 1)
-	if err := srv.Add("games", ds, nil, core.Options{}); err != nil {
+	if err := addStatic(srv, "games", ds, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.AddQuerier("huge", hugeAnswer{Querier: core.NewEngine(ds, core.Options{}), n: 250000}, nil); err != nil {

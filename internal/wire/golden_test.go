@@ -226,3 +226,16 @@ func TestGoldenResponseFrame(t *testing.T) {
 		t.Fatalf("response frame drifted:\n got  %s\n want %s", got, want)
 	}
 }
+
+// TestGoldenAppendResponseFrame pins the frame the server answers a
+// two-row append with: the committed count and nothing else, since
+// per-append verdicts travel as subscription events.
+func TestGoldenAppendResponseFrame(t *testing.T) {
+	srv := NewServer(nil)
+	addLive(t, srv, "stream", 2, nil)
+	resp := srv.handleAppend(&Request{V: Version, Op: OpAppend, Dataset: "stream",
+		Rows: []IngestRow{{Time: 1, Attrs: []float64{1, 2}}, {Time: 2, Attrs: []float64{3, 4}}}})
+	if got, want := encodeBoth(t, resp), `{"v":1,"ok":true,"appended":2}`; string(got) != want {
+		t.Fatalf("append response frame drifted:\n got  %s\n want %s", got, want)
+	}
+}

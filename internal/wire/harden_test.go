@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/score"
 )
 
 // fastRetry keeps retry tests quick while still exercising backoff.
@@ -27,7 +26,7 @@ func fastRetry() RetryPolicy {
 func TestConnTimeoutDisconnectsIdleClient(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
 	ds := testDataset(t, 50, 7)
-	if err := srv.Add("games", ds, nil, core.Options{}); err != nil {
+	if err := addStatic(srv, "games", ds, nil); err != nil {
 		t.Fatal(err)
 	}
 	srv.SetConnTimeout(50 * time.Millisecond)
@@ -65,7 +64,7 @@ func TestConnTimeoutDisconnectsIdleClient(t *testing.T) {
 func TestGracefulCloseWithIdleConnections(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
 	ds := testDataset(t, 50, 8)
-	if err := srv.Add("games", ds, nil, core.Options{}); err != nil {
+	if err := addStatic(srv, "games", ds, nil); err != nil {
 		t.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -132,8 +131,8 @@ func TestAppendRetryWaitsOutIngestLock(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AppendRetry through draining lock: %v", err)
 	}
-	if resp.Appended != 2 || len(resp.Decisions) != 2 {
-		t.Fatalf("aggregated response %+v, want 2 rows with decisions", resp)
+	if resp.Appended != 2 {
+		t.Fatalf("aggregated response %+v, want 2 rows", resp)
 	}
 	if cl.Retries() == 0 {
 		t.Fatal("lockout rejections did not count as retries")
@@ -284,9 +283,7 @@ func TestDialRetryWaitsForServer(t *testing.T) {
 // surface (the hook a durability store uses to interpose on appends).
 func TestAddLiveQuerier(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
-	le, err := core.NewLiveEngine(1, core.Options{}, core.LiveOptions{
-		MonitorK: 1, MonitorTau: 5, MonitorScorer: score.MustLinear(1),
-	})
+	le, err := core.NewLiveEngine(1, core.Options{}, core.LiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +301,7 @@ func TestAddLiveQuerier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Appended != 1 || len(resp.Decisions) != 1 {
+	if resp.Appended != 1 {
 		t.Fatalf("append through split registration: %+v", resp)
 	}
 	infos, err := cl.Datasets()

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"net"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -10,20 +9,15 @@ import (
 	"repro/internal/score"
 )
 
-// startLiveServer serves an empty monitored live dataset next to a batch one.
+// startLiveServer serves an empty live dataset next to a batch one.
 func startLiveServer(tb testing.TB) (*Server, *core.LiveEngine, *Client) {
 	tb.Helper()
 	srv := NewServer(func(string, ...interface{}) {})
 	ds := testDataset(tb, 100, 3)
-	if err := srv.Add("batch", ds, nil, core.Options{}); err != nil {
+	if err := addStatic(srv, "batch", ds, nil); err != nil {
 		tb.Fatal(err)
 	}
-	le, err := srv.AddLive("stream", 2, []string{"points", "assists"}, core.Options{}, core.LiveOptions{
-		MonitorK: 2, MonitorTau: 10, MonitorScorer: score.MustLinear(1, 1), TrackAhead: true,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	le := addLive(tb, srv, "stream", 2, []string{"points", "assists"})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -38,9 +32,9 @@ func startLiveServer(tb testing.TB) (*Server, *core.LiveEngine, *Client) {
 	return srv, le, cl
 }
 
-// TestLiveAppendAndQuery drives the full wire loop: ingest rows in batches,
-// watch monitor decisions come back, and check that queries between appends
-// answer exactly like a local batch engine over the same prefix.
+// TestLiveAppendAndQuery drives the full wire loop: ingest rows in batches
+// and check that queries between appends answer exactly like a local batch
+// engine over the same prefix.
 func TestLiveAppendAndQuery(t *testing.T) {
 	_, le, cl := startLiveServer(t)
 	ds := testDataset(t, 60, 9)
@@ -81,8 +75,8 @@ func TestLiveAppendAndQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.Appended != batch || len(resp.Decisions) != batch {
-			t.Fatalf("appended=%d decisions=%d want %d", resp.Appended, len(resp.Decisions), batch)
+		if resp.Appended != batch {
+			t.Fatalf("appended=%d want %d", resp.Appended, batch)
 		}
 		appended += batch
 
@@ -195,54 +189,14 @@ func TestIngestLock(t *testing.T) {
 	}
 }
 
-// TestLiveConfirmationsOverWire checks the delayed look-ahead verdicts
-// surface once windows close.
-func TestLiveConfirmationsOverWire(t *testing.T) {
-	_, _, cl := startLiveServer(t) // monitored with k=2, tau=10
-	var confirms []LiveConfirmation
-	for i := 0; i < 30; i++ {
-		resp, err := cl.Append("stream", []IngestRow{
-			{Time: int64(i + 1), Attrs: []float64{float64(i % 5), 1}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		confirms = append(confirms, resp.Confirms...)
-	}
-	// Windows of length 10 over 30 unit-spaced arrivals: the early records'
-	// confirmations must have arrived by now, in arrival order.
-	if len(confirms) == 0 {
-		t.Fatal("no confirmations after 30 unit-gap appends with tau=10")
-	}
-	ids := make([]int, len(confirms))
-	for i, c := range confirms {
-		ids[i] = c.ID
-		if c.Truncated {
-			t.Fatalf("mid-stream confirmation truncated: %+v", c)
-		}
-	}
-	for i := range ids {
-		if ids[i] != i {
-			t.Fatalf("confirmations out of arrival order: %v", ids)
-		}
-	}
-	if !reflect.DeepEqual(ids[0], 0) {
-		t.Fatalf("first confirmation id %d", ids[0])
-	}
-}
-
 // TestLiveShardedOverWire drives the live+sharded lifecycle through the wire:
-// ingest rows into an AddLiveSharded dataset in batches that cross seal
+// ingest rows into a live+sharded dataset in batches that cross seal
 // boundaries, check the Datasets listing reports the shard count, and require
 // every interleaved query to answer exactly like a local batch engine over
 // the same prefix.
 func TestLiveShardedOverWire(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
-	lse, err := srv.AddLiveSharded("stream", 2, []string{"points", "assists"},
-		core.Options{}, core.LiveOptions{}, core.LiveShardOptions{SealRows: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lse := addLiveSharded(t, srv, "stream", 2, []string{"points", "assists"}, core.LiveShardOptions{SealRows: 16})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/score"
 	"repro/internal/store"
 	"repro/internal/wal"
 )
@@ -21,7 +20,6 @@ func startStoreServer(t *testing.T, fs wal.FS, dir string) (*Server, *store.Stor
 	t.Helper()
 	st, err := store.Open(dir, 2, store.Options{
 		FS: fs, Sync: wal.SyncAlways,
-		Live:  core.LiveOptions{MonitorK: 1, MonitorTau: 1 << 40, MonitorScorer: score.MustLinear(1, 1)},
 		Shard: core.LiveShardOptions{SealRows: 16},
 	})
 	if err != nil {

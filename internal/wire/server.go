@@ -22,12 +22,13 @@ import (
 	"repro/internal/sub"
 )
 
-// LiveIngest is the append surface shared by core.LiveEngine and
-// core.LiveShardedEngine: the server ingests wire append batches through it
-// and reports the online monitor's verdicts when enabled.
+// LiveIngest is the append surface shared by core.LiveEngine,
+// core.LiveShardedEngine and the crash-safe store: the server ingests wire
+// append batches through it. The server ignores the verdict results, which
+// those implementations always leave zero; per-append verdicts are
+// subscription events.
 type LiveIngest interface {
 	Append(t int64, attrs []float64) (monitor.Decision, []monitor.Confirmation, error)
-	Monitored() bool
 }
 
 // RegistryProvider is implemented by ingestion surfaces that own their
@@ -87,9 +88,8 @@ type Server struct {
 type served struct {
 	eng   core.Querier
 	attrs []string
-	// live is non-nil for datasets registered with AddLive or
-	// AddLiveSharded; it is the same engine as eng, retyped for the
-	// ingestion surface.
+	// live is the ingestion surface of a dataset registered with
+	// AddLiveQuerier; nil for static datasets.
 	live LiveIngest
 	// ingesting marks a live dataset currently fed by a server-side stream
 	// (durserved -ingest); wire appends are rejected while it is set, since
@@ -141,12 +141,11 @@ const maxExprCache = 256
 // dataset's standing-query registry so subscriber events carry the exact
 // committed prefix. All committed appends — wire batches and the embedder's
 // Server.AppendRow — funnel through here.
-func (sv *served) appendRow(t int64, attrs []float64, logf func(string, ...interface{})) (monitor.Decision, []monitor.Confirmation, error) {
+func (sv *served) appendRow(t int64, attrs []float64, logf func(string, ...interface{})) error {
 	sv.appendMu.Lock()
 	defer sv.appendMu.Unlock()
-	dec, confirms, err := sv.live.Append(t, attrs)
-	if err != nil {
-		return dec, confirms, err
+	if _, _, err := sv.live.Append(t, attrs); err != nil {
+		return err
 	}
 	// Provider-backed datasets observe their own committed appends (after
 	// the WAL commit, so subscribers never see a row a crash could lose);
@@ -161,7 +160,7 @@ func (sv *served) appendRow(t int64, attrs []float64, logf func(string, ...inter
 			}
 		}
 	}
-	return dec, confirms, nil
+	return nil
 }
 
 // registry returns the dataset's standing-query registry, creating it on
@@ -372,89 +371,34 @@ func epochOf(eng core.Querier) uint64 {
 	return 0
 }
 
-// Add registers ds under name, building its engine. attrs optionally names
-// the dataset's attribute columns for use in scoring expressions; it may be
-// nil (positional x0, x1, … always work).
-func (s *Server) Add(name string, ds *data.Dataset, attrs []string, opts core.Options) error {
-	return s.add(name, ds, attrs, func() core.Querier { return core.NewEngine(ds, opts) })
-}
-
-// AddSharded registers ds under name backed by a time-sharded engine: one
-// independent index per contiguous time shard, each query one span over them
-// (see core.ShardedEngine). The wire contract is
-// identical to Add — same requests, same answers.
-func (s *Server) AddSharded(name string, ds *data.Dataset, attrs []string, opts core.Options, shards core.ShardOptions) error {
-	return s.add(name, ds, attrs, func() core.Querier { return core.NewShardedEngine(ds, opts, shards) })
-}
-
-// AddQuerier registers an already-built engine (either flavor) under name;
-// use it when the caller needs the engine handle too (e.g. to report the
-// shard layout actually built).
+// AddQuerier registers a static engine (built by durable.Open) under name.
+// attrs optionally names the dataset's attribute columns for use in scoring
+// expressions; it may be nil (positional x0, x1, … always work).
 func (s *Server) AddQuerier(name string, eng core.Querier, attrs []string) error {
-	return s.add(name, eng.Dataset(), attrs, func() core.Querier { return eng })
+	return s.addEntry(name, eng.Dataset(), attrs, func() *served {
+		return &served{eng: eng, attrs: attrs}
+	})
 }
 
-// AddLive registers an empty live dataset of the given dimensionality under
-// name and returns its engine. The dataset grows through append requests on
-// the wire (OpAppend) or direct LiveEngine.Append calls by the embedder;
-// queries serve whatever has been ingested so far, exactly as a batch engine
+// AddLiveQuerier registers a live engine under name: queries answer from eng
+// while wire appends route through ingest. For a plain live engine both are
+// the engine itself; a crash-safe store passes its engine and itself, so
+// every appended row is write-ahead logged before the engine applies it.
+// Queries serve whatever has been ingested so far, exactly as a batch engine
 // over the same records would answer them.
-func (s *Server) AddLive(name string, dims int, attrs []string, opts core.Options, live core.LiveOptions) (*core.LiveEngine, error) {
-	le, err := core.NewLiveEngine(dims, opts, live)
-	if err != nil {
-		return nil, err
-	}
-	// The entry is inserted fully initialized (live set before publication),
-	// so a concurrent append can never observe a registered-but-not-live
-	// window.
-	if err := s.addEntry(name, le.Dataset(), attrs, func() *served {
-		return &served{eng: le, attrs: attrs, live: le}
-	}); err != nil {
-		return nil, err
-	}
-	return le, nil
-}
-
-// AddLiveSharded registers an empty live+sharded dataset of the given
-// dimensionality under name and returns its engine: appends route to a
-// mutable tail shard that seals into immutable static shards per the
-// LiveShardOptions lifecycle (see core.LiveShardedEngine). The wire contract
-// is identical to AddLive — same append and query requests, same answers —
-// only the serving engine's scaling behavior differs.
-func (s *Server) AddLiveSharded(name string, dims int, attrs []string, opts core.Options, live core.LiveOptions, shards core.LiveShardOptions) (*core.LiveShardedEngine, error) {
-	lse, err := core.NewLiveShardedEngine(dims, opts, live, shards)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.addEntry(name, lse.Dataset(), attrs, func() *served {
-		return &served{eng: lse, attrs: attrs, live: lse}
-	}); err != nil {
-		return nil, err
-	}
-	return lse, nil
-}
-
-// AddLiveQuerier registers an already-built live engine under name with a
-// custom ingestion surface: queries answer from eng while wire appends route
-// through ingest. Use it when appends must pass through a wrapper around the
-// engine — e.g. a crash-safe store that write-ahead logs each row before the
-// engine it serves queries from applies it.
 func (s *Server) AddLiveQuerier(name string, eng core.Querier, ingest LiveIngest, attrs []string) error {
 	if ingest == nil {
 		return errors.New("wire: AddLiveQuerier needs a non-nil ingest surface")
 	}
+	// The entry is inserted fully initialized (live set before publication),
+	// so a concurrent append can never observe a registered-but-not-live
+	// window.
 	return s.addEntry(name, eng.Dataset(), attrs, func() *served {
 		sv := &served{eng: eng, attrs: attrs, live: ingest}
 		// An ingest surface that owns a durable registry (the crash-safe
 		// store) takes over standing-query state for this dataset.
 		sv.provider, _ = ingest.(RegistryProvider)
 		return sv
-	})
-}
-
-func (s *Server) add(name string, ds *data.Dataset, attrs []string, build func() core.Querier) error {
-	return s.addEntry(name, ds, attrs, func() *served {
-		return &served{eng: build(), attrs: attrs}
 	})
 }
 
@@ -1078,21 +1022,20 @@ func (s *Server) SetIngesting(name string, on bool) error {
 // handleAppend ingests a batch of rows into a live dataset. Rows commit in
 // order until the first invalid one; the response reports how many committed
 // (so a partially rejected batch is visible to the producer) alongside the
-// error, plus the online monitor's decisions and confirmations when the live
-// dataset is monitored.
+// error. Per-append verdicts are subscription events, not part of the
+// response.
 func (s *Server) handleAppend(req *Request) *Response {
 	sv, err := s.lookup(req.Dataset)
 	if err != nil {
 		return errResponse(err)
 	}
 	if sv.live == nil {
-		return errResponse(fmt.Errorf("wire: dataset %q is not live (register with AddLive to ingest)", req.Dataset))
+		return errResponse(fmt.Errorf("wire: dataset %q is not live (register it with AddLiveQuerier to ingest)", req.Dataset))
 	}
 	if len(req.Rows) == 0 {
 		return errResponse(errors.New("wire: append needs at least one row"))
 	}
 	resp := &Response{V: Version, OK: true}
-	monitored := sv.live.Monitored()
 	for _, row := range req.Rows {
 		// Re-checked per row so a SetIngesting(true) that lands mid-batch
 		// stops the batch at the next row. The lockout is still advisory
@@ -1106,24 +1049,12 @@ func (s *Server) handleAppend(req *Request) *Response {
 			resp.Transient = true // the feed drains; retrying is correct
 			break
 		}
-		dec, confirms, err := sv.appendRow(row.Time, row.Attrs, s.logf)
-		if err != nil {
+		if err := sv.appendRow(row.Time, row.Attrs, s.logf); err != nil {
 			resp.OK = false
 			resp.Error = err.Error()
 			break
 		}
 		resp.Appended++
-		if !monitored {
-			continue
-		}
-		resp.Decisions = append(resp.Decisions, LiveDecision{
-			ID: dec.ID, Time: dec.Time, Durable: dec.Durable, Rank: dec.Rank,
-		})
-		for _, c := range confirms {
-			resp.Confirms = append(resp.Confirms, LiveConfirmation{
-				ID: c.ID, Time: c.Time, Durable: c.Durable, Beaten: c.Beaten, Truncated: c.Truncated,
-			})
-		}
 	}
 	return resp
 }

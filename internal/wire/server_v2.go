@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/monitor"
 	"repro/internal/sub"
 )
 
@@ -503,13 +502,13 @@ func subEventFrame(id uint64, ev sub.Event, withSeq bool) *Event {
 // directly (durserved's server-side ingest stream) exactly like wire appends.
 // It deliberately bypasses the SetIngesting lockout — that lockout exists to
 // protect this feed from interleaved wire appends, not the other way around.
-func (s *Server) AppendRow(name string, t int64, attrs []float64) (monitor.Decision, []monitor.Confirmation, error) {
+func (s *Server) AppendRow(name string, t int64, attrs []float64) error {
 	sv, err := s.lookup(name)
 	if err != nil {
-		return monitor.Decision{}, nil, err
+		return err
 	}
 	if sv.live == nil {
-		return monitor.Decision{}, nil, fmt.Errorf("wire: dataset %q is not live", name)
+		return fmt.Errorf("wire: dataset %q is not live", name)
 	}
 	return sv.appendRow(t, attrs, s.logf)
 }

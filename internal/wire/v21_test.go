@@ -67,7 +67,7 @@ func TestBackfillNegotiation(t *testing.T) {
 	if s.SubKey() != 0 || s.Base() != 0 {
 		t.Fatalf("ephemeral subscription got key %d base %d, want zeros", s.SubKey(), s.Base())
 	}
-	if _, _, err := srv.AppendRow("stream", 1, []float64{1, 2}); err != nil {
+	if err := srv.AppendRow("stream", 1, []float64{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -122,7 +122,7 @@ func TestDurableSubscriptionResume(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tm := int64(len(times) + 1)
 			times = append(times, tm)
-			if _, _, err := srv.AppendRow("stream", tm, []float64{float64(len(times)), 1}); err != nil {
+			if err := srv.AppendRow("stream", tm, []float64{float64(len(times)), 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -304,7 +304,7 @@ func TestSlowSubscriberEvicted(t *testing.T) {
 	// the slow consumer's problem, not the stream's.
 	total := eventQueueDepth + 200
 	for i := 1; i <= total; i++ {
-		if _, _, err := srv.AppendRow("stream", int64(i), []float64{float64(i), 0}); err != nil {
+		if err := srv.AppendRow("stream", int64(i), []float64{float64(i), 0}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -436,7 +436,7 @@ func TestFollowerResumesGapFree(t *testing.T) {
 	seen := 0
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < perRound; i++ {
-			if _, _, err := srv.AppendRow("stream", int64(next), []float64{float64(next), 0}); err != nil {
+			if err := srv.AppendRow("stream", int64(next), []float64{float64(next), 0}); err != nil {
 				t.Fatal(err)
 			}
 			next++

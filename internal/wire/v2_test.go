@@ -17,18 +17,14 @@ import (
 	"repro/internal/serve"
 )
 
-// startV2Server serves a monitored live dataset; pipelined when workers > 0.
+// startV2Server serves a live dataset; pipelined when workers > 0.
 func startV2Server(tb testing.TB, workers int) (*Server, string) {
 	tb.Helper()
 	srv := NewServer(func(string, ...interface{}) {})
 	if workers > 0 {
 		srv.SetScheduler(serve.NewScheduler(workers))
 	}
-	if _, err := srv.AddLive("stream", 2, []string{"points", "assists"}, core.Options{}, core.LiveOptions{
-		MonitorK: 2, MonitorTau: 10, MonitorScorer: score.MustLinear(1, 1), TrackAhead: true,
-	}); err != nil {
-		tb.Fatal(err)
-	}
+	addLive(tb, srv, "stream", 2, []string{"points", "assists"})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		tb.Fatal(err)
@@ -353,10 +349,7 @@ func TestStandingQueryStress(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
 	srv.SetScheduler(serve.NewScheduler(4))
 	srv.SetCache(serve.NewCache(256))
-	if _, err := srv.AddLiveSharded("stream", 2, nil, core.Options{},
-		core.LiveOptions{}, core.LiveShardOptions{SealRows: 48}); err != nil {
-		t.Fatal(err)
-	}
+	addLiveSharded(t, srv, "stream", 2, nil, core.LiveShardOptions{SealRows: 48})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -761,9 +754,7 @@ func TestFollowerReconnects(t *testing.T) {
 	startAt := func(listen string) (*Server, string) {
 		t.Helper()
 		srv := NewServer(func(string, ...interface{}) {})
-		if _, err := srv.AddLive("stream", 2, nil, core.Options{}, core.LiveOptions{}); err != nil {
-			t.Fatal(err)
-		}
+		addLive(t, srv, "stream", 2, nil)
 		ln, err := net.Listen("tcp", listen)
 		if err != nil {
 			t.Fatal(err)
@@ -799,7 +790,7 @@ func TestFollowerReconnects(t *testing.T) {
 	}
 
 	for i := 1; i <= 3; i++ {
-		if _, _, err := srvA.AppendRow("stream", int64(i), []float64{float64(i), 0}); err != nil {
+		if err := srvA.AppendRow("stream", int64(i), []float64{float64(i), 0}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -821,7 +812,7 @@ func TestFollowerReconnects(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	for i := 1; i <= 2; i++ {
-		if _, _, err := srvB.AppendRow("stream", int64(100+i), []float64{1, 0}); err != nil {
+		if err := srvB.AppendRow("stream", int64(100+i), []float64{1, 0}); err != nil {
 			t.Fatal(err)
 		}
 	}

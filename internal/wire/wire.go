@@ -17,8 +17,9 @@
 // Protocol v2 (negotiated per connection by an initial "hello" frame) adds
 // standing queries: subscribe/unsubscribe operations register a durable
 // top-k query against a live dataset, after which the server pushes Event
-// frames — interleaved with the usual FIFO responses — carrying the online
-// monitor's per-append decisions and confirmations. Connections that never
+// frames — interleaved with the usual FIFO responses — carrying each
+// subscription's per-append decisions and confirmations, the only place the
+// protocol reports them. Connections that never
 // send hello stay on v1 semantics untouched. See docs/wire-protocol.md.
 package wire
 
@@ -152,8 +153,8 @@ type IngestRow struct {
 	Attrs []float64 `json:"attrs"`
 }
 
-// LiveDecision is the instant look-back verdict the server's online monitor
-// emits for one ingested record (only on monitored live datasets).
+// LiveDecision is the instant look-back verdict a subscription event carries
+// for one ingested record.
 type LiveDecision struct {
 	ID      int   `json:"id"`
 	Time    int64 `json:"time"`
@@ -225,11 +226,8 @@ type Response struct {
 	Datasets []DatasetInfo `json:"datasets,omitempty"`
 	Plan     string        `json:"plan,omitempty"` // explain output
 
-	// Append results: how many rows were committed, plus the online
-	// monitor's verdicts when the live dataset is monitored.
-	Appended  int                `json:"appended,omitempty"`
-	Decisions []LiveDecision     `json:"decisions,omitempty"`
-	Confirms  []LiveConfirmation `json:"confirms,omitempty"`
+	// Appended is how many rows an append request committed.
+	Appended int `json:"appended,omitempty"`
 
 	// Protocol v2: Features echoes the accepted feature flags on a hello
 	// response (with V set to the negotiated version); SubID reports the

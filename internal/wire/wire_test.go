@@ -33,13 +33,45 @@ func testDataset(tb testing.TB, n int, seed int64) *data.Dataset {
 	return ds
 }
 
+// addStatic registers ds behind a default single engine.
+func addStatic(srv *Server, name string, ds *data.Dataset, attrs []string) error {
+	return srv.AddQuerier(name, core.NewEngine(ds, core.Options{}), attrs)
+}
+
+// addLive registers an empty plain live dataset of dims dimensions; the
+// engine is both its query and its ingest surface.
+func addLive(tb testing.TB, srv *Server, name string, dims int, attrs []string) *core.LiveEngine {
+	tb.Helper()
+	le, err := core.NewLiveEngine(dims, core.Options{}, core.LiveOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := srv.AddLiveQuerier(name, le, le, attrs); err != nil {
+		tb.Fatal(err)
+	}
+	return le
+}
+
+// addLiveSharded registers an empty live+sharded dataset under so.
+func addLiveSharded(tb testing.TB, srv *Server, name string, dims int, attrs []string, so core.LiveShardOptions) *core.LiveShardedEngine {
+	tb.Helper()
+	lse, err := core.NewLiveShardedEngine(dims, core.Options{}, core.LiveOptions{}, so)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := srv.AddLiveQuerier(name, lse, lse, attrs); err != nil {
+		tb.Fatal(err)
+	}
+	return lse
+}
+
 // startServer returns a ready server on a loopback listener plus a dialed
 // client; both are torn down with the test.
 func startServer(tb testing.TB) (*Server, *Client) {
 	tb.Helper()
 	srv := NewServer(func(string, ...interface{}) {}) // quiet logs in tests
 	ds := testDataset(tb, 500, 1)
-	if err := srv.Add("games", ds, []string{"points", "assists"}, core.Options{}); err != nil {
+	if err := addStatic(srv, "games", ds, []string{"points", "assists"}); err != nil {
 		tb.Fatal(err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -356,7 +388,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestServeConnOverPipe(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
-	if err := srv.Add("d", testDataset(t, 100, 2), nil, core.Options{}); err != nil {
+	if err := addStatic(srv, "d", testDataset(t, 100, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	cEnd, sEnd := net.Pipe()
@@ -383,19 +415,19 @@ func TestServeConnOverPipe(t *testing.T) {
 func TestAddValidation(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
 	ds := testDataset(t, 10, 3)
-	if err := srv.Add("", ds, nil, core.Options{}); err == nil {
+	if err := addStatic(srv, "", ds, nil); err == nil {
 		t.Error("empty name accepted")
 	}
-	if err := srv.Add("d", ds, []string{"one"}, core.Options{}); err == nil {
+	if err := addStatic(srv, "d", ds, []string{"one"}); err == nil {
 		t.Error("wrong attribute-name count accepted")
 	}
-	if err := srv.Add("d", ds, []string{"min", "x"}, core.Options{}); err == nil {
+	if err := addStatic(srv, "d", ds, []string{"min", "x"}); err == nil {
 		t.Error("builtin-colliding attribute name accepted")
 	}
-	if err := srv.Add("d", ds, nil, core.Options{}); err != nil {
+	if err := addStatic(srv, "d", ds, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Add("d", ds, nil, core.Options{}); err == nil {
+	if err := addStatic(srv, "d", ds, nil); err == nil {
 		t.Error("duplicate name accepted")
 	}
 }
@@ -483,11 +515,11 @@ func TestShardedDatasetOverWire(t *testing.T) {
 	if err := srv.AddQuerier("plain", core.NewEngine(ds, core.Options{}), nil); err != nil {
 		t.Fatal(err)
 	}
-	err := srv.AddSharded("sharded", ds, nil, core.Options{}, core.ShardOptions{Shards: 4})
+	err := srv.AddQuerier("sharded", core.NewShardedEngine(ds, core.Options{}, core.ShardOptions{Shards: 4}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddSharded("sharded", ds, nil, core.Options{}, core.ShardOptions{Shards: 2}); err == nil {
+	if err := srv.AddQuerier("sharded", core.NewShardedEngine(ds, core.Options{}, core.ShardOptions{Shards: 2}), nil); err == nil {
 		t.Fatal("duplicate sharded registration accepted")
 	}
 	// A decorated engine: the server must find the shard count behind it.

@@ -6,8 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// OpenOption configures Open, the single entry point behind the package's
-// engine constructors.
+// OpenOption configures Open, the package's engine constructor.
 type OpenOption func(*openConfig)
 
 type openConfig struct {
@@ -48,8 +47,8 @@ func WithSharding(shards ShardOptions) OpenOption {
 	return func(c *openConfig) { c.shards = shards; c.shardsSet = true }
 }
 
-// WithLiveOptions configures a FromStream engine's ingestion: capacity hints
-// and the optional online durability monitor.
+// WithLiveOptions configures a FromStream engine's ingestion: the storage
+// capacity hint.
 func WithLiveOptions(live LiveOptions) OpenOption {
 	return func(c *openConfig) { c.live = live; c.liveSet = true }
 }
@@ -61,21 +60,18 @@ func WithLiveSharding(shards LiveShardOptions) OpenOption {
 	return func(c *openConfig) { c.liveShards = shards; c.liveShardsSet = true }
 }
 
-// Open builds an engine from a source plus options, consolidating the
-// constructor matrix (New, NewWithOptions, NewSharded, NewLive,
-// NewLiveSharded) behind one call:
+// Open builds an engine from a source plus options; it is the only engine
+// constructor (Recover opens the crash-safe store):
 //
-//	eng, err := durable.Open(durable.FromDataset(ds))                          // = New
-//	eng, err := durable.Open(durable.FromDataset(ds), durable.WithSharding(s)) // = NewSharded
-//	eng, err := durable.Open(durable.FromStream(dims))                         // = NewLive
+//	eng, err := durable.Open(durable.FromDataset(ds))                          // *Engine
+//	eng, err := durable.Open(durable.FromDataset(ds), durable.WithSharding(s)) // *ShardedEngine
+//	eng, err := durable.Open(durable.FromStream(dims))                         // *LiveEngine
 //	eng, err := durable.Open(durable.FromStream(dims),
-//	        durable.WithLiveSharding(ls))                                      // = NewLiveSharded
+//	        durable.WithLiveSharding(ls))                                      // *LiveShardedEngine
 //
 // The result serves the shared Querier contract; callers that need a
 // flavor-specific surface (LiveEngine.Append, ShardedEngine.Shards) assert to
-// the concrete type, which is determined by the options: FromDataset yields
-// *Engine (or *ShardedEngine with WithSharding), FromStream yields
-// *LiveEngine (or *LiveShardedEngine with WithLiveSharding). Incoherent
+// the concrete type the options determine, as above. Incoherent
 // combinations — both sources, live options on a batch source, static
 // sharding on a stream — fail with an error rather than guessing.
 func Open(options ...OpenOption) (Querier, error) {

@@ -1,33 +1,26 @@
 package durable_test
 
 import (
+	"reflect"
 	"testing"
 
 	durable "repro"
 )
 
 // TestOpenFlavors: each source/option combination yields the matching
-// concrete engine, and it answers like its historical constructor.
+// concrete engine, and it answers like the brute-force oracle.
 func TestOpenFlavors(t *testing.T) {
 	ds := buildDataset(t, 300)
 	q := durable.Query{K: 2, Tau: 10, Start: 1, End: 1 << 30, Scorer: durable.MustLinear(1, 0.5)}
-	want, err := durable.New(ds).DurableTopK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := durable.BruteForce(ds, q.Scorer, q.K, q.Tau, q.Start, q.End, durable.LookBack)
 	assertSame := func(eng durable.Querier) {
 		t.Helper()
 		res, err := eng.DurableTopK(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Records) != len(want.Records) {
-			t.Fatalf("%d records, want %d", len(res.Records), len(want.Records))
-		}
-		for i, r := range res.Records {
-			if r.ID != want.Records[i].ID {
-				t.Fatalf("record %d: id %d, want %d", i, r.ID, want.Records[i].ID)
-			}
+		if !reflect.DeepEqual(res.IDs(), want) {
+			t.Fatalf("answer %v, oracle %v", res.IDs(), want)
 		}
 	}
 

@@ -14,7 +14,8 @@ import (
 type Store = store.Store
 
 // StoreOptions configures a durable store: the WAL fsync policy and segment
-// sizing plus the engine/live/shard options of NewLiveSharded.
+// sizing plus the engine and seal-lifecycle options a live+sharded engine
+// takes (Open with WithOptions and WithLiveSharding).
 type StoreOptions = store.Options
 
 // StoreRow is one record of a durable batch append.
