@@ -147,14 +147,14 @@ func ParseShardStrategy(s string) (ShardStrategy, error) { return core.ParseShar
 // LiveEngine answers durable top-k queries over a still-growing dataset: the
 // streaming counterpart of Engine. Records arrive one at a time through
 // Append (incremental flat-storage appends indexed by a logarithmic-merge
-// forest — no full rebuilds on the look-back query path); a query at any
-// point returns exactly what a batch Engine built over the records appended
-// so far would. Look-ahead and S-Band queries build their auxiliary
-// structures (reversed view, skyband ladder) per prefix; for per-arrival
-// verdicts serve the engine and subscribe to it (a standing query: instant
-// look-back decisions with each arrival and delayed look-ahead confirmations
-// as durability windows close, in O(log w) per record), or run a Monitor
-// beside it.
+// forest — no full rebuilds on the query path, look-ahead windows read the
+// forest mirrored); a query at any point returns exactly what a batch Engine
+// built over the records appended so far would. Only a pinned S-Band query
+// builds an auxiliary structure (its skyband ladder) per prefix. For
+// per-arrival verdicts serve the engine and subscribe to it (a standing
+// query: instant look-back decisions with each arrival and delayed
+// look-ahead confirmations as durability windows close, in O(log w) per
+// record), or run a Monitor beside it.
 type LiveEngine = core.LiveEngine
 
 // LiveOptions configures live ingestion: the storage capacity hint.

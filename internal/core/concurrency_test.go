@@ -10,8 +10,9 @@ import (
 )
 
 // TestConcurrentQueries exercises the engine's concurrency contract: many
-// goroutines querying one engine, including the lazily built reversed view
-// and skyband ladders. Run with -race to verify the locking.
+// goroutines querying one engine, look-ahead queries over pooled mirrored
+// columns and the lazily built skyband ladders included. Run with -race to
+// verify the locking.
 func TestConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	ds := randDataset(rng, 400, 2, false)

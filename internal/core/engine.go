@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/data"
@@ -39,8 +38,9 @@ type Options struct {
 	// Index configures the default range top-k building block.
 	Index topk.Options
 	// NewBlock, when set, replaces the default tree index: it is invoked
-	// once per dataset direction (forward, and lazily reversed) and must
-	// return a Block honouring the (score desc, time desc) contract.
+	// once, over the engine's dataset, and must return a Block honouring the
+	// (score desc, time desc) contract. Look-ahead windows probe the same
+	// block (see view.mergeRange).
 	NewBlock func(ds *data.Dataset) Block
 	// SkybandScanBudget caps the per-record dominator scan when building
 	// S-Band's durable k-skyband index; 0 computes exact durations. An
@@ -52,19 +52,15 @@ type Options struct {
 	SkybandBlockSize int
 }
 
-// Engine answers durable top-k queries over one dataset. The forward range
-// top-k index is built eagerly; the reversed view (for look-ahead windows)
-// and the durable k-skyband ladders (for S-Band) are built lazily on first
-// use. Safe for concurrent queries.
+// Engine answers durable top-k queries over one dataset. The range top-k
+// index is built eagerly and serves both window directions: a look-ahead
+// query probes it mirrored (see DurableTopK). The durable k-skyband ladders
+// (for S-Band) are built lazily on first use. Safe for concurrent queries.
 type Engine struct {
 	opts Options
 	fwd  view
 
-	// rev is published once and read lock-free: a cross-shard span probe
-	// resolves every overlapped shard's mirrored view on its hot path.
-	rev atomic.Pointer[view]
-
-	mu     sync.Mutex // serializes the lazy builds (rev, ladder)
+	mu     sync.Mutex // serializes the lazy ladder builds
 	ladder map[Anchor]*skyband.Ladder
 }
 
@@ -186,12 +182,16 @@ func (v *view) member(s score.Scorer, k int, items []topk.Item, id int32) bool {
 	return s.Score(v.ds.Attrs(int(id))) >= items[k-1].Score
 }
 
-// NewEngine builds the forward building block over ds and returns a ready
-// engine.
+// NewEngine builds the building block over ds and returns a ready engine.
 func NewEngine(ds *data.Dataset, opts Options) *Engine {
+	return newEngine(ds, buildBlock(ds, opts), opts)
+}
+
+// newEngine returns an engine whose building block over ds is blk.
+func newEngine(ds *data.Dataset, blk Block, opts Options) *Engine {
 	return &Engine{
 		opts:   opts,
-		fwd:    newView(ds, buildBlock(ds, opts)),
+		fwd:    newView(ds, blk),
 		ladder: make(map[Anchor]*skyband.Ladder),
 	}
 }
@@ -314,31 +314,22 @@ func (e *Engine) Dataset() *data.Dataset { return e.fwd.ds }
 // e.g. the sliding/tumbling comparison utilities).
 func (e *Engine) Index() Block { return e.fwd.idx }
 
-// reversed returns the lazily built time-mirrored view.
-func (e *Engine) reversed() *view {
-	if rv := e.rev.Load(); rv != nil {
-		return rv
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if rv := e.rev.Load(); rv != nil {
-		return rv
-	}
-	rds := e.fwd.ds.Reversed()
-	rv := newView(rds, buildBlock(rds, e.opts))
-	e.rev.Store(&rv)
-	return &rv
-}
-
-// skyLadder returns the lazily built durable k-skyband ladder for the view
-// direction used by the given anchor.
-func (e *Engine) skyLadder(anchor Anchor, v *view) *skyband.Ladder {
+// skyLadder returns the lazily built durable k-skyband ladder for the given
+// anchor. The look-ahead ladder ranks a time-mirrored copy of the dataset,
+// which it owns: S-Band's ladder is an offline index by design (§IV-B), built
+// only by PrepareSkyband or a pinned S-Band query, and its candidate ids
+// address that copy.
+func (e *Engine) skyLadder(anchor Anchor) *skyband.Ladder {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ld, ok := e.ladder[anchor]; ok {
 		return ld
 	}
-	ld := skyband.NewLadder(v.ds, e.opts.SkybandScanBudget, e.opts.SkybandBlockSize)
+	ds := e.fwd.ds
+	if anchor == LookAhead {
+		ds = ds.ReversedInto(nil, nil)
+	}
+	ld := skyband.NewLadder(ds, e.opts.SkybandScanBudget, e.opts.SkybandBlockSize)
 	e.ladder[anchor] = ld
 	return ld
 }
@@ -348,11 +339,7 @@ func (e *Engine) skyLadder(anchor Anchor, v *view) *skyband.Ladder {
 // ladder as an offline index (§IV-B); benchmarks call this before timing so
 // query latencies exclude index construction.
 func (e *Engine) PrepareSkyband(k int, anchor Anchor) {
-	v := &e.fwd
-	if anchor == LookAhead {
-		v = e.reversed()
-	}
-	e.skyLadder(anchor, v).CandidateCount(k, 0, -1, 0) // empty interval; forces the level build
+	e.skyLadder(anchor).CandidateCount(k, 0, -1, 0) // empty interval; forces the level build
 }
 
 // TopK answers the plain (non-durable) range top-k query Q(s, k, [t1, t2]).
@@ -360,29 +347,23 @@ func (e *Engine) TopK(s score.Scorer, k int, t1, t2 int64) []topk.Item {
 	return e.fwd.idx.Query(s, k, t1, t2)
 }
 
-// evalIDs runs strategy alg for the validated query q on pr's working memory
-// and returns the view it ran over with the answer ids in that view's id
-// space, ascending. When mirror is set the view is the time-reversed one:
-// id i there is record Len-1-i of the dataset, and ascending ids descend in
-// original time. The ids may live in pr's arena (valid until its next query).
-func (e *Engine) evalIDs(pr *probe, q *Query, alg Algorithm, st *Stats) (v *view, ids []int32, mirror bool) {
+// evalIDs runs strategy alg for the validated query q over v on pr's working
+// memory and returns the answer ids in v's id space, ascending. A look-ahead
+// query runs the look-back machinery over a time-mirrored v (window
+// [p.t, p.t+tau] becomes [q.t-tau, q.t] for the mirrored record q); its ids
+// ascend in mirrored time, i.e. descend in original time. S-Band reads ld,
+// a skyband ladder over v's rows (nil for the other strategies). The ids may
+// live in pr's arena (valid until its next query).
+func evalIDs(pr *probe, v *view, q *Query, alg Algorithm, st *Stats, ld *skyband.Ladder) []int32 {
 	// Normalize the anchor: end-anchored General queries collapse onto the
-	// specialized LookBack / LookAhead paths; mirrored queries run the
-	// look-back machinery over the time-reversed view (window [p.t, p.t+tau]
-	// becomes [q.t-tau, q.t] for the mirrored record q).
-	v = &e.fwd
+	// specialized LookBack / LookAhead paths.
 	runQ := *q
-	mirror = normalizedAnchor(q) == LookAhead
-	skyAnchor := q.Anchor
 	switch {
-	case mirror:
-		v = e.reversed()
+	case normalizedAnchor(q) == LookAhead:
 		runQ.Start, runQ.End = -q.End, -q.Start
 		runQ.Anchor, runQ.Lead = LookBack, 0
-		skyAnchor = LookAhead
 	case q.Anchor == General && q.Lead == 0:
 		runQ.Anchor = LookBack
-		skyAnchor = LookBack
 	case q.Anchor == General:
 		// Mid-anchored window: only the anchor-generic variants apply
 		// (already enforced by checkAlgorithm).
@@ -391,36 +372,33 @@ func (e *Engine) evalIDs(pr *probe, q *Query, alg Algorithm, st *Stats) (v *view
 
 	switch alg {
 	case TBase:
-		ids = runTBase(v, pr, runQ, st)
+		return runTBase(v, pr, runQ, st)
 	case THop:
 		if general {
-			ids = runTHopAnchored(v, pr, runQ, st)
-		} else {
-			ids = runTHop(v, pr, runQ, st)
+			return runTHopAnchored(v, pr, runQ, st)
 		}
+		return runTHop(v, pr, runQ, st)
 	case SBase:
 		if general {
-			ids = runSBaseAnchored(v, runQ, st)
-		} else {
-			ids = runSBase(v, runQ, st)
+			return runSBaseAnchored(v, runQ, st)
 		}
+		return runSBase(v, runQ, st)
 	case SBand:
-		ids = runSBand(v, pr, e.skyLadder(skyAnchor, v), runQ, st)
-	case SHop:
+		return runSBand(v, pr, ld, runQ, st)
+	default:
 		if general {
-			ids = runSHopAnchored(v, pr, runQ, st)
-		} else {
-			ids = runSHop(v, pr, runQ, st)
+			return runSHopAnchored(v, pr, runQ, st)
 		}
+		return runSHop(v, pr, runQ, st)
 	}
-	return v, ids, mirror
 }
 
 // DurableTopK answers DurTop(k, I, tau) with the strategy selected by the
 // query, returning the tau-durable records in ascending time order together
 // with evaluation statistics.
 func (e *Engine) DurableTopK(q Query) (*Result, error) {
-	if err := q.validate(e.fwd.ds.Dims()); err != nil {
+	ds := e.fwd.ds
+	if err := q.validate(ds.Dims()); err != nil {
 		return nil, err
 	}
 	alg := e.resolveAlgorithm(&q)
@@ -434,41 +412,40 @@ func (e *Engine) DurableTopK(q Query) (*Result, error) {
 	pr := newProbe()
 	defer pr.release()
 
-	st := Stats{Algorithm: alg}
+	res := &Result{Records: []ResultRecord{}, Stats: Stats{Algorithm: alg}}
 	startAt := time.Now()
-	v, ids, mirror := e.evalIDs(pr, &q, alg, &st)
-	st.Elapsed = time.Since(startAt)
-
-	res := &Result{Stats: st}
-	res.Records = make([]ResultRecord, 0, len(ids))
-	n := e.fwd.ds.Len()
-	for _, id := range ids {
-		origID := int(id)
-		if mirror {
-			origID = n - 1 - origID
+	ahead := normalizedAnchor(&q) == LookAhead
+	switch {
+	case ahead && alg != SBand:
+		// A look-ahead query is a span over the engine as its one shard: the
+		// strategy sweeps a pooled mirrored copy of only the rows the query
+		// can read and probes the engine's own index mirrored. Nothing is
+		// built and nothing kept.
+		if lo, hi := ds.IndexRange(q.Start, q.End); lo < hi {
+			q.Algorithm = alg
+			g := shardGroup{ds: ds, opts: e.opts, shards: []timeShard{{lo: 0, hi: ds.Len(), eng: e}}}
+			g.evalSpan(pr, q, lo, hi, res)
 		}
-		res.Records = append(res.Records, ResultRecord{
-			ID:          origID,
-			Time:        e.fwd.ds.Time(origID),
-			Score:       q.Scorer.Score(e.fwd.ds.Attrs(origID)),
-			MaxDuration: -1,
-		})
-	}
-	if mirror {
-		// ids ascend in mirrored time, i.e. descend in original time.
-		for i, j := 0, len(res.Records)-1; i < j; i, j = i+1, j-1 {
-			res.Records[i], res.Records[j] = res.Records[j], res.Records[i]
+	case ahead:
+		// S-Band's candidates address its ladder's mirrored copy of the whole
+		// dataset, so that copy is the span.
+		ld := e.skyLadder(LookAhead)
+		mds := ld.Dataset()
+		self := []timeShard{{lo: 0, hi: ds.Len(), eng: e}}
+		v := newView(mds, &spanBlock{shards: self, ds: mds, rlo: 0, rhi: ds.Len(), mirrored: true})
+		res.Records = spanRecords(ds, q.Scorer, evalIDs(pr, &v, &q, alg, &res.Stats, ld), 0, ds.Len(), true)
+	default:
+		var ld *skyband.Ladder
+		if alg == SBand {
+			ld = e.skyLadder(LookBack)
 		}
+		res.Records = spanRecords(ds, q.Scorer, evalIDs(pr, &e.fwd, &q, alg, &res.Stats, ld), 0, ds.Len(), false)
 	}
+	res.Stats.Elapsed = time.Since(startAt)
 	if q.WithDurations {
 		for i := range res.Records {
-			mirrored := int32(res.Records[i].ID)
-			if mirror {
-				mirrored = int32(n - 1 - res.Records[i].ID)
-			}
-			dur, full := maxDuration(v, pr, &st, q.Scorer, q.K, mirrored)
-			res.Records[i].MaxDuration = dur
-			res.Records[i].FullHistory = full
+			r := &res.Records[i]
+			r.MaxDuration, r.FullHistory = maxDuration(&e.fwd, pr, &res.Stats, q.Scorer, q.K, int32(r.ID), ahead)
 		}
 	}
 	return res, nil
@@ -478,23 +455,40 @@ func (e *Engine) DurableTopK(q Query) (*Result, error) {
 // top-k of its anchored window, and whether the search was truncated by the
 // start (LookBack) or end (LookAhead) of recorded history.
 func (e *Engine) MaxDuration(id, k int, s score.Scorer, anchor Anchor) (int64, bool) {
-	v := &e.fwd
-	mid := int32(id)
-	if anchor == LookAhead {
-		v = e.reversed()
-		mid = int32(e.fwd.ds.Len() - 1 - id)
-	}
 	var st Stats
 	pr := newProbe()
 	defer pr.release()
-	return maxDuration(v, pr, &st, s, k, mid)
+	return maxDuration(&e.fwd, pr, &st, s, k, int32(id), anchor == LookAhead)
 }
 
-// maxDuration binary-searches the earliest window start keeping record id in
-// the top-k (§II): membership is monotone in the window start, and each
-// probe costs one building-block query. The probes reuse pr's buffers.
-func maxDuration(v *view, pr *probe, st *Stats, s score.Scorer, k int, id int32) (int64, bool) {
+// maxDuration binary-searches the earliest window start (the latest window
+// end, ahead) keeping record id in the top-k (§II): membership is monotone in
+// the window's far end, and each probe costs one building-block query. Which
+// k records a window's top-k holds depends on its tie order, the k-th score
+// does not, so both directions probe v forward. The probes reuse pr's
+// buffers.
+func maxDuration(v *view, pr *probe, st *Stats, s score.Scorer, k int, id int32, ahead bool) (int64, bool) {
 	i := int(id)
+	t := v.ds.Time(i)
+	if ahead {
+		// Find the largest j such that id is in the top-k of records [i, j].
+		n := v.ds.Len()
+		lo, hi := i, n-1 // invariant: predicate(lo) is true (window of one record)
+		for lo < hi {
+			mid := (lo + hi + 1) / 2
+			items := v.topkRange(pr, st, kindCheck, s, k, i, mid+1)
+			if v.member(s, k, items, id) {
+				lo = mid
+			} else {
+				hi = mid - 1
+			}
+		}
+		if hi == n-1 {
+			return v.ds.Time(n-1) - t, true
+		}
+		// Durable exactly for windows excluding record hi+1.
+		return v.ds.Time(hi+1) - t - 1, false
+	}
 	// Find the smallest j such that id is in the top-k of records [j, i].
 	lo, hi := 0, i // invariant: predicate(hi) is true (window of one record)
 	for lo < hi {
@@ -506,7 +500,6 @@ func maxDuration(v *view, pr *probe, st *Stats, s score.Scorer, k int, id int32)
 			lo = mid + 1
 		}
 	}
-	t := v.ds.Time(i)
 	if lo == 0 {
 		// The loop invariant keeps the predicate true at hi, so lo == 0
 		// means the record is top-k over all recorded history.

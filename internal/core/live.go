@@ -25,15 +25,13 @@ type LiveOptions struct {
 // the incremental index is the logarithmic-merge forest of package topk,
 // whose probes run the same pooled-Scratch bulk-scoring path as the static
 // tree, so interleaved append/query workloads stay on the hot path with no
-// full index rebuilds on the forward (look-back) direction.
+// full index rebuilds. Both window directions read the forest: a look-ahead
+// query probes its pinned view mirrored (topk.View.MergeRangeMirrored), so an
+// append-then-look-ahead-query loop builds nothing either.
 //
-// Auxiliary structures remain per-prefix: the time-reversed view
-// (LookAhead/General anchors) and the skyband ladders (S-Band) are built
-// lazily by the snapshot engine and are only reused until the next append.
-// An append-then-LookAhead-query loop therefore rebuilds the reversed index
-// each iteration — run such workloads as standing queries (package sub: its
-// look-ahead confirmations are O(log w) per arrival) or batch queries between
-// appends; making these structures incremental is an open roadmap item.
+// The one per-prefix structure is S-Band's skyband ladder, an offline index
+// by design: a pinned S-Band query builds it for the snapshot engine, and it
+// is reused only until the next append.
 //
 // Appends are serialized against queries with a RW lock: any number of
 // concurrent queries, one writer.
@@ -44,9 +42,9 @@ type LiveEngine struct {
 	forest *topk.Forest
 
 	// engMu guards the memoized per-prefix engine; a query at an unchanged
-	// length reuses it (keeping lazily built reversed views and skyband
-	// ladders warm between appends), and the first query after an append
-	// swaps in a fresh one.
+	// length reuses it (keeping a pinned S-Band query's skyband ladders warm
+	// between appends), and the first query after an append swaps in a fresh
+	// one — a forest snapshot, no index build.
 	engMu  sync.Mutex
 	eng    *Engine
 	engLen int
@@ -112,11 +110,10 @@ func (le *LiveEngine) Dataset() *data.Dataset {
 }
 
 // snapshotEngine returns the engine over the current n-record prefix,
-// memoized until the next append. The forward building block is an
-// append-stable prefix view of the live forest (topk.Forest.Snapshot — no
-// rebuild, the chunk trees are shared); auxiliary structures a strategy may
-// need — the reversed view for look-ahead windows, skyband ladders — are
-// built lazily by the engine exactly as in the batch path.
+// memoized until the next append. Its building block is an append-stable
+// prefix view of the live forest (topk.Forest.Snapshot — no rebuild, the
+// chunk trees are shared), which serves both window directions; skyband
+// ladders are built lazily by the engine exactly as in the batch path.
 //
 // Callers hold le.mu (read), which keeps n current for the duration of their
 // evaluation. The pinned view additionally makes the returned engine sound
@@ -132,16 +129,7 @@ func (le *LiveEngine) snapshotEngine(n int) *Engine {
 		return le.eng
 	}
 	view := le.forest.Snapshot(n)
-	snap := view.Dataset()
-	opts := le.opts
-	inner := le.opts // what non-forward views (the reversed mirror) build with
-	opts.NewBlock = func(d *data.Dataset) Block {
-		if d == snap {
-			return view
-		}
-		return buildBlock(d, inner)
-	}
-	le.eng = NewEngine(snap, opts)
+	le.eng = newEngine(view.Dataset(), view, le.opts)
 	le.engLen = n
 	return le.eng
 }

@@ -6,9 +6,12 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/score"
+	"repro/internal/topk"
 )
 
 // runLiveDifferentialTrial is the acceptance harness of the live engine: one
@@ -269,5 +272,73 @@ func BenchmarkLiveSteadyQuery(b *testing.B) {
 		if _, err := le.DurableTopK(q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestLiveLookAheadBuildsNothing: look-ahead reads the indexes that exist —
+// a LiveEngine's forest, a LiveShardedEngine's tail forest and its sealed and
+// compacted shards — mirrored, so a look-ahead query after every append, on
+// either engine, across seals and a compaction, builds no index beyond the
+// forest's own chunk trees (which never go through Options.NewBlock), one
+// freeze per seal and one build per compaction; and every answer is the
+// oracle's over the committed prefix.
+func TestLiveLookAheadBuildsNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(137))
+	counting := func(builds *atomic.Int64) Options {
+		opts := testEngineOpts()
+		opts.NewBlock = func(d *data.Dataset) Block {
+			builds.Add(1)
+			return topk.Build(d, opts.Index)
+		}
+		return opts
+	}
+	var liveBuilds, shardedBuilds atomic.Int64
+	le, err := NewLiveEngine(2, counting(&liveBuilds), LiveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lse, err := NewLiveShardedEngine(2, counting(&shardedBuilds), LiveOptions{}, LiveShardOptions{SealRows: 50, CompactFanout: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := score.MustLinear(0.4, 0.6)
+	const n = 260
+	times, rows := make([]int64, 0, n), make([][]float64, 0, n)
+	tick := int64(0)
+	algs := []Algorithm{Auto, TBase, THop, SBase, SHop}
+	for i := 0; i < n; i++ {
+		tick += 1 + int64(rng.Intn(4))
+		row := []float64{float64(rng.Intn(5)), float64(rng.Intn(4))} // ties: the mirrored tie order decides
+		times, rows = append(times, tick), append(rows, row)
+		if _, _, err := le.Append(tick, row); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := lse.Append(tick, row); err != nil {
+			t.Fatal(err)
+		}
+		ds := data.MustNew(times, rows)
+		start := times[rng.Intn(len(times))]
+		q := Query{K: 1 + rng.Intn(3), Tau: 20 + int64(rng.Intn(60)), Start: start, End: tick, Scorer: s, Anchor: LookAhead, Algorithm: algs[i%len(algs)]}
+		want := BruteForce(ds, s, q.K, q.Tau, q.Start, q.End, LookAhead)
+		for name, eng := range map[string]Querier{"live": le, "live sharded": lse} {
+			res, err := eng.DurableTopK(q)
+			if err != nil {
+				t.Fatalf("%s after %d appends: %v", name, i+1, err)
+			}
+			if got := res.IDs(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s after %d appends, %v k=%d tau=%d from %d:\n got  %v\n want %v", name, i+1, q.Algorithm, q.K, q.Tau, q.Start, got, want)
+			}
+		}
+	}
+	lse.WaitSealed()
+	lse.WaitCompacted()
+	if lse.Seals() < 2 || lse.Compactions() < 1 {
+		t.Fatalf("%d seals and %d compactions: not the lifecycle this test is about", lse.Seals(), lse.Compactions())
+	}
+	if b := liveBuilds.Load(); b != 0 {
+		t.Fatalf("the live engine built %d indexes besides its forest's chunk trees, want 0", b)
+	}
+	if b, want := shardedBuilds.Load(), int64(lse.Seals()+lse.Compactions()); b != want {
+		t.Fatalf("the live sharded engine built %d indexes, want %d (one per seal and per compaction)", b, want)
 	}
 }

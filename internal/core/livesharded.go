@@ -125,13 +125,6 @@ type LiveShardedEngine struct {
 	groupMu  sync.Mutex
 	group    *shardGroup
 	groupSeq uint64
-
-	// revMu guards the memoized time-mirrored retained suffix for look-ahead
-	// durability sweeps, keyed by (retirement boundary, prefix length).
-	revMu  sync.Mutex
-	rev    *data.Dataset
-	revLo  int
-	revLen int
 }
 
 // NewLiveShardedEngine returns an empty live+sharded engine for
@@ -501,20 +494,6 @@ func (e *LiveShardedEngine) Explain(q Query) (planner.Plan, error) {
 	return g.Explain(q)
 }
 
-// reversedSuffix returns the time-mirrored snapshot of the retained suffix,
-// memoized by (retirement boundary, length) — content never changes for a
-// fixed boundary and length, so the pair keys it fully.
-func (e *LiveShardedEngine) reversedSuffix(ds *data.Dataset, lo int) *data.Dataset {
-	e.revMu.Lock()
-	defer e.revMu.Unlock()
-	if e.rev == nil || e.revLo != lo || e.revLen != ds.Len() {
-		e.rev = ds.Reversed()
-		e.revLo = lo
-		e.revLen = ds.Len()
-	}
-	return e.rev
-}
-
 // DurabilityProfile computes every retained record's maximum durability (see
 // Engine.DurabilityProfile; the sweep needs no index, so the shard lifecycle
 // does not change it). With retention enabled the sweep covers the retained
@@ -539,14 +518,7 @@ func (e *LiveShardedEngine) DurabilityProfile(k int, s score.Scorer, anchor Anch
 	if suffix == nil {
 		return nil, errEmptyLive
 	}
-	ds := suffix
-	if anchor == LookAhead {
-		ds = e.reversedSuffix(suffix, lo)
-	}
-	out := durabilitySweep(ds, k, s)
-	if anchor == LookAhead {
-		out = mirrorProfile(out, suffix)
-	}
+	out := durabilitySweep(suffix, k, s, anchor == LookAhead)
 	for i := range out {
 		out[i].ID += lo
 	}

@@ -40,28 +40,32 @@ func (e *Engine) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]Dura
 	if s.Dims() != e.fwd.ds.Dims() {
 		return nil, ErrDims
 	}
-	v := &e.fwd
-	if anchor == LookAhead {
-		v = e.reversed()
-	}
-	out := durabilitySweep(v.ds, k, s)
-	if anchor == LookAhead {
-		out = mirrorProfile(out, e.fwd.ds)
-	}
-	return out, nil
+	return durabilitySweep(e.fwd.ds, k, s, anchor == LookAhead), nil
 }
 
-// durabilitySweep is the profile core over an already-oriented dataset (pass
-// the time-mirrored dataset for look-ahead windows).
-func durabilitySweep(ds *data.Dataset, k int, s score.Scorer) []DurabilityRecord {
+// durabilitySweep is the profile core. It needs only times and scores, so a
+// look-ahead profile (ahead set) is the same sweep over negated times, in
+// mirrored order: a window [p.t, p.t+tau] is [-p.t-tau, -p.t] in mirrored
+// time. Records keep their ids and report their own times.
+func durabilitySweep(ds *data.Dataset, k int, s score.Scorer, ahead bool) []DurabilityRecord {
 	n := ds.Len()
 	refs := make([]scoredRef, n)
-	for i := 0; i < n; i++ {
-		refs[i] = scoredRef{id: int32(i), time: ds.Time(i), score: s.Score(ds.Attrs(i))}
+	for j := range refs {
+		i := j
+		if ahead {
+			i = n - 1 - j
+		}
+		refs[j] = scoredRef{id: int32(i), time: ds.Time(i), score: s.Score(ds.Attrs(i))}
+		if ahead {
+			refs[j].time = -refs[j].time
+		}
 	}
 	sortScoredDesc(refs)
 
-	firstTime := ds.Time(0)
+	firstTime := ds.Time(0) // the first arrival in the sweep's time
+	if ahead {
+		firstTime = -ds.Time(n - 1)
+	}
 	out := make([]DurabilityRecord, n)
 	// times holds the arrival times of strictly-higher-scoring records; a
 	// zero-length "interval" set is a plain order-statistic multiset.
@@ -74,7 +78,7 @@ func durabilitySweep(ds *data.Dataset, k int, s score.Scorer) []DurabilityRecord
 			ge++
 		}
 		for _, p := range refs[gs:ge] {
-			rec := DurabilityRecord{ID: int(p.id), Time: p.time, Score: p.score}
+			rec := DurabilityRecord{ID: int(p.id), Time: ds.Time(int(p.id)), Score: p.score}
 			if tk, ok := times.KthLargestLE(p.time, k); ok {
 				rec.Duration = p.time - tk - 1
 			} else {
@@ -89,21 +93,6 @@ func durabilitySweep(ds *data.Dataset, k int, s score.Scorer) []DurabilityRecord
 		gs = ge
 	}
 	return out
-}
-
-// mirrorProfile maps a sweep over the mirrored dataset back onto the
-// original ids and times, restoring ascending original time order.
-func mirrorProfile(out []DurabilityRecord, orig *data.Dataset) []DurabilityRecord {
-	n := len(out)
-	mapped := make([]DurabilityRecord, n)
-	for i := range out {
-		r := out[i]
-		o := n - 1 - r.ID
-		r.ID = o
-		r.Time = orig.Time(o)
-		mapped[o] = r
-	}
-	return mapped
 }
 
 // MostDurable returns the top-n records by durability under the scorer:

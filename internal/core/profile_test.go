@@ -41,6 +41,81 @@ func TestDurabilityProfileMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestDurabilityProfileEngineShapes: the profile is one sweep over times and
+// scores — negated times when looking ahead, no mirrored copy — on every
+// engine shape: an Engine, a ShardedEngine, a LiveEngine, and a
+// LiveShardedEngine with sealed and compacted shards plus a tail, all
+// reporting the oracle's durations for both anchors; under retention, over
+// the retained suffix with global ids.
+func TestDurabilityProfileEngineShapes(t *testing.T) {
+	type profiler interface {
+		DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]DurabilityRecord, error)
+	}
+	rng := rand.New(rand.NewSource(127))
+	for trial := 0; trial < 6; trial++ {
+		n := 60 + rng.Intn(300)
+		ds := randDataset(rng, n, 2, trial%2 == 0)
+		s := randScorer(rng, 2)
+		k := 1 + rng.Intn(4)
+		lo, hi := ds.Span()
+		le, err := NewLiveEngine(2, testEngineOpts(), LiveOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lse, err := NewLiveShardedEngine(2, testEngineOpts(), LiveOptions{}, LiveShardOptions{SealRows: 40, CompactFanout: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained, err := NewLiveShardedEngine(2, testEngineOpts(), LiveOptions{}, LiveShardOptions{SealRows: 30, RetainSpan: (hi - lo) / 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			_, _, err1 := le.Append(ds.Time(i), ds.Attrs(i))
+			_, _, err2 := lse.Append(ds.Time(i), ds.Attrs(i))
+			_, _, err3 := retained.Append(ds.Time(i), ds.Attrs(i))
+			if err1 != nil || err2 != nil || err3 != nil {
+				t.Fatal(err1, err2, err3)
+			}
+		}
+		lse.WaitSealed()
+		lse.WaitCompacted()
+		base := retained.Shards()[0].Lo
+		if base == 0 {
+			t.Fatalf("trial %d: retention retired nothing", trial)
+		}
+		shapes := []struct {
+			name string
+			eng  profiler
+			base int // first row the engine retains
+		}{
+			{"engine", NewEngine(ds, testEngineOpts()), 0},
+			{"sharded", NewShardedEngine(ds, testEngineOpts(), testShardOpts(5, ByCount)), 0},
+			{"live", le, 0},
+			{"live sharded", lse, 0},
+			{"live sharded, retention", retained, base},
+		}
+		for _, anchor := range []Anchor{LookBack, LookAhead} {
+			for _, sh := range shapes {
+				profile, err := sh.eng.DurabilityProfile(k, s, anchor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				suffix := ds.Slice(sh.base, n)
+				if len(profile) != suffix.Len() {
+					t.Fatalf("trial %d %s %v: %d records, want %d", trial, sh.name, anchor, len(profile), suffix.Len())
+				}
+				for j, rec := range profile {
+					wantDur, wantFull := BruteMaxDuration(suffix, s, k, j, anchor)
+					if rec.ID != sh.base+j || rec.Time != suffix.Time(j) || rec.Duration != wantDur || rec.FullHistory != wantFull {
+						t.Fatalf("trial %d %s %v k=%d: profile[%d] = %+v, want duration (%d,%v)", trial, sh.name, anchor, k, j, rec, wantDur, wantFull)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestDurabilityProfileValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(122))
 	ds := randDataset(rng, 20, 2, false)

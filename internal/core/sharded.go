@@ -135,9 +135,6 @@ var (
 type ShardedEngine struct {
 	group    shardGroup
 	strategy ShardStrategy
-
-	mu  sync.Mutex
-	rev *data.Dataset // lazily built mirror for look-ahead durability sweeps
 }
 
 // NewShardedEngine partitions ds into so.Shards contiguous time shards and
@@ -276,9 +273,10 @@ func windowSides(q *Query) (back, lead int64) {
 	}
 }
 
-// shardAt returns the index of the shard owning global record index idx.
-func (g *shardGroup) shardAt(idx int) int {
-	return sort.Search(len(g.shards), func(i int) bool { return g.shards[i].hi > idx })
+// shardAt returns the index of the shard among shards (ascending, contiguous)
+// owning global record index idx.
+func shardAt(shards []timeShard, idx int) int {
+	return sort.Search(len(shards), func(i int) bool { return shards[i].hi > idx })
 }
 
 // upperBoundAller is the optional Block capability behind shard-level score
@@ -376,7 +374,7 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	pr := newProbe()
 	defer pr.release()
 	if lo < hi {
-		out.Stats.ShardsPruned -= g.shardAt(hi-1) - g.shardAt(lo) + 1
+		out.Stats.ShardsPruned -= shardAt(g.shards, hi-1) - shardAt(g.shards, lo) + 1
 		g.evalSpan(pr, q, lo, hi, out)
 	}
 	if q.WithDurations {
@@ -403,49 +401,42 @@ func (g *shardGroup) evalSpan(pr *probe, q Query, lo, hi int, out *Result) {
 	rhi := g.ds.UpperBound(satAdd(g.ds.Time(hi-1), lead))
 	q.Start, q.End = g.ds.Time(lo), g.ds.Time(hi-1)
 
-	// The strategies run over a transient engine whose views are the span's
-	// rows and its spanBlocks. Only the mirrored view copies rows, into pooled
-	// columns.
+	// The strategies run over the span's rows and a spanBlock. Only the
+	// mirrored view copies rows, into pooled columns.
 	span := g.ds.Slice(rlo, rhi)
-	mini := Engine{opts: g.opts, fwd: newView(span, &spanBlock{g: g, ds: span, rlo: rlo, rhi: rhi})}
-	if normalizedAnchor(&q) == LookAhead {
-		mc := mirrorPool.Get().(*mirrorCols)
+	mirrored := normalizedAnchor(&q) == LookAhead
+	var v view
+	if mirrored {
+		var mc *mirrorCols
+		v, mc = mirrorSpan(span, g.shards, rlo, rhi)
 		defer mirrorPool.Put(mc)
-		mirror := span.ReversedInto(mc.times, mc.flat)
-		mc.times, mc.flat = mirror.Times(), mirror.FlatAttrs()
-		rv := newView(mirror, &spanBlock{g: g, ds: mirror, rlo: rlo, rhi: rhi, mirrored: true})
-		mini.rev.Store(&rv)
+	} else {
+		v = newView(span, &spanBlock{shards: g.shards, ds: span, rlo: rlo, rhi: rhi})
 	}
-	_, ids, mirrored := mini.evalIDs(pr, &q, q.Algorithm, &out.Stats)
+	ids := evalIDs(pr, &v, &q, q.Algorithm, &out.Stats, nil) // a span never runs S-Band
+	out.Records = spanRecords(g.ds, q.Scorer, ids, rlo, rhi, mirrored)
+}
 
-	// Forward id i is row rlo+i; mirrored ids ascend in reversed time, id r
-	// being row rhi-1-r, so they fill the answer back to front.
-	out.Records = make([]ResultRecord, len(ids))
+// spanRecords returns the answer records of ids, the ascending answer ids of
+// an evaluation over rows [rlo, rhi) of ds: forward id i is row rlo+i;
+// mirrored ids ascend in reversed time, id r being row rhi-1-r, so they fill
+// the answer back to front.
+func spanRecords(ds *data.Dataset, s score.Scorer, ids []int32, rlo, rhi int, mirrored bool) []ResultRecord {
+	recs := make([]ResultRecord, len(ids))
 	for j, id := range ids {
-		gid, at := rlo+int(id), j
+		row, at := rlo+int(id), j
 		if mirrored {
-			gid, at = rhi-1-int(id), len(ids)-1-j
+			row, at = rhi-1-int(id), len(ids)-1-j
 		}
-		out.Records[at] = ResultRecord{
-			ID:          gid,
-			Time:        g.ds.Time(gid),
-			Score:       q.Scorer.Score(g.ds.Attrs(gid)),
+		recs[at] = ResultRecord{
+			ID:          row,
+			Time:        ds.Time(row),
+			Score:       s.Score(ds.Attrs(row)),
 			MaxDuration: -1,
 		}
 	}
+	return recs
 }
-
-// mirrorCols is the column storage of one span's time-mirrored rows. A span
-// can be the whole dataset, and only a look-ahead evaluation in flight needs
-// one, so the columns have a pool of their own: riding on the pooled probes
-// would park a span-sized buffer on every probe in the process (measured:
-// +10 MiB live heap on a 100k-row archive).
-type mirrorCols struct {
-	times []int64
-	flat  []float64
-}
-
-var mirrorPool = sync.Pool{New: func() interface{} { return new(mirrorCols) }}
 
 // higherCount returns min(h, k) where h is the number of records in the
 // global index range [lo, hi) scoring strictly above ref: the overlapped
@@ -459,7 +450,7 @@ var mirrorPool = sync.Pool{New: func() interface{} { return new(mirrorCols) }}
 func (g *shardGroup) higherCount(pr *probe, sb *shardBounds, st *Stats, s score.Scorer, k, lo, hi int, ref float64) int {
 	var ubs []float64
 	m := pr.sc.Merger(k)
-	for si := g.shardAt(lo); si < len(g.shards) && g.shards[si].lo < hi; si++ {
+	for si := shardAt(g.shards, lo); si < len(g.shards) && g.shards[si].lo < hi; si++ {
 		sh := &g.shards[si]
 		plo, phi := max(lo, sh.lo)-sh.lo, min(hi, sh.hi)-sh.lo
 		if plo >= phi {
@@ -473,7 +464,7 @@ func (g *shardGroup) higherCount(pr *probe, sb *shardBounds, st *Stats, s score.
 			continue
 		}
 		st.count(kindCheck)
-		pr.buf = sh.eng.fwd.mergeRange(&m, s, plo, phi, sh.lo, pr.sc, pr.buf)
+		pr.buf = sh.eng.fwd.mergeRange(&m, s, plo, phi, sh.lo, false, pr.sc, pr.buf)
 		if kth, full := m.Kth(); full && kth.Score > ref {
 			break // k records already outrank ref
 		}
@@ -532,16 +523,6 @@ func (g *shardGroup) maxDurationSharded(pr *probe, sb *shardBounds, st *Stats, s
 	return g.ds.Time(lo+1) - t - 1, false
 }
 
-// reversedDS returns the lazily built, cached time-mirrored dataset.
-func (se *ShardedEngine) reversedDS() *data.Dataset {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	if se.rev == nil {
-		se.rev = se.group.ds.Reversed()
-	}
-	return se.rev
-}
-
 // DurabilityProfile computes every record's maximum durability in one sweep
 // over the full dataset (see Engine.DurabilityProfile; the sweep needs no
 // index, so sharding does not change it).
@@ -555,15 +536,7 @@ func (se *ShardedEngine) DurabilityProfile(k int, s score.Scorer, anchor Anchor)
 	if s.Dims() != se.group.ds.Dims() {
 		return nil, ErrDims
 	}
-	ds := se.group.ds
-	if anchor == LookAhead {
-		ds = se.reversedDS()
-	}
-	out := durabilitySweep(ds, k, s)
-	if anchor == LookAhead {
-		out = mirrorProfile(out, se.group.ds)
-	}
-	return out, nil
+	return durabilitySweep(se.group.ds, k, s, anchor == LookAhead), nil
 }
 
 // MostDurable returns the top-n records by durability (see

@@ -251,8 +251,8 @@ func TestShardedProfileAndExplain(t *testing.T) {
 }
 
 // TestShardedConcurrentQueries hammers one sharded engine from many
-// goroutines; run with -race to verify the pooled probes and mirrored columns
-// and the lazily built per-shard reversed views.
+// goroutines; run with -race to verify the pooled probes and the pooled
+// mirrored span columns of look-ahead queries.
 func TestShardedConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	ds := randDataset(rng, 300, 2, false)

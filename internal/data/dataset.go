@@ -382,19 +382,13 @@ func (ds *Dataset) Project(dims []int) (*Dataset, error) {
 	return &Dataset{times: ds.times, flat: flat, dims: d}, nil
 }
 
-// Reversed returns the time-mirrored dataset: record i of the result is
+// ReversedInto returns the time-mirrored dataset: record i of the result is
 // record n-1-i of the original, stamped with the negated original time.
 // Reversing maps "looking-ahead" durability windows onto the "looking-back"
 // machinery: a window [p.t, p.t+tau] in the original becomes [q.t-tau, q.t]
-// for the mirrored record q. Attribute rows are copied into a fresh
-// contiguous backing array in mirrored order.
-func (ds *Dataset) Reversed() *Dataset {
-	return ds.ReversedInto(nil, nil)
-}
-
-// ReversedInto is Reversed over caller-owned column storage: the mirrored
-// rows are written into times and flat, which are reallocated only when too
-// small. The result aliases that storage (read it back through Times and
+// for the mirrored record q. The mirrored rows are written into times and
+// flat, which are reallocated only when too small (pass nil for fresh
+// storage). The result aliases that storage (read it back through Times and
 // FlatAttrs to keep a grown buffer), so it is valid until the caller reuses
 // the buffers.
 func (ds *Dataset) ReversedInto(times []int64, flat []float64) *Dataset {

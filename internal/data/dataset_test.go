@@ -133,7 +133,7 @@ func TestProject(t *testing.T) {
 
 func TestReversed(t *testing.T) {
 	ds := small(t)
-	rev := ds.Reversed()
+	rev := ds.ReversedInto(nil, nil)
 	if rev.Len() != ds.Len() {
 		t.Fatal("reversed length mismatch")
 	}
@@ -149,7 +149,7 @@ func TestReversed(t *testing.T) {
 		}
 	}
 	// Double reversal restores times.
-	back := rev.Reversed()
+	back := rev.ReversedInto(nil, nil)
 	for i := 0; i < ds.Len(); i++ {
 		if back.Time(i) != ds.Time(i) {
 			t.Fatal("double reversal must restore times")
@@ -300,7 +300,7 @@ func TestFlatAttrsContiguity(t *testing.T) {
 	}
 	ds := small(t)
 	build("New", ds)
-	build("Reversed", ds.Reversed())
+	build("Reversed", ds.ReversedInto(nil, nil))
 	build("Prefix", ds.Prefix(3))
 	proj, err := ds.Project([]int{1, 0})
 	if err != nil {

@@ -174,6 +174,9 @@ func NewLadder(ds *data.Dataset, budget, blockSize int) *Ladder {
 	}
 }
 
+// Dataset returns the dataset the ladder ranks; candidate ids address it.
+func (ld *Ladder) Dataset() *data.Dataset { return ld.ds }
+
 // Level returns the ladder level serving queries with parameter k: the
 // smallest power of two >= k.
 func Level(k int) int {

@@ -206,7 +206,14 @@ func (v *View) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, ds
 // MergeRange continues m with the view's records [lo, hi), reported under
 // id+shift; see Index.MergeRange.
 func (v *View) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
-	forestMergeRange(m, v.ds, v.trees, v.bufStart, s, lo, hi, shift)
+	forestMergeRange(m, v.ds, v.trees, v.bufStart, s, lo, hi, shift, false)
+}
+
+// MergeRangeMirrored continues m with the view's records [lo, hi) as a
+// time-reversed copy would report them, record i as id shift−i at time
+// −Time(i); see Index.MergeRangeMirrored.
+func (v *View) MergeRangeMirrored(m *Merger, s score.Scorer, lo, hi, shift int) {
+	forestMergeRange(m, v.ds, v.trees, v.bufStart, s, lo, hi, shift, true)
 }
 
 // UpperBoundAll returns a valid upper bound of the scorer over every record
@@ -313,7 +320,13 @@ func (f *Forest) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, 
 // MergeRange continues m with the records of the half-open append-order range
 // [lo, hi), reported under id+shift; see Index.MergeRange.
 func (f *Forest) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
-	forestMergeRange(m, f.tail, f.trees, f.bufStart, s, lo, hi, shift)
+	forestMergeRange(m, f.tail, f.trees, f.bufStart, s, lo, hi, shift, false)
+}
+
+// MergeRangeMirrored continues m with records [lo, hi) as a time-reversed
+// copy would report them; see Index.MergeRangeMirrored.
+func (f *Forest) MergeRangeMirrored(m *Merger, s score.Scorer, lo, hi, shift int) {
+	forestMergeRange(m, f.tail, f.trees, f.bufStart, s, lo, hi, shift, true)
 }
 
 // forestMergeRange is the shared probe core of Forest and View: trees and
@@ -321,8 +334,10 @@ func (f *Forest) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 // unindexed); the range is clamped to ds, so a View's prefix storage pins hi
 // regardless of how far the parent forest has grown since the snapshot. Every
 // chunk tree continues the caller's merge, so a tree descends only where it
-// can still beat the k-th item the earlier ones left.
-func forestMergeRange(m *Merger, ds *data.Dataset, trees []chunkTree, bufStart int, s score.Scorer, lo, hi, shift int) {
+// can still beat the k-th item the earlier ones left. With mirror set every
+// record is reported mirrored (see Index.MergeRangeMirrored): a tree row r is
+// forest record start+r, so its mirrored id is (shift−start)−r.
+func forestMergeRange(m *Merger, ds *data.Dataset, trees []chunkTree, bufStart int, s score.Scorer, lo, hi, shift int, mirror bool) {
 	n := ds.Len()
 	if hi > n {
 		hi = n
@@ -335,8 +350,13 @@ func forestMergeRange(m *Merger, ds *data.Dataset, trees []chunkTree, bufStart i
 	}
 	for _, ct := range trees {
 		clo, chi := max(ct.start, lo), min(ct.start+ct.size, hi)
-		if clo < chi {
-			ct.idx.MergeRange(m, s, clo-ct.start, chi-ct.start, ct.start+shift)
+		if clo >= chi {
+			continue
+		}
+		if mirror {
+			ct.idx.mergeRange(m, s, clo-ct.start, chi-ct.start, shift-ct.start, true)
+		} else {
+			ct.idx.mergeRange(m, s, clo-ct.start, chi-ct.start, ct.start+shift, false)
 		}
 	}
 	// Bulk-score the clipped still-buffered suffix in one stripe.
@@ -351,6 +371,12 @@ func forestMergeRange(m *Merger, ds *data.Dataset, trees []chunkTree, bufStart i
 			for i := blo; i < bhi; i++ {
 				buf[i-blo] = s.Score(flat[i*d : (i+1)*d : (i+1)*d])
 			}
+		}
+		if mirror {
+			for i := bhi - 1; i >= blo; i-- {
+				m.res.offer(Item{ID: int32(shift - i), Time: -times[i], Score: buf[i-blo]})
+			}
+			return
 		}
 		for i := blo; i < bhi; i++ {
 			m.res.offer(Item{ID: int32(i + shift), Time: times[i], Score: buf[i-blo]})

@@ -289,6 +289,25 @@ func (x *Index) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, d
 // session of m's Scratch, node bounds and leaf scores are looked up rather
 // than recomputed (see memo); the merged items are the same either way.
 func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
+	x.mergeRange(m, s, lo, hi, shift, false)
+}
+
+// MergeRangeMirrored continues m with records [lo, hi) as a time-reversed copy
+// of the dataset would report them (data.Dataset.ReversedInto): record i as
+// id shift−i, arriving at −Time(i). The merge ranks them in the mirrored tie
+// order — among equal scores the earlier arrival first — so it equals
+// MergeRange over an index built on the mirrored copy, bit for bit, without
+// the copy or the second index. Look-ahead windows run as look-back over
+// mirrored time; this is how they read the forward index.
+func (x *Index) MergeRangeMirrored(m *Merger, s score.Scorer, lo, hi, shift int) {
+	x.mergeRange(m, s, lo, hi, shift, true)
+}
+
+// mergeRange is MergeRange, or with mirror set MergeRangeMirrored. The two
+// differ only in how a row is reported — its id and time — and in the newest
+// time a clipped node can report, which bounds it in the frontier: the
+// clipped range's last arrival forward, the negated first one mirrored.
+func (x *Index) mergeRange(m *Merger, s score.Scorer, lo, hi, shift int, mirror bool) {
 	if hi > len(x.times) {
 		hi = len(x.times)
 	}
@@ -307,7 +326,7 @@ func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 	if len(res.items) == res.k {
 		rootUB = x.nodeUB(s, monotone, bulk, sc, mi, x.root)
 	}
-	if maxT := x.times[hi-1]; res.wouldImprove(rootUB, maxT) {
+	if maxT := x.newest(int32(lo), int32(hi), mirror); res.wouldImprove(rootUB, maxT) {
 		pq.push(pqEntry{node: x.root, ub: rootUB, maxT: maxT})
 	}
 	for pq.len() > 0 {
@@ -321,14 +340,14 @@ func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 			continue
 		}
 		if n.left < 0 || int(chi-clo) <= x.opts.LengthThreshold {
-			if n.left < 0 && mi != nil && x.memoLeaf(&res, s, bulk, sc, mi, e.node, clo, chi, sh) {
+			if n.left < 0 && mi != nil && x.memoLeaf(&res, s, bulk, sc, mi, e.node, clo, chi, sh, mirror) {
 				continue
 			}
 			// Leaf or small clipped span: bulk-score the whole clipped span
 			// into the scratch column, then merge into the k-heap.
 			buf := sc.scoreBuf(int(chi - clo))
 			x.scoreRows(buf, s, bulk, int(clo), int(chi))
-			x.offerRows(&res, buf, clo, clo, chi, sh)
+			x.offerRows(&res, buf, clo, clo, chi, sh, mirror)
 			continue
 		}
 		for _, c := range [2]int32{n.left, n.right} {
@@ -338,7 +357,7 @@ func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 				continue
 			}
 			ub := x.nodeUB(s, monotone, bulk, sc, mi, c)
-			maxT := x.times[cchi-1]
+			maxT := x.newest(cclo, cchi, mirror)
 			if res.wouldImprove(ub, maxT) {
 				pq.push(pqEntry{node: c, ub: ub, maxT: maxT})
 			}
@@ -347,6 +366,15 @@ func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 	// Hand the grown buffers back for the next call.
 	m.res = res
 	sc.pq = pq.es[:0]
+}
+
+// newest returns the latest time a record of the non-empty range [lo, hi) is
+// reported at: its last arrival, or mirrored its first arrival negated.
+func (x *Index) newest(lo, hi int32, mirror bool) int64 {
+	if mirror {
+		return -x.times[lo]
+	}
+	return x.times[hi-1]
 }
 
 // scoreRows scores records [lo, hi) into dst: one bulk call when the scorer has

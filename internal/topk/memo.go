@@ -30,7 +30,12 @@ const memoIndexes = 32
 //     visit on: the leaf is heapified once and rows are popped only as deep as
 //     some visit walks. A visit then walks the ranking best first, skips rows
 //     outside its clipped range, and stops at the first row that cannot enter
-//     the merge — under a total order no later row can either.
+//     the merge — under a total order no later row can either. A mirrored
+//     probe (MergeRangeMirrored) ranks ties the other way, by arrival asc; a
+//     leaf is ranked in the order of the probe visiting it and re-ranked when
+//     a probe in the other order follows (a look-ahead evaluation switches
+//     once, from its strategy's mirrored probes to its forward duration
+//     searches).
 //
 // What is not memoized: clipped spans of internal nodes below LengthThreshold
 // and a forest's unindexed buffer (both vary with the probe's range), leaves
@@ -66,10 +71,11 @@ type memoNode struct {
 }
 
 const (
-	memoHasUB  uint8 = 1 << iota // ub is valid
-	memoScored                   // the leaf's score column is filled
-	memoRanked                   // the leaf's rank column is heapified
-	memoNaN                      // the leaf holds a NaN score: never ranked
+	memoHasUB    uint8 = 1 << iota // ub is valid
+	memoScored                     // the leaf's score column is filled
+	memoRanked                     // the leaf's rank column is heapified
+	memoNaN                        // the leaf holds a NaN score: never ranked
+	memoMirrored                   // the rank column breaks ties by arrival asc
 )
 
 // BeginMemo opens a memo session on sc: until PutScratch, every probe that
@@ -139,9 +145,10 @@ func (x *Index) nodeUB(s score.Scorer, monotone bool, bulk score.BulkScorer, sc 
 }
 
 // memoLeaf merges rows [clo, chi) of leaf c into res through the session
-// memo, and reports false — nothing merged — when the leaf is not memoized
-// and does not fit what is left of the row budget.
-func (x *Index) memoLeaf(res *kHeap, s score.Scorer, bulk score.BulkScorer, sc *Scratch, mi *memoIndex, c, clo, chi, shift int32) bool {
+// memo, reported forward or mirrored (see Index.mergeRange), and reports
+// false — nothing merged — when the leaf is not memoized and does not fit
+// what is left of the row budget.
+func (x *Index) memoLeaf(res *kHeap, s score.Scorer, bulk score.BulkScorer, sc *Scratch, mi *memoIndex, c, clo, chi, shift int32, mirror bool) bool {
 	mm := &sc.memo
 	mn := mm.entry(mi, c)
 	n := &x.nodes[c]
@@ -172,62 +179,81 @@ func (x *Index) memoLeaf(res *kHeap, s score.Scorer, bulk score.BulkScorer, sc *
 	if first || mn.flags&memoNaN != 0 {
 		// Arrival order, as without a memo: ranking pays from the second
 		// visit on, and never for a leaf whose scores do not all compare.
-		x.offerRows(res, col, n.lo, clo, chi, shift)
+		x.offerRows(res, col, n.lo, clo, chi, shift, mirror)
 		return true
 	}
 	ord := mm.order[mn.off : int(mn.off)+span]
-	if mn.flags&memoRanked == 0 {
+	if mn.flags&memoRanked == 0 || (mn.flags&memoMirrored != 0) != mirror {
 		for i := range ord {
 			ord[i] = int32(i)
 		}
 		for i := span/2 - 1; i >= 0; i-- {
-			siftDownRank(ord, col, i)
+			siftDownRank(ord, col, i, mirror)
 		}
 		mn.heap = int32(span)
 		mn.flags |= memoRanked
+		if mirror {
+			mn.flags |= memoMirrored
+		} else {
+			mn.flags &^= memoMirrored
+		}
 	}
 	// ord[h:] holds the rows popped so far, best last; ord[:h] is a max-heap
 	// of the rest. Walking from the back, each step past h pops one more row.
+	// A mirrored row i is reported as id shift−i at time −Time(i): sign folds
+	// both directions into one walk.
 	h := int(mn.heap)
 	rlo, rhi := clo-n.lo, chi-n.lo
+	sign := int32(1)
+	if mirror {
+		sign = -1
+	}
 	for pos := span - 1; pos >= 0; pos-- {
 		if pos < h {
 			h--
 			ord[0], ord[h] = ord[h], ord[0]
-			siftDownRank(ord[:h], col, 0)
+			siftDownRank(ord[:h], col, 0, mirror)
 		}
 		r := ord[pos]
-		t := x.times[n.lo+r]
+		t := int64(sign) * x.times[n.lo+r]
 		if !res.wouldImprove(col[r], t) {
 			break
 		}
 		if r >= rlo && r < rhi {
-			res.offer(Item{ID: n.lo + r + shift, Time: t, Score: col[r]})
+			res.offer(Item{ID: shift + sign*(n.lo+r), Time: t, Score: col[r]})
 		}
 	}
 	mn.heap = int32(h)
 	return true
 }
 
-// offerRows offers rows [clo, chi) of the leaf starting at row lo, in arrival
-// order, with their scores read from the leaf's column col.
-func (x *Index) offerRows(res *kHeap, col []float64, lo, clo, chi, shift int32) {
+// offerRows offers rows [clo, chi) of the leaf starting at row lo, with their
+// scores read from the leaf's column col: in arrival order, or mirrored in
+// reverse arrival order — the order a mirrored copy's leaf would scan them.
+func (x *Index) offerRows(res *kHeap, col []float64, lo, clo, chi, shift int32, mirror bool) {
+	if mirror {
+		for i := chi - 1; i >= clo; i-- {
+			res.offer(Item{ID: shift - i, Time: -x.times[i], Score: col[i-lo]})
+		}
+		return
+	}
 	for i := clo; i < chi; i++ {
 		res.offer(Item{ID: i + shift, Time: x.times[i], Score: col[i-lo]})
 	}
 }
 
 // siftDownRank restores, from position i, the max-heap of leaf-local rows ord
-// under (score desc, arrival desc); within a leaf a later row arrives later.
-func siftDownRank(ord []int32, col []float64, i int) {
+// under (score desc, arrival desc) — arrival asc when mirror is set; within a
+// leaf a later row arrives later.
+func siftDownRank(ord []int32, col []float64, i int, mirror bool) {
 	n := len(ord)
 	for {
 		l, r := 2*i+1, 2*i+2
 		best := i
-		if l < n && rankBefore(col, ord[l], ord[best]) {
+		if l < n && rankBefore(col, ord[l], ord[best], mirror) {
 			best = l
 		}
-		if r < n && rankBefore(col, ord[r], ord[best]) {
+		if r < n && rankBefore(col, ord[r], ord[best], mirror) {
 			best = r
 		}
 		if best == i {
@@ -238,9 +264,9 @@ func siftDownRank(ord []int32, col []float64, i int) {
 	}
 }
 
-func rankBefore(col []float64, a, b int32) bool {
+func rankBefore(col []float64, a, b int32, mirror bool) bool {
 	if col[a] != col[b] {
 		return col[a] > col[b]
 	}
-	return a > b
+	return (a > b) != mirror
 }
