@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file is the LSM leveling half of the live+sharded lifecycle: sealing
 // (livesharded.go) produces a stream of small level-0 shards, and the
@@ -56,7 +59,8 @@ func (e *LiveShardedEngine) planCompactionLocked() (int, bool) {
 // queries ever wait on it: the merged static engine is built off the lock
 // over the zero-copy global slice [lo, hi) — the constituents' rows are
 // immutable, so the build races nothing — and installed under a short write
-// lock when ready. Single-flight keeps at most one duplicate index build's
+// lock when ready, re-pointed at the current global array if an append grew
+// it meanwhile. Single-flight keeps at most one duplicate index build's
 // worth of memory in flight and makes cascades strictly ordered; each
 // install re-plans, so a backlog (e.g. after restore) drains one merge at a
 // time until no run remains.
@@ -102,8 +106,10 @@ func (e *LiveShardedEngine) installCompactedLocked(lo, hi, level int, eng *Engin
 	if b == a || e.sealed[b-1].hi != hi {
 		return false
 	}
-	merged := timeShard{lo: lo, hi: hi, eng: eng, level: level}
-	e.sealed = append(e.sealed[:a], append([]timeShard{merged}, e.sealed[b:]...)...)
+	merged := timeShard{lo: lo, hi: hi, eng: e.repointLocked(eng, lo, hi), level: level}
+	// Replace zeroes the slots the splice vacates: a stale shard left past
+	// len would keep its engine, and the column generation under it, alive.
+	e.sealed = slices.Replace(e.sealed, a, b, merged)
 	e.compactions++
 	e.compactedRows += hi - lo
 	e.seq++ // new epoch: future queries see the merged shard
@@ -117,8 +123,8 @@ func (e *LiveShardedEngine) installCompactedLocked(lo, hi, level int, eng *Engin
 // than latest − RetainSpan, always whole shards from the front of the
 // timeline. Retired rows leave every future query epoch — answers match a
 // batch engine over the retained suffix; the rows themselves stay in the
-// global columnar storage
-// (reclaiming their memory needs a storage compaction, a recorded follow-on).
+// global columnar storage (reclaiming their memory needs the base-offset
+// storage design of ROADMAP item 5, "Memory that is the data").
 // Caller holds mu.
 func (e *LiveShardedEngine) maybeRetireLocked(latest int64) {
 	if e.so.RetainSpan <= 0 {

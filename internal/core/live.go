@@ -99,7 +99,17 @@ func (le *LiveEngine) EpochSeq() uint64 {
 func (le *LiveEngine) Append(t int64, attrs []float64) (monitor.Decision, []monitor.Confirmation, error) {
 	le.mu.Lock()
 	defer le.mu.Unlock()
-	return monitor.Decision{}, nil, le.forest.Append(t, attrs)
+	c := cap(le.forest.Dataset().Times())
+	err := le.forest.Append(t, attrs)
+	if cap(le.forest.Dataset().Times()) != c {
+		// The storage grew into a new array and the forest re-pointed its
+		// trees; drop the memoized engine too, whose pinned view is the one
+		// long-lived holder of the old array left.
+		le.engMu.Lock()
+		le.eng = nil
+		le.engMu.Unlock()
+	}
+	return monitor.Decision{}, nil, err
 }
 
 // Dataset returns a stable snapshot view of the records appended so far.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/planner"
 	"repro/internal/score"
+	"repro/internal/topk"
 )
 
 // LiveShardOptions configures the seal/freeze lifecycle of a
@@ -76,6 +77,11 @@ const DefaultSealRows = 4096
 // to a batch Engine built over the same prefix for all five strategies,
 // enforced by the differential harness and FuzzLiveShardedAppend.
 //
+// When an append grows the global columns into a new array, every sealed
+// shard is re-pointed at it (its index rebased, not rebuilt), so exactly one
+// generation of the columns stays reachable once the epochs pinned by
+// in-flight queries finish.
+//
 // Safe for concurrent use: any number of concurrent queries, one appender.
 type LiveShardedEngine struct {
 	opts Options
@@ -86,7 +92,7 @@ type LiveShardedEngine struct {
 	// snapshots; queries hold it only while grabbing the current epoch.
 	mu        sync.RWMutex
 	global    *data.Dataset // appendable columnar storage of every record
-	sealed    []timeShard   // frozen shards, ascending, over global slices
+	sealed    []timeShard   // frozen shards, ascending, over slices of global's current array
 	tail      *LiveEngine   // mutable tail shard over records [tailLo, Len)
 	tailLo    int
 	retiredLo int    // rows [0, retiredLo) retired by retention; absent from epochs
@@ -172,6 +178,13 @@ func RestoreLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShar
 	if err != nil {
 		return nil, err
 	}
+	// Grow once: shards frozen before a doubling would each pin a smaller
+	// generation of the columns until the next growth re-pointed them.
+	rows := 0
+	for _, s := range shards {
+		rows += len(s.Times)
+	}
+	e.global.Reserve(rows)
 	for _, s := range shards {
 		lo := e.global.Len()
 		if err := e.global.AppendRows(s.Times, s.Flat); err != nil {
@@ -221,8 +234,12 @@ func (e *LiveShardedEngine) newTail() *LiveEngine {
 func (e *LiveShardedEngine) Append(t int64, attrs []float64) (monitor.Decision, []monitor.Confirmation, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	c := cap(e.global.Times())
 	if err := e.global.AppendRow(t, attrs); err != nil {
 		return monitor.Decision{}, nil, err
+	}
+	if cap(e.global.Times()) != c {
+		e.repointSealedLocked()
 	}
 	if _, _, err := e.tail.Append(t, attrs); err != nil {
 		// Unreachable: the tail shares the global ordering and dimension
@@ -269,7 +286,8 @@ func (e *LiveShardedEngine) Seal() {
 // history — runs in a background goroutine and is swapped into the shard
 // slot under a short write lock when ready (epochs already holding the
 // snapshot engine stay valid; the swap only upgrades future epochs to the
-// tighter, denser static index).
+// tighter, denser static index). A build whose slice a growth moved away from
+// meanwhile is re-pointed as it installs (see repointLocked).
 func (e *LiveShardedEngine) sealLocked() {
 	n := e.global.Len()
 	if n == e.tailLo {
@@ -311,7 +329,7 @@ func (e *LiveShardedEngine) sealLocked() {
 			// sealed slice while the freeze built. A departed shard simply
 			// discards its build — the merged shard's index covers the rows.
 			if fi, ok := e.findSealedLocked(lo, n); ok {
-				e.sealed[fi].eng = eng
+				e.sealed[fi].eng = e.repointLocked(eng, lo, n)
 				e.seq++ // invalidate the memoized epoch so new queries pick it up
 			}
 			e.rebuilds++
@@ -322,6 +340,43 @@ func (e *LiveShardedEngine) sealLocked() {
 	}
 	e.maybeRetireLocked(e.global.Time(n - 1))
 	e.maybeCompactLocked()
+}
+
+// repointSealedLocked re-points every sealed shard at the storage global has
+// just grown into, so exactly one generation of the columns stays reachable
+// once the epochs pinned by in-flight queries finish. It is O(shards) pointer
+// work: an index is rebased, never rebuilt. Caller holds mu.
+func (e *LiveShardedEngine) repointSealedLocked() {
+	for i := range e.sealed {
+		sh := &e.sealed[i]
+		sh.eng = e.repointLocked(sh.eng, sh.lo, sh.hi)
+	}
+	// The memoized epoch's prefix view and shards read the old array too.
+	e.groupMu.Lock()
+	e.group = nil
+	e.groupMu.Unlock()
+}
+
+// repointLocked returns eng, an engine over global rows [lo, hi), reading the
+// current global storage. An engine that already does, and a sealed tail's
+// snapshot engine (which reads the tail's own storage until its freeze lands),
+// come back as they are. Otherwise a fresh engine over the current slice takes
+// the tree index rebased (topk.Index.Rebase) or a foreign Options.NewBlock
+// block rebuilt; lazy S-Band ladders are left behind and rebuild on demand.
+// Freeze and compaction builds pass through here when they install, since a
+// growth may have moved global while they built. Caller holds mu.
+func (e *LiveShardedEngine) repointLocked(eng *Engine, lo, hi int) *Engine {
+	if _, tail := eng.fwd.idx.(*topk.View); tail {
+		return eng
+	}
+	sub := e.global.Slice(lo, hi)
+	if &eng.fwd.ds.Times()[0] == &sub.Times()[0] {
+		return eng
+	}
+	if x, ok := eng.fwd.idx.(*topk.Index); ok {
+		return newEngine(sub, x.Rebase(sub), e.opts)
+	}
+	return NewEngine(sub, e.opts)
 }
 
 // maxPendingFreezes bounds concurrent background freeze builds (and with

@@ -7,7 +7,11 @@
 // function over those attributes (see package score). Batch-constructed
 // datasets are immutable; datasets created with NewAppendable grow through
 // AppendRow, and committed records never change either way: views, slices
-// and indexes built over a prefix stay valid as the tail grows.
+// and indexes built over a prefix stay valid as the tail grows. A growth
+// copies the columns into a new array; the old one stays valid, but only for
+// the readers still holding it. The live engines of package core re-point
+// their long-lived holders (sealed shards, chunk trees) at the new array, so
+// the old one is released once the readers pinned to it finish.
 //
 // Attribute storage is columnar-friendly: every constructor materializes one
 // contiguous row-major backing array (record i occupies flat[i*d : (i+1)*d]),
@@ -152,7 +156,10 @@ const appendChunkRows = 256
 // Growth never disturbs readers of the committed prefix: Prefix and Slice
 // views, and any index holding the Times/FlatAttrs slices of a prefix, keep
 // observing exactly the records they covered — a reallocation copies the
-// committed rows to the new array and leaves the old one intact. AppendRow
+// committed rows to the new array, and the old one stays valid for the
+// readers pinned to it. Long-lived holders should move to the new array
+// (compare cap(Times()) across the call; see topk.Index.Rebase), or each
+// keeps a whole old generation of the columns alive. AppendRow
 // itself is not safe for use concurrently with other Dataset calls; callers
 // that mix writers and readers serialize externally (see core.LiveEngine).
 func (ds *Dataset) AppendRow(t int64, attrs []float64) error {
@@ -207,6 +214,8 @@ func (ds *Dataset) AppendRows(times []int64, flat []float64) error {
 // grow reserves capacity for n more records, reallocating both columns in
 // lockstep. Chunked doubling keeps appends amortized O(1); copying (rather
 // than growing in place) is what lets prefix views outlive the reallocation.
+// The old array is not freed here: it lives as long as some reader pins it,
+// which is why the live engines re-point their shards and trees on growth.
 func (ds *Dataset) grow(n int) {
 	need := len(ds.times) + n
 	if need <= cap(ds.times) && need*ds.dims <= cap(ds.flat) {

@@ -20,7 +20,9 @@ import (
 // through Dataset.AppendRow, so the attribute matrix stays one contiguous
 // row-major array and each chunk tree is built over a zero-copy Slice view of
 // it — tree probes run the same pooled-Scratch bulk-scoring path as a
-// statically built Index. Forest implements the engine's Block and
+// statically built Index. When an append grows the storage into a new
+// array, the chunk trees are re-pointed at it, so only snapshotted views
+// keep the old one alive. Forest implements the engine's Block and
 // ScratchBlock contracts (ids address append order), so it can serve as the
 // building block of a live engine directly.
 //
@@ -85,21 +87,15 @@ func (f *Forest) Trees() int { return len(f.trees) }
 // buffered returns the number of records still awaiting their first tree.
 func (f *Forest) buffered() int { return f.tail.Len() - f.bufStart }
 
-// treeSizes lists the chunk-tree sizes in position order (test hook for the
-// binary-counter shape invariant).
-func (f *Forest) treeSizes() []int {
-	sizes := make([]int, len(f.trees))
-	for i, ct := range f.trees {
-		sizes[i] = ct.size
-	}
-	return sizes
-}
-
 // Append adds one record; attrs is copied. Errors (dimension mismatch,
 // non-increasing time) leave the forest unchanged.
 func (f *Forest) Append(t int64, attrs []float64) error {
+	c := cap(f.tail.Times())
 	if err := f.tail.AppendRow(t, attrs); err != nil {
 		return fmt.Errorf("topk: %w", err)
+	}
+	if cap(f.tail.Times()) != c {
+		f.rebase()
 	}
 	if f.tail.Len()-f.bufStart >= f.base {
 		f.flush()
@@ -119,6 +115,26 @@ func (f *Forest) flush() {
 	f.trees = append(f.trees, chunkTree{start: start, size: size, idx: f.buildTree(start, size)})
 	f.rebuilds++
 	f.indexedRows += size
+}
+
+// rebase re-points every chunk tree at the storage the tail just grew into
+// (see Index.Rebase), so the previous generation stays reachable only from
+// views snapshotted before the growth. Views hold their own copies of the
+// tree set, so the swap never disturbs them.
+func (f *Forest) rebase() {
+	for i, ct := range f.trees {
+		f.trees[i].idx = ct.idx.Rebase(f.tail.Slice(ct.start, ct.start+ct.size))
+	}
+}
+
+// TreeDatasets returns the dataset each chunk tree indexes, in position
+// order: zero-copy slices of the forest's current storage.
+func (f *Forest) TreeDatasets() []*data.Dataset {
+	out := make([]*data.Dataset, len(f.trees))
+	for i, ct := range f.trees {
+		out[i] = ct.idx.Dataset()
+	}
+	return out
 }
 
 func (f *Forest) buildTree(start, size int) *Index {

@@ -175,16 +175,17 @@ func TestForestRebuildInvariants(t *testing.T) {
 		t.Fatalf("Rebuilds=%d want >= %d (one per full chunk)", f.Rebuilds(), total/base)
 	}
 	// Tree sizes strictly decrease left to right (binary-counter shape).
-	sizes := f.treeSizes()
-	sum := 0
-	for i, sz := range sizes {
+	sum, prev := 0, 0
+	for _, ds := range f.TreeDatasets() {
+		sz := ds.Len()
 		sum += sz
-		if i > 0 && sizes[i-1] <= sz {
-			t.Fatalf("tree sizes not strictly decreasing: %v", sizes)
+		if prev > 0 && prev <= sz {
+			t.Fatalf("tree sizes not strictly decreasing: %d then %d", prev, sz)
 		}
 		if sz%base != 0 {
 			t.Fatalf("tree size %d not a multiple of the chunk base %d", sz, base)
 		}
+		prev = sz
 	}
 	if sum+f.buffered() != f.Len() {
 		t.Fatalf("trees cover %d + buffer %d != Len %d", sum, f.buffered(), f.Len())

@@ -121,6 +121,24 @@ func Build(ds *data.Dataset, opts Options) *Index {
 	return x
 }
 
+// Rebase returns the index over ds, a content-identical copy of the indexed
+// dataset in other storage (the same times and attributes, row for row): the
+// node array is shared and only the column references are swapped, so
+// nothing is rebuilt and every probe answers exactly as before. The live
+// engines use it to move their trees onto the one current generation of a
+// grown column, so the old array is released once pinned readers finish.
+// Rebase panics if ds differs in length or dimensionality; equal contents
+// are the caller's contract.
+func (x *Index) Rebase(ds *data.Dataset) *Index {
+	if ds.Len() != x.ds.Len() || ds.Dims() != x.ds.Dims() {
+		panic("topk: Rebase over a dataset of another shape")
+	}
+	y := *x
+	y.ds, y.pts = ds, dsPoints{ds}
+	y.times, y.flat = ds.Times(), ds.FlatAttrs()
+	return &y
+}
+
 // Dataset returns the indexed dataset.
 func (x *Index) Dataset() *data.Dataset { return x.ds }
 

@@ -262,3 +262,58 @@ func TestQueryRangeClamping(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexRebase checks that an index rebased onto a copy of its dataset in
+// other storage answers every probe exactly as the original, reads only the
+// copy, and refuses a dataset of another shape.
+func TestIndexRebase(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	ds := randDS(rng, 700, 2, 6) // integer attributes: score ties everywhere
+	x := Build(ds, Options{LengthThreshold: 8, MaxNodeSkyline: 8})
+	cp, err := data.NewFlat(append([]int64(nil), ds.Times()...), append([]float64(nil), ds.FlatAttrs()...), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := x.Rebase(cp)
+	if y.Dataset() != cp || &y.times[0] != &cp.Times()[0] || &y.flat[0] != &cp.FlatAttrs()[0] {
+		t.Fatal("the rebased index still reads the old storage")
+	}
+	s := score.MustLinear(0.3, 0.7)
+	sc := GetScratch()
+	defer PutScratch(sc)
+	for trial := 0; trial < 200; trial++ {
+		lo := rng.Intn(ds.Len())
+		hi := lo + 1 + rng.Intn(ds.Len()-lo)
+		k := 1 + rng.Intn(12)
+		for _, mirror := range []bool{false, true} {
+			var want, got []Item
+			for i, idx := range []*Index{x, y} {
+				m := sc.Merger(k)
+				if mirror {
+					idx.MergeRangeMirrored(&m, s, lo, hi, ds.Len()-1)
+				} else {
+					idx.MergeRange(&m, s, lo, hi, 0)
+				}
+				if i == 0 {
+					want = m.Finish(nil)
+				} else {
+					got = m.Finish(nil)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("[%d,%d) k=%d mirror=%v: %d items, want %d", lo, hi, k, mirror, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("[%d,%d) k=%d mirror=%v: item %d is %+v, want %+v", lo, hi, k, mirror, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Rebase over a shorter dataset did not panic")
+		}
+	}()
+	x.Rebase(cp.Prefix(10))
+}
