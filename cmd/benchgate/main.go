@@ -13,8 +13,9 @@
 // Allocation counts are host-independent, so the gate is strict exactly
 // where the repo's hot-path guarantees live: any probe that was
 // allocation-free in the baseline and allocates in the fresh run fails the
-// build, as does any other allocs_per_op increase on the probe rows, the
-// sharded sweep rows, and the live engines' steady-query allocations. A
+// build, as does any other allocs_per_op increase on the strategy and probe
+// rows, the sharded sweep rows, and the live engines' steady-query
+// allocations. A
 // baseline row that disappears from the fresh snapshot also
 // fails the build: a vanished row means its hot path silently stopped being
 // measured, which would let regressions land ungated. Warnings are emitted
@@ -116,7 +117,7 @@ func (g *gate) checkTopK(oldRep, newRep *bench.TopKReport) {
 		fmt.Printf("::warning::benchgate: topk workload drifted (old %s n=%d k=%d, new %s n=%d k=%d); ns ratios are indicative only\n",
 			oldRep.Dataset, oldRep.Records, oldRep.K, newRep.Dataset, newRep.Records, newRep.K)
 	}
-	check := func(kind string, olds, news map[string]bench.TopKPerf, strictAllocs bool) {
+	check := func(kind string, olds, news map[string]bench.TopKPerf) {
 		// Rows present only on one side are surfaced, not silently skipped:
 		// a renamed or newly added probe must show up here so the baseline
 		// gets re-committed rather than the strict gate quietly shrinking.
@@ -133,13 +134,11 @@ func (g *gate) checkTopK(oldRep, newRep *bench.TopKReport) {
 				continue
 			}
 			g.ns(kind, name, o.NsPerOp, n.NsPerOp)
-			if strictAllocs {
-				g.allocs(kind, name, o.AllocsPerOp, n.AllocsPerOp)
-			}
+			g.allocs(kind, name, o.AllocsPerOp, n.AllocsPerOp)
 		}
 	}
-	check("strategy", byName(oldRep.Strategies), byName(newRep.Strategies), false)
-	check("probe", byName(oldRep.Probes), byName(newRep.Probes), true)
+	check("strategy", byName(oldRep.Strategies), byName(newRep.Strategies))
+	check("probe", byName(oldRep.Probes), byName(newRep.Probes))
 	if oldRep.GatherHitsPerProbe > 0 && newRep.GatherHitsPerProbe == 0 {
 		fmt.Printf("::warning::benchgate: gather_hits_per_probe dropped %.1f -> 0 (gathered descent no longer exercised?)\n",
 			oldRep.GatherHitsPerProbe)

@@ -140,7 +140,6 @@ func (e *LiveShardedEngine) maybeRetireLocked(latest int64) {
 	}
 	lo, hi := e.sealed[0].lo, e.sealed[idx-1].hi
 	e.sealed = append(e.sealed[:0:0], e.sealed[idx:]...)
-	e.retiredLo = hi
 	e.retires += idx
 	e.retiredRows += hi - lo
 	e.seq++ // new epoch: retired shards vanish from routing and evidence

@@ -35,9 +35,9 @@ import (
 // Algorithm selects a durable top-k evaluation strategy.
 type Algorithm int
 
-// The available strategies. Auto picks S-Hop, the paper's best
-// general-purpose algorithm (works for any scorer, robust to dimensionality
-// and data distribution).
+// The available strategies. Auto runs the cost model of package planner
+// over the query and dataset shape and evaluates the strategy it chooses
+// (see Querier.Explain).
 const (
 	Auto Algorithm = iota
 	TBase
@@ -121,7 +121,7 @@ type Query struct {
 	Start     int64        // query interval I start (inclusive)
 	End       int64        // query interval I end (inclusive)
 	Scorer    score.Scorer // user-specified scoring function
-	Algorithm Algorithm    // evaluation strategy; Auto selects S-Hop
+	Algorithm Algorithm    // evaluation strategy; Auto runs the planner
 	Anchor    Anchor       // window anchoring; default LookBack
 
 	// Lead is the portion of the durability window after the record's
@@ -136,7 +136,7 @@ type Query struct {
 	WithDurations bool
 }
 
-// Validation errors returned by Engine.DurableTopK.
+// Validation errors returned by every Querier.
 var (
 	ErrBadK         = errors.New("core: k must be >= 1")
 	ErrBadTau       = errors.New("core: tau must be >= 0")
@@ -198,14 +198,16 @@ type Stats struct {
 	CandidateCount int // |C| for S-Band; sorted-set size for S-Base
 	Visited        int // records popped/inspected by the main loop
 
-	// ShardsPruned counts shard visits a ShardedEngine skipped: shards the
-	// query router proved cannot own an answer record (their arrivals all
-	// fall outside I, however far the durability windows reach), plus
-	// cross-shard strictly-higher-count probes skipped because the shard's
-	// global score upper bound cannot beat the reference score. Always 0 on
-	// a plain Engine.
+	// ShardsPruned counts shard visits a query skipped: shards the query
+	// router proved cannot own an answer record (their arrivals all fall
+	// outside I, however far the durability windows reach), plus
+	// strictly-higher-count probes of the WithDurations searches skipped
+	// because the shard's score upper bound cannot beat the reference score.
+	// A plain Engine is a one-shard group and counts like one.
 	ShardsPruned int
-	Elapsed      time.Duration
+	// Elapsed is the wall time of the evaluation, the WithDurations searches
+	// included.
+	Elapsed time.Duration
 }
 
 // TopKQueries returns the total number of building-block invocations.

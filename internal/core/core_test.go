@@ -108,5 +108,22 @@ func TestMaxDurationMatchesOracle(t *testing.T) {
 					trial, id, k, anchor, gotDur, gotFull, wantDur, wantFull)
 			}
 		}
+		// Bad input reports "not computed", in either direction.
+		for _, anchor := range []Anchor{LookBack, LookAhead} {
+			for _, bad := range []struct {
+				name  string
+				id, k int
+				s     score.Scorer
+			}{
+				{"k=0", n / 2, 0, s},
+				{"nil scorer", n / 2, 1, nil},
+				{"id=Len", n, 1, s},
+				{"id=-1", -1, 1, s},
+			} {
+				if dur, full := eng.MaxDuration(bad.id, bad.k, bad.s, anchor); dur != -1 || full {
+					t.Fatalf("%s %v: got (%d,%v) want (-1,false)", bad.name, anchor, dur, full)
+				}
+			}
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/data"
 	"repro/internal/planner"
@@ -54,11 +53,16 @@ type Options struct {
 
 // Engine answers durable top-k queries over one dataset. The range top-k
 // index is built eagerly and serves both window directions: a look-ahead
-// query probes it mirrored (see DurableTopK). The durable k-skyband ladders
-// (for S-Band) are built lazily on first use. Safe for concurrent queries.
+// query probes it mirrored. The durable k-skyband ladders (for S-Band) are
+// built lazily on first use. The engine is the one shard of its own
+// shardGroup, and every query runs there, as on a ShardedEngine. Safe for
+// concurrent queries.
 type Engine struct {
 	opts Options
 	fwd  view
+
+	self  [1]timeShard // the engine's whole dataset, as its group's one shard
+	group shardGroup
 
 	mu     sync.Mutex // serializes the lazy ladder builds
 	ladder map[Anchor]*skyband.Ladder
@@ -90,14 +94,20 @@ const (
 // probe carries the reusable working memory of one DurableTopK evaluation:
 // a single topk.Scratch shared by every building-block call of the query
 // (the strategy's own probes and the WithDurations binary searches), a
-// result buffer for transient probes, and the per-query arena the
-// score-prioritized strategies carve their retained state from. Probes are
-// pooled, so arena and buffer storage is reused across queries and the
-// strategy hot paths run with zero steady-state allocations.
+// result buffer for transient probes, the per-query arena the
+// score-prioritized strategies carve their retained state from, the span's
+// dataset header and building block, and the shards' score upper bounds the
+// duration searches prune with (filled on first use: one evaluation has one
+// scorer). Probes are pooled, so all of it is reused across queries and the
+// evaluation runs with zero steady-state allocations.
 type probe struct {
 	sc  *topk.Scratch
 	buf []topk.Item
 	a   arena
+
+	span data.Dataset
+	blk  spanBlock
+	ub   []float64
 }
 
 var probePool = sync.Pool{New: func() interface{} { return new(probe) }}
@@ -112,9 +122,12 @@ func newProbe() *probe {
 	return pr
 }
 
+// release returns pr to the pool. The span's header and block are cleared,
+// so a pooled probe pins no dataset or shard.
 func (pr *probe) release() {
 	topk.PutScratch(pr.sc)
 	pr.sc = nil
+	pr.span, pr.blk, pr.ub = data.Dataset{}, spanBlock{}, pr.ub[:0]
 	probePool.Put(pr)
 }
 
@@ -154,17 +167,8 @@ func (v *view) topkKeep(pr *probe, st *Stats, kind queryKind, s score.Scorer, k 
 	return v.idx.Query(s, k, t1, t2)
 }
 
-// topkRange is the transient probe over a half-open record index range.
-func (v *view) topkRange(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, lo, hi int) []topk.Item {
-	st.count(kind)
-	if v.into != nil {
-		pr.buf = v.into.QueryRangeInto(s, k, lo, hi, pr.sc, pr.buf)
-		return pr.buf
-	}
-	return v.idx.QueryRange(s, k, lo, hi)
-}
-
-// topkRangeKeep is topkRange with a freshly allocated, retainable result.
+// topkRangeKeep is the probe over a half-open record index range, with a
+// freshly allocated, retainable result.
 func (v *view) topkRangeKeep(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, lo, hi int) []topk.Item {
 	st.count(kind)
 	if v.into != nil {
@@ -189,16 +193,14 @@ func NewEngine(ds *data.Dataset, opts Options) *Engine {
 
 // newEngine returns an engine whose building block over ds is blk.
 func newEngine(ds *data.Dataset, blk Block, opts Options) *Engine {
-	return &Engine{
+	e := &Engine{
 		opts:   opts,
 		fwd:    newView(ds, blk),
 		ladder: make(map[Anchor]*skyband.Ladder),
 	}
-}
-
-// plannerInputs characterizes q for the cost model.
-func (e *Engine) plannerInputs(q *Query) planner.Inputs {
-	return queryPlannerInputs(e.fwd.ds, q, e.ladderBuilt(normalizedAnchor(q)))
+	e.self[0] = timeShard{lo: 0, hi: ds.Len(), eng: e}
+	e.group = shardGroup{ds: ds, shards: e.self[:], own: e}
+	return e
 }
 
 // normalizedAnchor collapses end-anchored General queries onto the one-sided
@@ -210,9 +212,9 @@ func normalizedAnchor(q *Query) Anchor {
 	return q.Anchor
 }
 
-// queryPlannerInputs characterizes q over ds for the cost model; shared by
-// Engine and ShardedEngine so the Auto strategy choice cannot drift between
-// the two.
+// queryPlannerInputs characterizes q over ds for the cost model. sbandReady
+// says a skyband ladder for q's anchor is already built, which discounts
+// S-Band's cold-build cost; only an engine's own group has ladders.
 func queryPlannerInputs(ds *data.Dataset, q *Query, sbandReady bool) planner.Inputs {
 	lo, hi := ds.IndexRange(q.Start, q.End)
 	return planner.Inputs{
@@ -253,36 +255,13 @@ func strategyAlgorithm(s planner.Strategy) Algorithm {
 	}
 }
 
-// resolveAlgorithm picks the concrete strategy for Auto queries by running
-// the cost model of package planner over the query and dataset shape — the
-// paper's §VI guidance (hops in general, S-Band only for cheap monotone
-// low-dimensional candidate sets, baselines for tiny unselective queries)
-// made executable.
-func (e *Engine) resolveAlgorithm(q *Query) Algorithm {
-	if q.Algorithm != Auto {
-		return q.Algorithm
-	}
-	return strategyAlgorithm(e.plan(q).Chosen)
-}
-
-// plan runs the cost model for q.
-func (e *Engine) plan(q *Query) planner.Plan {
-	return planner.Choose(e.plannerInputs(q))
-}
-
 // Explain returns the planner's cost-based assessment of q — the chosen
 // strategy, the Lemma 4 / Lemma 5 size estimates, and per-strategy cost
 // estimates — without evaluating the query. A non-Auto q.Algorithm does not
 // change the assessment; DurableTopK would simply bypass it.
-func (e *Engine) Explain(q Query) (planner.Plan, error) {
-	if err := q.validate(e.fwd.ds.Dims()); err != nil {
-		return planner.Plan{}, err
-	}
-	return e.plan(&q), nil
-}
+func (e *Engine) Explain(q Query) (planner.Plan, error) { return e.group.Explain(q) }
 
-// checkAlgorithm enforces the strategy constraints shared by Engine and
-// ShardedEngine after Auto resolution: S-Band needs a monotone scorer, and
+// checkAlgorithm enforces the strategy constraints after Auto resolution: S-Band needs a monotone scorer, and
 // truly mid-anchored windows (0 < Lead < Tau) support neither the
 // anchor-specific variants nor duration reporting.
 func checkAlgorithm(q *Query, alg Algorithm) error {
@@ -396,115 +375,19 @@ func evalIDs(pr *probe, v *view, q *Query, alg Algorithm, st *Stats, ld *skyband
 // DurableTopK answers DurTop(k, I, tau) with the strategy selected by the
 // query, returning the tau-durable records in ascending time order together
 // with evaluation statistics.
-func (e *Engine) DurableTopK(q Query) (*Result, error) {
-	ds := e.fwd.ds
-	if err := q.validate(ds.Dims()); err != nil {
-		return nil, err
-	}
-	alg := e.resolveAlgorithm(&q)
-	if err := checkAlgorithm(&q, alg); err != nil {
-		return nil, err
-	}
-
-	// One probe's worth of working memory serves the whole evaluation: every
-	// building-block call below — strategy probes and duration searches —
-	// shares its scratch buffers.
-	pr := newProbe()
-	defer pr.release()
-
-	res := &Result{Records: []ResultRecord{}, Stats: Stats{Algorithm: alg}}
-	startAt := time.Now()
-	ahead := normalizedAnchor(&q) == LookAhead
-	switch {
-	case ahead && alg != SBand:
-		// A look-ahead query is a span over the engine as its one shard: the
-		// strategy sweeps a pooled mirrored copy of only the rows the query
-		// can read and probes the engine's own index mirrored. Nothing is
-		// built and nothing kept.
-		if lo, hi := ds.IndexRange(q.Start, q.End); lo < hi {
-			q.Algorithm = alg
-			g := shardGroup{ds: ds, opts: e.opts, shards: []timeShard{{lo: 0, hi: ds.Len(), eng: e}}}
-			g.evalSpan(pr, q, lo, hi, res)
-		}
-	case ahead:
-		// S-Band's candidates address its ladder's mirrored copy of the whole
-		// dataset, so that copy is the span.
-		ld := e.skyLadder(LookAhead)
-		mds := ld.Dataset()
-		self := []timeShard{{lo: 0, hi: ds.Len(), eng: e}}
-		v := newView(mds, &spanBlock{shards: self, ds: mds, rlo: 0, rhi: ds.Len(), mirrored: true})
-		res.Records = spanRecords(ds, q.Scorer, evalIDs(pr, &v, &q, alg, &res.Stats, ld), 0, ds.Len(), true)
-	default:
-		var ld *skyband.Ladder
-		if alg == SBand {
-			ld = e.skyLadder(LookBack)
-		}
-		res.Records = spanRecords(ds, q.Scorer, evalIDs(pr, &e.fwd, &q, alg, &res.Stats, ld), 0, ds.Len(), false)
-	}
-	res.Stats.Elapsed = time.Since(startAt)
-	if q.WithDurations {
-		for i := range res.Records {
-			r := &res.Records[i]
-			r.MaxDuration, r.FullHistory = maxDuration(&e.fwd, pr, &res.Stats, q.Scorer, q.K, int32(r.ID), ahead)
-		}
-	}
-	return res, nil
-}
+func (e *Engine) DurableTopK(q Query) (*Result, error) { return e.group.DurableTopK(q) }
 
 // MaxDuration returns the largest tau for which record id stays in the
 // top-k of its anchored window, and whether the search was truncated by the
-// start (LookBack) or end (LookAhead) of recorded history.
+// start (LookBack) or end (LookAhead) of recorded history. It returns
+// (-1, false), the "not computed" of ResultRecord.MaxDuration, for k < 1, a
+// nil scorer or one of another dimensionality, and an id outside [0, Len).
 func (e *Engine) MaxDuration(id, k int, s score.Scorer, anchor Anchor) (int64, bool) {
+	if k < 1 || s == nil || s.Dims() != e.fwd.ds.Dims() || id < 0 || id >= e.fwd.ds.Len() {
+		return -1, false
+	}
 	var st Stats
 	pr := newProbe()
 	defer pr.release()
-	return maxDuration(&e.fwd, pr, &st, s, k, int32(id), anchor == LookAhead)
-}
-
-// maxDuration binary-searches the earliest window start (the latest window
-// end, ahead) keeping record id in the top-k (§II): membership is monotone in
-// the window's far end, and each probe costs one building-block query. Which
-// k records a window's top-k holds depends on its tie order, the k-th score
-// does not, so both directions probe v forward. The probes reuse pr's
-// buffers.
-func maxDuration(v *view, pr *probe, st *Stats, s score.Scorer, k int, id int32, ahead bool) (int64, bool) {
-	i := int(id)
-	t := v.ds.Time(i)
-	if ahead {
-		// Find the largest j such that id is in the top-k of records [i, j].
-		n := v.ds.Len()
-		lo, hi := i, n-1 // invariant: predicate(lo) is true (window of one record)
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			items := v.topkRange(pr, st, kindCheck, s, k, i, mid+1)
-			if v.member(s, k, items, id) {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		if hi == n-1 {
-			return v.ds.Time(n-1) - t, true
-		}
-		// Durable exactly for windows excluding record hi+1.
-		return v.ds.Time(hi+1) - t - 1, false
-	}
-	// Find the smallest j such that id is in the top-k of records [j, i].
-	lo, hi := 0, i // invariant: predicate(hi) is true (window of one record)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		items := v.topkRange(pr, st, kindCheck, s, k, mid, i+1)
-		if v.member(s, k, items, id) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo == 0 {
-		// The loop invariant keeps the predicate true at hi, so lo == 0
-		// means the record is top-k over all recorded history.
-		return t - v.ds.Time(0), true
-	}
-	// Durable exactly for windows excluding record lo-1: tau < t - Time(lo-1).
-	return t - v.ds.Time(lo-1) - 1, false
+	return e.group.maxDuration(pr, &st, s, k, id, anchor == LookAhead)
 }

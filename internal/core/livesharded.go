@@ -90,13 +90,12 @@ type LiveShardedEngine struct {
 
 	// mu serializes lifecycle transitions (append, seal) against epoch
 	// snapshots; queries hold it only while grabbing the current epoch.
-	mu        sync.RWMutex
-	global    *data.Dataset // appendable columnar storage of every record
-	sealed    []timeShard   // frozen shards, ascending, over slices of global's current array
-	tail      *LiveEngine   // mutable tail shard over records [tailLo, Len)
-	tailLo    int
-	retiredLo int    // rows [0, retiredLo) retired by retention; absent from epochs
-	seq       uint64 // bumped on every append, seal, compaction and retirement; keys epoch caches
+	mu     sync.RWMutex
+	global *data.Dataset // appendable columnar storage of every record
+	sealed []timeShard   // frozen shards, ascending, over slices of global's current array
+	tail   *LiveEngine   // mutable tail shard over records [tailLo, Len)
+	tailLo int
+	seq    uint64 // bumped on every append, seal, compaction and retirement; keys the memoized epoch
 
 	// Lifecycle metrics (guarded by mu): seals counts freeze events,
 	// sealedRows the rows frozen into static engines (each row is frozen
@@ -400,9 +399,7 @@ func (e *LiveShardedEngine) WaitSealed() {
 // prefix-stable slices, the tail joins through LiveEngine.Snapshot (a pinned
 // forest view), and the dataset is a capacity-clipped prefix — so queries
 // evaluate against it after releasing the lock, and ingestion never waits on
-// a long scan. Per-epoch caches (the cross-shard score upper bounds) carry
-// the epoch seq and regenerate rather than serve stale values if they ever
-// meet a different epoch.
+// a long scan.
 func (e *LiveShardedEngine) snapshotEpoch() *shardGroup {
 	e.groupMu.Lock()
 	defer e.groupMu.Unlock()
@@ -426,7 +423,7 @@ func (e *LiveShardedEngine) snapshotEpoch() *shardGroup {
 		// the engine then answers like an empty one until the next append.
 		return nil
 	}
-	e.group = &shardGroup{ds: e.global.Prefix(n), opts: e.opts, shards: shards, seq: e.seq}
+	e.group = &shardGroup{ds: e.global.Prefix(n), shards: shards}
 	e.groupSeq = e.seq
 	return e.group
 }
@@ -554,40 +551,21 @@ func (e *LiveShardedEngine) Explain(q Query) (planner.Plan, error) {
 // does not change it). With retention enabled the sweep covers the retained
 // suffix only — matching what queries can see — and reported IDs stay global.
 func (e *LiveShardedEngine) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]DurabilityRecord, error) {
-	if k < 1 {
-		return nil, ErrBadK
-	}
-	if s == nil {
-		return nil, ErrNoScorer
-	}
-	if s.Dims() != e.dims {
-		return nil, ErrDims
-	}
-	e.mu.RLock()
-	lo, n := e.retiredLo, e.global.Len()
-	var suffix *data.Dataset
-	if n > lo {
-		suffix = e.global.Slice(lo, n) // captured under mu: Slice reads mutable headers
-	}
-	e.mu.RUnlock()
-	if suffix == nil {
+	g := e.epoch()
+	if g == nil {
 		return nil, errEmptyLive
 	}
-	out := durabilitySweep(suffix, k, s, anchor == LookAhead)
-	for i := range out {
-		out[i].ID += lo
-	}
-	return out, nil
+	return g.DurabilityProfile(k, s, anchor)
 }
 
 // MostDurable reports the n records with the largest maximum durability over
 // the current prefix (see Engine.MostDurable).
 func (e *LiveShardedEngine) MostDurable(k int, s score.Scorer, anchor Anchor, n int) ([]DurabilityRecord, error) {
-	profile, err := e.DurabilityProfile(k, s, anchor)
-	if err != nil {
-		return nil, err
+	g := e.epoch()
+	if g == nil {
+		return nil, errEmptyLive
 	}
-	return mostDurable(profile, n), nil
+	return g.MostDurable(k, s, anchor, n)
 }
 
 var _ Querier = (*LiveShardedEngine)(nil)

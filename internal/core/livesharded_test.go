@@ -221,12 +221,13 @@ func TestLiveShardedEmptyEdges(t *testing.T) {
 	}
 }
 
-// TestShardBoundsEpochRegeneration is the directed regression test for the
-// shard-bounds staleness guard: a shardBounds cache built against one epoch
-// must regenerate — not serve stale positional bounds — when consulted by a
-// later epoch whose shard set changed (a seal splits the tail and shifts
-// every bound's meaning).
-func TestShardBoundsEpochRegeneration(t *testing.T) {
+// TestNoStaleTailBoundAfterSeal: a seal splits the tail into a sealed shard
+// and a fresh tail, and appends then put far higher scores in the new tail. A
+// score upper bound left over from before the seal (1) would prune the tail
+// and wrongly keep record 7 durable: the record at t=8 has four score-100
+// successors inside its look-ahead window. The durations of the whole answer,
+// whose searches read the bounds, must match the oracle too.
+func TestNoStaleTailBoundAfterSeal(t *testing.T) {
 	s := score.MustLinear(1)
 	lse, err := NewLiveShardedEngine(1, testEngineOpts(), LiveOptions{},
 		LiveShardOptions{SealRows: 1 << 30}) // seal only when forced
@@ -238,45 +239,37 @@ func TestShardBoundsEpochRegeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g1 := lse.epoch()
-	sb := &shardBounds{}
-	ub1 := g1.bounds(sb, s)
-	if len(ub1) != 1 || ub1[0] != 1 {
-		t.Fatalf("epoch 1 bounds: %v, want [1]", ub1)
+	if _, err := lse.DurableTopK(Query{K: 2, Tau: 6, Start: 1, End: 8, Scorer: s,
+		Anchor: LookAhead, WithDurations: true}); err != nil {
+		t.Fatal(err)
 	}
-
-	// Seal, then append far higher scores into the fresh tail: the old
-	// single-entry bounds are now wrong in both shape and value.
 	lse.Seal()
 	for i := 8; i < 12; i++ {
 		if _, _, err := lse.Append(int64(i+1), []float64{100}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	g2 := lse.epoch()
-	if g2.seq == g1.seq {
-		t.Fatal("epoch seq did not advance across seal+appends")
-	}
-	ub2 := g2.bounds(sb, s) // same cache object, new epoch
-	if len(ub2) != 2 {
-		t.Fatalf("epoch 2 bounds not regenerated: %v", ub2)
-	}
-	if ub2[0] != 1 || ub2[1] != 100 {
-		t.Fatalf("epoch 2 bounds: %v, want [1 100]", ub2)
-	}
-
-	// End to end: a served-stale tail bound (1) would prune the tail from
-	// the higher-count probe and wrongly keep record 7 durable. The record
-	// at t=8 has four score-100 successors inside its look-ahead window.
 	ds := lse.Dataset()
 	q := Query{K: 2, Tau: 6, Start: ds.Time(7), End: ds.Time(7), Scorer: s, Anchor: LookAhead}
 	got, err := lse.DurableTopK(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := BruteForce(ds, s, q.K, q.Tau, q.Start, q.End, LookAhead)
-	if !reflect.DeepEqual(got.IDs(), want) && !(len(got.IDs()) == 0 && len(want) == 0) {
+	if len(got.Records) != 0 {
+		t.Fatalf("post-seal query: got %v, want no durable record", got.IDs())
+	}
+	q.Start, q.End, q.WithDurations = ds.Time(0), ds.Time(ds.Len()-1), true
+	got, err = lse.DurableTopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := BruteForce(ds, s, q.K, q.Tau, q.Start, q.End, LookAhead); !reflect.DeepEqual(got.IDs(), want) {
 		t.Fatalf("post-seal query: got %v want %v", got.IDs(), want)
+	}
+	for _, r := range got.Records {
+		if d, full := BruteMaxDuration(ds, s, q.K, r.ID, LookAhead); r.MaxDuration != d || r.FullHistory != full {
+			t.Fatalf("record %d: duration (%d, %v), want (%d, %v)", r.ID, r.MaxDuration, r.FullHistory, d, full)
+		}
 	}
 }
 

@@ -31,16 +31,27 @@ type DurabilityRecord struct {
 // The sweep is the bulk counterpart of Engine.MaxDuration (binary search per
 // record) and powers "most durable records of all time" reports.
 func (e *Engine) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]DurabilityRecord, error) {
+	return e.group.DurabilityProfile(k, s, anchor)
+}
+
+// DurabilityProfile sweeps the group's live rows: rows below the first shard
+// were retired by retention and are not evidence. IDs stay global.
+func (g *shardGroup) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]DurabilityRecord, error) {
 	if k < 1 {
 		return nil, ErrBadK
 	}
 	if s == nil {
 		return nil, ErrNoScorer
 	}
-	if s.Dims() != e.fwd.ds.Dims() {
+	if s.Dims() != g.ds.Dims() {
 		return nil, ErrDims
 	}
-	return durabilitySweep(e.fwd.ds, k, s, anchor == LookAhead), nil
+	lo := g.shards[0].lo
+	out := durabilitySweep(g.ds.Slice(lo, g.ds.Len()), k, s, anchor == LookAhead)
+	for i := range out {
+		out[i].ID += lo
+	}
+	return out, nil
 }
 
 // durabilitySweep is the profile core. It needs only times and scores, so a
@@ -101,16 +112,16 @@ func durabilitySweep(ds *data.Dataset, k int, s score.Scorer, ahead bool) []Dura
 // recency. This is the "records that stood the test of time" report of the
 // paper's introduction.
 func (e *Engine) MostDurable(k int, s score.Scorer, anchor Anchor, n int) ([]DurabilityRecord, error) {
-	profile, err := e.DurabilityProfile(k, s, anchor)
+	return e.group.MostDurable(k, s, anchor, n)
+}
+
+// MostDurable sorts the group's profile by the durability report order and
+// truncates it to the top n.
+func (g *shardGroup) MostDurable(k int, s score.Scorer, anchor Anchor, n int) ([]DurabilityRecord, error) {
+	profile, err := g.DurabilityProfile(k, s, anchor)
 	if err != nil {
 		return nil, err
 	}
-	return mostDurable(profile, n), nil
-}
-
-// mostDurable sorts a profile by the durability report order and truncates
-// it to the top n.
-func mostDurable(profile []DurabilityRecord, n int) []DurabilityRecord {
 	sort.Slice(profile, func(i, j int) bool {
 		a, b := profile[i], profile[j]
 		if a.FullHistory != b.FullHistory {
@@ -124,5 +135,5 @@ func mostDurable(profile []DurabilityRecord, n int) []DurabilityRecord {
 	if n > 0 && n < len(profile) {
 		profile = profile[:n]
 	}
-	return profile
+	return profile, nil
 }

@@ -6,12 +6,12 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/data"
 	"repro/internal/planner"
 	"repro/internal/score"
+	"repro/internal/skyband"
 )
 
 // ShardStrategy selects how NewShardedEngine cuts the time domain into
@@ -81,27 +81,26 @@ type ShardInfo struct {
 	Level      int   // LSM level (live lifecycle; 0 for batch shards and fresh seals)
 }
 
-// shardGroup is one immutable epoch of a sharded deployment: a dataset
-// snapshot and the contiguous time shards covering it. A query is one span
-// over the group: the strategies run once over the rows the query can read,
-// every probe answered from the shards' own indexes through a spanBlock, with
-// reach routing and score upper-bound pruning for the duration searches. All
-// of it runs against a group, never against the engine wrapper that produced
-// it — a batch ShardedEngine owns exactly one group for its whole life, while
-// a LiveShardedEngine swaps in a fresh group whenever an append or a seal
-// changes the shard set. Queries therefore always evaluate against a coherent
-// frozen epoch, no matter how the lifecycle moves on.
+// shardGroup is the one evaluator: a dataset snapshot and the contiguous time
+// shards covering it. A query is one span over the group: the strategies run
+// once over the rows the query can read, every probe answered from the
+// shards' own indexes through a spanBlock, with reach routing and score
+// upper-bound pruning for the duration searches. Every engine shape answers
+// through one: a plain Engine is the one shard of its own group (a LiveEngine
+// reaches one through its snapshot engine), a batch ShardedEngine owns one
+// group for its whole life, and a LiveShardedEngine swaps in a fresh group
+// whenever an append or a seal changes the shard set. Queries therefore
+// always evaluate against a coherent frozen epoch, no matter how the
+// lifecycle moves on.
 type shardGroup struct {
 	ds     *data.Dataset
-	opts   Options
 	shards []timeShard
 
-	// seq identifies the shard set so per-query caches derived from it (the
-	// shardBounds score upper bounds) can detect that they were built against
-	// a different epoch and regenerate instead of serving stale bounds. A
-	// batch engine's group keeps seq 0 forever; the live lifecycle bumps it
-	// on every append and seal.
-	seq uint64
+	// own is the engine whose own one-shard group this is, nil for any other
+	// group. Only an engine's own group offers and runs S-Band, over that
+	// engine's lazily built skyband ladders; S-Band amortizes a per-dataset
+	// ladder across queries, and a span over other shards has none.
+	own *Engine
 }
 
 // Querier is the query-serving contract shared by Engine, ShardedEngine,
@@ -142,7 +141,7 @@ type ShardedEngine struct {
 func NewShardedEngine(ds *data.Dataset, opts Options, so ShardOptions) *ShardedEngine {
 	cuts := shardCuts(ds, so.Shards, so.Strategy)
 	se := &ShardedEngine{
-		group:    shardGroup{ds: ds, opts: opts, shards: make([]timeShard, len(cuts)-1)},
+		group:    shardGroup{ds: ds, shards: make([]timeShard, len(cuts)-1)},
 		strategy: so.Strategy,
 	}
 	var wg sync.WaitGroup
@@ -221,10 +220,13 @@ func (g *shardGroup) infos() []ShardInfo {
 	return out
 }
 
-// plan runs the cost model over the full dataset shape. S-Band amortizes a
-// per-dataset skyband ladder across queries and a span has none, so the group
-// never offers it: Auto's estimates describe what runs.
+// plan runs the cost model over the full dataset shape. A group that is not
+// an engine's own never offers S-Band (see shardGroup.own): Auto's estimates
+// describe what runs.
 func (g *shardGroup) plan(q *Query) planner.Plan {
+	if g.own != nil {
+		return planner.Choose(queryPlannerInputs(g.ds, q, g.own.ladderBuilt(normalizedAnchor(q))))
+	}
 	p := planner.Choose(queryPlannerInputs(g.ds, q, false))
 	for i, e := range p.Estimates {
 		if e.Strategy == planner.SBand && e.Eligible {
@@ -253,6 +255,11 @@ func (g *shardGroup) Explain(q Query) (planner.Plan, error) {
 	return g.plan(&q), nil
 }
 
+// resolveAlgorithm picks the concrete strategy for Auto queries by running
+// the cost model of package planner over the query and dataset shape — the
+// paper's §VI guidance (hops in general, S-Band only for cheap monotone
+// low-dimensional candidate sets, baselines for tiny unselective queries)
+// made executable.
 func (g *shardGroup) resolveAlgorithm(q *Query) Algorithm {
 	if q.Algorithm != Auto {
 		return q.Algorithm
@@ -288,55 +295,20 @@ type upperBoundAller interface {
 	UpperBoundAll(s score.Scorer) float64
 }
 
-// shardBounds caches every shard's global score upper bound for one query's
-// scorer. Built at most once per (query, epoch) — on the first cross-shard
-// strictly-higher-count probe. The steady-state read is a single atomic load:
-// higherCount consults it on every cross-shard probe and the WithDurations
-// binary searches issue thousands of those per query.
-//
-// The cache is valid only for the exact shard set it was computed from: a
-// bound indexed by shard position would silently misprune if the shard set
-// changed underneath it (a live seal splits the tail into a new sealed shard
-// plus a fresh tail, shifting positions and shrinking reaches). The cached
-// value therefore carries the epoch seq it was computed under, and bounds()
-// regenerates on mismatch rather than serving stale upper bounds; queries
-// snapshot one group up front, so in the current call graph a mismatch is
-// impossible — the guard makes the immutability assumption explicit instead
-// of implicit.
-type shardBounds struct {
-	v  atomic.Pointer[boundsEpoch]
-	mu sync.Mutex // serializes (re)computation; readers never take it
-}
-
-// boundsEpoch is one immutable (epoch, bounds) publication.
-type boundsEpoch struct {
-	seq uint64
-	ub  []float64
-}
-
-// bounds returns the per-shard upper bounds for s under the group's epoch,
-// computing them on first use and regenerating them if sb was built against
-// a different epoch. Shards whose block cannot report a bound get +Inf
-// (never pruned).
-func (g *shardGroup) bounds(sb *shardBounds, s score.Scorer) []float64 {
-	if be := sb.v.Load(); be != nil && be.seq == g.seq {
-		return be.ub
-	}
-	sb.mu.Lock()
-	defer sb.mu.Unlock()
-	if be := sb.v.Load(); be != nil && be.seq == g.seq {
-		return be.ub
-	}
-	ub := make([]float64, len(g.shards))
-	for i := range g.shards {
-		if b, ok := g.shards[i].eng.Index().(upperBoundAller); ok {
-			ub[i] = b.UpperBoundAll(s)
-		} else {
-			ub[i] = math.Inf(1)
+// bounds returns every shard's score upper bound for s, filled into pr on
+// first use: a probe serves one evaluation, hence one scorer and one group.
+// Shards whose block cannot report a bound get +Inf (never pruned).
+func (g *shardGroup) bounds(pr *probe, s score.Scorer) []float64 {
+	if len(pr.ub) == 0 {
+		for i := range g.shards {
+			ub := math.Inf(1)
+			if b, ok := g.shards[i].eng.Index().(upperBoundAller); ok {
+				ub = b.UpperBoundAll(s)
+			}
+			pr.ub = append(pr.ub, ub)
 		}
 	}
-	sb.v.Store(&boundsEpoch{seq: g.seq, ub: ub})
-	return ub
+	return pr.ub
 }
 
 // DurableTopK answers DurTop(k, I, tau) as one span over the time shards.
@@ -345,7 +317,8 @@ func (se *ShardedEngine) DurableTopK(q Query) (*Result, error) {
 	return se.group.DurableTopK(q)
 }
 
-// DurableTopK evaluates q against the group's frozen shard epoch.
+// DurableTopK evaluates q against the group's frozen shard epoch. Stats.Elapsed
+// covers the whole evaluation, the WithDurations searches included.
 func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	if err := q.validate(g.ds.Dims()); err != nil {
 		return nil, err
@@ -354,9 +327,9 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	if err := checkAlgorithm(&q, alg); err != nil {
 		return nil, err
 	}
-	if alg == SBand {
-		// Only a pinned S-Band gets here (the group planner never offers it): a
-		// span has no skyband ladder to amortize, so it hops, and Stats says so.
+	if alg == SBand && g.own == nil {
+		// Only a pinned S-Band gets here (the planner never offers it): a span
+		// has no skyband ladder to amortize, so it hops, and Stats says so.
 		alg = SHop
 	}
 	q.Algorithm = alg
@@ -371,6 +344,8 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	// Such shards still serve as blocking evidence wherever a window reaches
 	// into them, but only through probes, never by being visited.
 	out := &Result{Records: []ResultRecord{}, Stats: Stats{Algorithm: alg, ShardsPruned: len(g.shards)}}
+	// One probe's worth of working memory serves the whole evaluation: every
+	// building-block call — strategy probes and duration searches — shares it.
 	pr := newProbe()
 	defer pr.release()
 	if lo < hi {
@@ -379,10 +354,9 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 	}
 	if q.WithDurations {
 		ahead := normalizedAnchor(&q) == LookAhead
-		sb := &shardBounds{}
 		for i := range out.Records {
 			r := &out.Records[i]
-			r.MaxDuration, r.FullHistory = g.maxDurationSharded(pr, sb, &out.Stats, q.Scorer, q.K, r.ID, ahead)
+			r.MaxDuration, r.FullHistory = g.maxDuration(pr, &out.Stats, q.Scorer, q.K, r.ID, ahead)
 		}
 	}
 	out.Stats.Elapsed = time.Since(startAt)
@@ -392,7 +366,8 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 // evalSpan decides rows [lo, hi) — the arrivals in I — by running q's strategy
 // once over the span they can read: every row of every window, contiguous
 // because windows are anchored to sorted arrivals. The span gets no index of
-// its own; its building block is a spanBlock over the shards' indexes.
+// its own; its building block is a spanBlock over the shards' indexes. Both
+// live on pr, and only a mirrored span copies rows, into pooled columns.
 func (g *shardGroup) evalSpan(pr *probe, q Query, lo, hi int, out *Result) {
 	// Clamped below to the first live shard's lo: rows retired by retention
 	// are not evidence.
@@ -400,20 +375,34 @@ func (g *shardGroup) evalSpan(pr *probe, q Query, lo, hi int, out *Result) {
 	rlo := max(g.ds.LowerBound(satSub(g.ds.Time(lo), back)), g.shards[0].lo)
 	rhi := g.ds.UpperBound(satAdd(g.ds.Time(hi-1), lead))
 	q.Start, q.End = g.ds.Time(lo), g.ds.Time(hi-1)
-
-	// The strategies run over the span's rows and a spanBlock. Only the
-	// mirrored view copies rows, into pooled columns.
-	span := g.ds.Slice(rlo, rhi)
 	mirrored := normalizedAnchor(&q) == LookAhead
-	var v view
-	if mirrored {
-		var mc *mirrorCols
-		v, mc = mirrorSpan(span, g.shards, rlo, rhi)
-		defer mirrorPool.Put(mc)
-	} else {
-		v = newView(span, &spanBlock{shards: g.shards, ds: span, rlo: rlo, rhi: rhi})
+
+	var ld *skyband.Ladder
+	if q.Algorithm == SBand {
+		// S-Band's candidate ids address its ladder's rows: the engine's, or
+		// for look-ahead the ladder's own mirrored copy of them. The whole
+		// dataset is the span, and a mirrored one is that copy.
+		rlo, rhi = 0, g.ds.Len()
+		anchor := LookBack
+		if mirrored {
+			anchor = LookAhead
+		}
+		ld = g.own.skyLadder(anchor)
 	}
-	ids := evalIDs(pr, &v, &q, q.Algorithm, &out.Stats, nil) // a span never runs S-Band
+	switch {
+	case ld != nil && mirrored:
+		pr.span = *ld.Dataset()
+	case mirrored:
+		mc := mirrorPool.Get().(*mirrorCols)
+		defer mirrorPool.Put(mc)
+		pr.span = *g.ds.Slice(rlo, rhi).ReversedInto(mc.times, mc.flat)
+		mc.times, mc.flat = pr.span.Times(), pr.span.FlatAttrs()
+	default:
+		pr.span = *g.ds.Slice(rlo, rhi)
+	}
+	pr.blk = spanBlock{shards: g.shards, ds: &pr.span, rlo: rlo, rhi: rhi, mirrored: mirrored}
+	v := newView(&pr.span, &pr.blk)
+	ids := evalIDs(pr, &v, &q, q.Algorithm, &out.Stats, ld)
 	out.Records = spanRecords(g.ds, q.Scorer, ids, rlo, rhi, mirrored)
 }
 
@@ -442,22 +431,19 @@ func spanRecords(ds *data.Dataset, s score.Scorer, ids []int32, rlo, rhi int, mi
 // global index range [lo, hi) scoring strictly above ref: the overlapped
 // shards continue one merge (see spanBlock), whose top-k holds min(h, k) such
 // records, and the sweep stops as soon as k of them are in hand. A shard
-// whose cached global upper bound is <= ref cannot contribute (no record in
-// it scores strictly above ref) and is skipped without a probe, tallied in
-// Stats.ShardsPruned; the window-reach binary searches of maxDurationSharded
-// sweep many shards per record, so the skip saves a full tree descent per
-// pruned shard — and the shared bound most of the descent in the others.
-func (g *shardGroup) higherCount(pr *probe, sb *shardBounds, st *Stats, s score.Scorer, k, lo, hi int, ref float64) int {
-	var ubs []float64
+// whose global upper bound is <= ref cannot contribute (no record in it
+// scores strictly above ref) and is skipped without a probe, tallied in
+// Stats.ShardsPruned; the window-reach binary searches of maxDuration sweep
+// many shards per record, so the skip saves a full tree descent per pruned
+// shard — and the shared bound most of the descent in the others.
+func (g *shardGroup) higherCount(pr *probe, st *Stats, s score.Scorer, k, lo, hi int, ref float64) int {
+	ubs := g.bounds(pr, s)
 	m := pr.sc.Merger(k)
 	for si := shardAt(g.shards, lo); si < len(g.shards) && g.shards[si].lo < hi; si++ {
 		sh := &g.shards[si]
 		plo, phi := max(lo, sh.lo)-sh.lo, min(hi, sh.hi)-sh.lo
 		if plo >= phi {
 			continue
-		}
-		if ubs == nil {
-			ubs = g.bounds(sb, s)
 		}
 		if ubs[si] <= ref {
 			st.ShardsPruned++
@@ -480,10 +466,13 @@ func (g *shardGroup) higherCount(pr *probe, sb *shardBounds, st *Stats, s score.
 	return higher
 }
 
-// maxDurationSharded is the cross-shard counterpart of maxDuration: a binary
-// search over the window start (end, when ahead) with sharded strictly-higher
-// counts as the membership predicate.
-func (g *shardGroup) maxDurationSharded(pr *probe, sb *shardBounds, st *Stats, s score.Scorer, k, id int, ahead bool) (int64, bool) {
+// maxDuration binary-searches the earliest window start (the latest window
+// end, ahead) keeping record id in the top-k (§II): membership — fewer than
+// k records of the window score strictly higher — is monotone in the
+// window's far end, and each step is one higherCount. Which k records a
+// window's top-k holds depends on its tie order, the count does not, so both
+// directions probe forward.
+func (g *shardGroup) maxDuration(pr *probe, st *Stats, s score.Scorer, k, id int, ahead bool) (int64, bool) {
 	ref := s.Score(g.ds.Attrs(id))
 	t := g.ds.Time(id)
 	n := g.ds.Len()
@@ -496,7 +485,7 @@ func (g *shardGroup) maxDurationSharded(pr *probe, sb *shardBounds, st *Stats, s
 		lo, hi := base, id
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if g.higherCount(pr, sb, st, s, k, mid, id+1, ref) < k {
+			if g.higherCount(pr, st, s, k, mid, id+1, ref) < k {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -511,7 +500,7 @@ func (g *shardGroup) maxDurationSharded(pr *probe, sb *shardBounds, st *Stats, s
 	lo, hi := id, n-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if g.higherCount(pr, sb, st, s, k, id, mid+1, ref) < k {
+		if g.higherCount(pr, st, s, k, id, mid+1, ref) < k {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -527,24 +516,11 @@ func (g *shardGroup) maxDurationSharded(pr *probe, sb *shardBounds, st *Stats, s
 // over the full dataset (see Engine.DurabilityProfile; the sweep needs no
 // index, so sharding does not change it).
 func (se *ShardedEngine) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]DurabilityRecord, error) {
-	if k < 1 {
-		return nil, ErrBadK
-	}
-	if s == nil {
-		return nil, ErrNoScorer
-	}
-	if s.Dims() != se.group.ds.Dims() {
-		return nil, ErrDims
-	}
-	return durabilitySweep(se.group.ds, k, s, anchor == LookAhead), nil
+	return se.group.DurabilityProfile(k, s, anchor)
 }
 
 // MostDurable returns the top-n records by durability (see
 // Engine.MostDurable).
 func (se *ShardedEngine) MostDurable(k int, s score.Scorer, anchor Anchor, n int) ([]DurabilityRecord, error) {
-	profile, err := se.DurabilityProfile(k, s, anchor)
-	if err != nil {
-		return nil, err
-	}
-	return mostDurable(profile, n), nil
+	return se.group.MostDurable(k, s, anchor, n)
 }

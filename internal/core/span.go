@@ -17,8 +17,8 @@ import (
 // left and most of them prune at the root. Nothing is built and nothing kept
 // on the query path: both blocks of a span read each shard engine's one
 // index, the mirrored block (look-ahead windows run as look-back over
-// reversed time) through its mirrored merge. A plain Engine's look-ahead
-// evaluation is a span over the engine as its one shard.
+// reversed time) through its mirrored merge. A plain Engine's evaluation is a
+// span over the engine as its one shard.
 //
 // Block ids address the span: forward id i is global row rlo+i; mirrored id
 // r is global row rhi-1-r, which shard sh reports for its local row
@@ -48,18 +48,6 @@ type mirrorCols struct {
 }
 
 var mirrorPool = sync.Pool{New: func() interface{} { return new(mirrorCols) }}
-
-// mirrorSpan returns the view a look-ahead evaluation of span — global rows
-// [rlo, rhi) of the rows shards cover — runs on: the span's rows copied
-// time-mirrored into pooled columns, which the strategies sweep, and a
-// mirrored spanBlock probing the shards' indexes. The caller returns mc to
-// mirrorPool once the evaluation is done with the view.
-func mirrorSpan(span *data.Dataset, shards []timeShard, rlo, rhi int) (v view, mc *mirrorCols) {
-	mc = mirrorPool.Get().(*mirrorCols)
-	mirror := span.ReversedInto(mc.times, mc.flat)
-	mc.times, mc.flat = mirror.Times(), mirror.FlatAttrs()
-	return newView(mirror, &spanBlock{shards: shards, ds: mirror, rlo: rlo, rhi: rhi, mirrored: true}), mc
-}
 
 func (b *spanBlock) Query(s score.Scorer, k int, t1, t2 int64) []topk.Item {
 	lo, hi := b.ds.IndexRange(t1, t2)

@@ -53,7 +53,7 @@ func TestTBaseWindowCases(t *testing.T) {
 	// windows, row 70 inside it. Only the sweep on an unsharded engine is held
 	// to this: a NaN that reaches a range top-k probe's heap corrupts its
 	// order, so the probing strategies (and T-Base's recomputations over
-	// spanBlocks) are undefined under NaN scores.
+	// spanBlocks of several shards) are undefined under NaN scores.
 	inf, nan := append([]float64(nil), noise[:n]...), append([]float64(nil), noise[:120]...)
 	inf[40], inf[260], inf[41], inf[261], inf[500] = math.Inf(1), math.Inf(1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
 	nan[30], nan[70] = math.NaN(), math.NaN()

@@ -400,7 +400,17 @@ func (ds *Dataset) Project(dims []int) (*Dataset, error) {
 // storage). The result aliases that storage (read it back through Times and
 // FlatAttrs to keep a grown buffer), so it is valid until the caller reuses
 // the buffers.
+//
+// The copy is a separate function so that ReversedInto inlines: a caller
+// that keeps only a copy of the returned header allocates nothing.
 func (ds *Dataset) ReversedInto(times []int64, flat []float64) *Dataset {
+	times, flat = ds.reverseInto(times, flat)
+	return &Dataset{times: times, flat: flat, dims: ds.dims}
+}
+
+// reverseInto writes the time-mirrored rows of ds into times and flat (see
+// ReversedInto) and returns them.
+func (ds *Dataset) reverseInto(times []int64, flat []float64) ([]int64, []float64) {
 	n, d := ds.Len(), ds.dims
 	if cap(times) < n {
 		times = make([]int64, n)
@@ -414,7 +424,7 @@ func (ds *Dataset) ReversedInto(times []int64, flat []float64) *Dataset {
 		times[i] = -ds.times[j]
 		copy(flat[i*d:(i+1)*d], ds.flat[j*d:(j+1)*d])
 	}
-	return &Dataset{times: times, flat: flat, dims: d}
+	return times, flat
 }
 
 // Builder incrementally assembles a Dataset in arrival order.

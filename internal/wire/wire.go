@@ -189,9 +189,9 @@ type Stats struct {
 	MaintQueries   int    `json:"maintQueries"`
 	CandidateCount int    `json:"candidateCount"`
 	Visited        int    `json:"visited"`
-	// ShardsPruned is core.Stats.ShardsPruned: shard visits a sharded engine
-	// skipped. Omitted when zero, so frames from unsharded datasets are
-	// byte-identical to those of servers that predate the field.
+	// ShardsPruned is core.Stats.ShardsPruned: shard visits the engine
+	// skipped (a plain engine counts as one shard). Omitted when zero, as it
+	// is on every query that prunes nothing.
 	ShardsPruned  int   `json:"shardsPruned,omitempty"`
 	ElapsedMicros int64 `json:"elapsedMicros"`
 }
