@@ -51,14 +51,15 @@
 //
 // -wal DIR makes every -live dataset crash-safe: each append is framed into
 // a write-ahead log under DIR/<name> before the engine applies it, sealed
-// tail shards are checkpointed into page files, and a restart recovers the
+// tail shards are checkpointed into columns files, and a restart recovers the
 // full acknowledged stream and resumes ingestion at the exact next record
 // (-wal implies the live+sharded lifecycle; -fsync picks the WAL fsync
 // policy). -keepcheckpoints N additionally retains the newest N checkpoint
 // manifest generations as backups — a torn MANIFEST recovers losslessly from
-// the newest — and garbage-collects older generations plus page files no
-// manifest references. -conntimeout bounds each read and write per
-// connection so a stalled client cannot pin a handler goroutine:
+// the newest — and removes older generations. Whatever N, columns files no
+// manifest references are removed at startup and after every checkpoint.
+// -conntimeout bounds each read and write per connection so a stalled
+// client cannot pin a handler goroutine:
 //
 //	durserved -live games=2 -wal /var/lib/durserved -fsync interval -keepcheckpoints 3 -conntimeout 30s
 //
@@ -138,7 +139,7 @@ func main() {
 		walDir   = flag.String("wal", "", "serve -live datasets crash-safe from a write-ahead-logged store under this directory (one subdirectory per dataset; implies the live+sharded lifecycle)")
 		fsyncPol = flag.String("fsync", "always", "WAL fsync policy for -wal: always|interval|none")
 		fsyncEvy = flag.Duration("fsyncevery", 0, "fsync period for -fsync interval (0 = 50ms default)")
-		keepCk   = flag.Int("keepcheckpoints", 0, "with -wal, retain the newest N checkpoint-manifest generations as backups and garbage-collect older ones plus unreferenced page files (0 = single manifest, no GC)")
+		keepCk   = flag.Int("keepcheckpoints", 0, "with -wal, retain the newest N checkpoint-manifest generations as backups and remove older ones (0 = single manifest, no backups; unreferenced columns files are removed whatever N)")
 		connTO   = flag.Duration("conntimeout", 0, "per-connection read/write deadline; idle or stalled clients are disconnected after this long (0 = none)")
 		qWorkers = flag.Int("queryworkers", 0, "admit this many concurrent query evaluations (pipelined serving; 0 = one request at a time per connection)")
 		cacheSz  = flag.Int("cache", 0, "shared result cache budget in units of 64 result records (an answer costs 1 + records/64); repeated queries at an unchanged data epoch replay without engine work (0 = no cache)")

@@ -108,8 +108,8 @@ func NewFileBacking(path string) (*FileBacking, error) {
 }
 
 // NewFileBackingOn wraps an already-open file of the given size (in bytes,
-// which must be a whole number of pages). The checkpoint layer uses it to
-// run page stores over an abstract filesystem; Close closes f.
+// which must be a whole number of pages), so a page store can run over an
+// abstract filesystem such as wal.MemFS or faultfs; Close closes f.
 func NewFileBackingOn(f BlockFile, size int64) (*FileBacking, error) {
 	if size%PageSize != 0 {
 		return nil, fmt.Errorf("pagestore: size %d is not page-aligned", size)
@@ -167,8 +167,7 @@ func (fb *FileBacking) Alloc() (PageID, error) {
 // NumPages implements Backing.
 func (fb *FileBacking) NumPages() int { return fb.n }
 
-// Sync flushes written pages to stable storage. The checkpoint layer calls
-// it before publishing a manifest that references the file.
+// Sync flushes written pages to stable storage.
 func (fb *FileBacking) Sync() error { return fb.f.Sync() }
 
 // Close implements Backing.

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"path/filepath"
 	"sort"
@@ -10,7 +12,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/pagestore"
 	"repro/internal/wal"
 )
 
@@ -18,17 +19,22 @@ import (
 // to a temp name, sync, rename) on every checkpoint.
 const manifestName = "MANIFEST"
 
+// manifestVersion is the manifest format this build reads and writes:
+// version 2 names one columns file per shard. Version 1 manifests listed a
+// summary of every page of every shard's pages file and are refused.
+const manifestVersion = 2
+
 // manifest is the durable index of checkpointed sealed shards and standing
-// subscriptions. A shard's pages file is referenced only after its contents
-// are synced, and the WAL is truncated only after the manifest referencing
-// the shard is durable.
+// subscriptions. A shard's columns file is referenced only after its
+// contents are synced, and the WAL is truncated only after the manifest
+// referencing the shard is durable.
 type manifest struct {
 	Version int          `json:"version"`
 	Dims    int          `json:"dims"`
 	Shards  []shardEntry `json:"shards"`
 
 	// Base is the absolute stream row where retained history starts: rows
-	// below it were retired by bounded retention and their pages files
+	// below it were retired by bounded retention and their columns files
 	// removed. Shards tile contiguously from Base; WAL LSNs are absolute, so
 	// recovery of a fully retired store still resumes at the right row.
 	Base int `json:"base,omitempty"`
@@ -47,37 +53,37 @@ type manifest struct {
 	Subs    []subEntry `json:"subs,omitempty"`
 }
 
-// shardEntry describes one checkpointed sealed shard.
+// shardEntry describes one checkpointed sealed shard. Its size does not
+// depend on the shard's row count: the rows live in the columns file.
 type shardEntry struct {
-	// File is the pages file name within the store directory.
+	// File is the columns file name within the store directory.
 	File string `json:"file"`
-	// Lo and Hi are the shard's half-open global row range.
+	// Lo and Hi are the shard's half-open absolute row range; the file's
+	// i-th row is row Lo+i.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
-	// LastTime is the arrival time of row Hi-1 (RestoreTable needs it).
-	LastTime int64 `json:"lastTime"`
 	// Level is the shard's LSM level: 0 for a plain sealed shard, l+1 for
 	// the merge of a run of level-l shards (see core.LiveShardOptions.
-	// CompactFanout). Manifests from before compaction decode as level 0.
+	// CompactFanout).
 	Level int `json:"level,omitempty"`
-	// Pages are the heap-page summaries of the shard's table.
-	Pages []pagestore.PageMeta `json:"pages"`
 }
 
-// shardFileName names a shard's pages file by its global row range and
-// level. Level 0 keeps the historical name so pre-compaction stores load
-// unchanged; merged shards carry their level so a range recompacted after a
+// shardFileName names a shard's columns file by its absolute row range and
+// level. Merged shards carry their level so a range recompacted after a
 // crash can never collide with a live constituent's file.
 func shardFileName(lo, hi, level int) string {
 	if level == 0 {
-		return fmt.Sprintf("shard-%012d-%012d.pages", lo, hi)
+		return fmt.Sprintf("shard-%012d-%012d.cols", lo, hi)
 	}
-	return fmt.Sprintf("shard-%012d-%012d.L%d.pages", lo, hi, level)
+	return fmt.Sprintf("shard-%012d-%012d.L%d.cols", lo, hi, level)
 }
 
-// checkpointPoolFrames bounds the buffer pool used while writing or reading
-// one checkpoint file; pages stream through, so a small pool suffices.
-const checkpointPoolFrames = 32
+// A columns file holds one shard's rows as the engine holds them: the n
+// times as little-endian int64, then the n·dims row-major attributes as
+// little-endian float64 bits, then a CRC-32 (IEEE) over all the preceding
+// bytes. Both directions stream through one buffer of colsBufSize bytes, so
+// checkpointing or loading a compacted shard never allocates its size.
+const colsBufSize = 64 << 10
 
 // checkpoint persists sealed rows [lo,hi), republishes the manifest and
 // advances the WAL low-water mark. Runs on the checkpointer goroutine.
@@ -97,14 +103,15 @@ func (s *Store) checkpoint(w ckptWork) error {
 	if err := s.log.TruncateBefore(uint64(w.hi)); err != nil {
 		return fmt.Errorf("advancing wal low-water mark: %w", err)
 	}
-	s.logf("store: checkpointed rows [%d,%d) to %s (%d pages)", w.lo, w.hi, entry.File, len(entry.Pages))
+	s.logf("store: checkpointed rows [%d,%d) to %s (%d rows)", w.lo, w.hi, entry.File, w.hi-w.lo)
 	return nil
 }
 
 // compact mirrors one engine merge into the manifest as an atomic level
-// swap: write and sync the merged pages file, splice it over the manifest
-// entries tiling [lo,hi), publish the manifest (the atomic rename is the
-// commit point), then GC the replaced pages files. A crash before the rename
+// swap: write and sync the merged columns file, splice it over the manifest
+// entries tiling [lo,hi) and publish the manifest. The atomic rename is the
+// commit point; the publish's sweep (gcRetired) then removes the replaced
+// columns files, now unreferenced. A crash before the rename
 // leaves the old level plus an orphaned merged file; a crash after it leaves
 // the new level plus orphaned constituent files — either way the next Open
 // sweeps the orphans and recovery sees exactly one coherent level. The WAL
@@ -132,10 +139,6 @@ func (s *Store) compact(w ckptWork) error {
 	if err != nil {
 		return err
 	}
-	replaced := make([]string, 0, b-a)
-	for _, e := range s.man.Shards[a:b] {
-		replaced = append(replaced, e.File)
-	}
 	old := s.man.Shards
 	next := make([]shardEntry, 0, len(old)-(b-a)+1)
 	next = append(next, old[:a]...)
@@ -146,21 +149,14 @@ func (s *Store) compact(w ckptWork) error {
 		s.man.Shards = old
 		return err
 	}
-	// Commit point passed: the constituents are garbage. Best-effort removal
-	// here; anything missed is unreferenced and falls to the next sweep.
-	for _, name := range replaced {
-		if err := s.fs.Remove(filepath.Join(s.dir, name)); err != nil && !notExist(err) {
-			s.logf("store: removing compacted shard file %s: %v", name, err)
-		}
-	}
 	s.logf("store: compacted rows [%d,%d) into %s (level %d, replaced %d files)",
-		w.lo, w.hi, entry.File, w.level, len(replaced))
+		w.lo, w.hi, entry.File, w.level, b-a)
 	return nil
 }
 
-// retire advances the manifest's retention base past retired shards and GCs
-// their pages files. Same commit discipline as compact: the manifest rename
-// is the commit point, file removal afterwards is best-effort. Runs on the
+// retire advances the manifest's retention base past retired shards. Same
+// commit discipline as compact: the manifest rename is the commit point, and
+// the publish's sweep then removes the retired columns files. Runs on the
 // checkpointer goroutine.
 func (s *Store) retire(w ckptWork) error {
 	if s.man.Base != w.lo {
@@ -173,21 +169,12 @@ func (s *Store) retire(w ckptWork) error {
 	if cut == 0 || s.man.Shards[cut-1].Hi != w.hi {
 		return fmt.Errorf("retiring [%d,%d): manifest entries do not tile the range", w.lo, w.hi)
 	}
-	dropped := make([]string, 0, cut)
-	for _, e := range s.man.Shards[:cut] {
-		dropped = append(dropped, e.File)
-	}
 	old, oldBase := s.man.Shards, s.man.Base
 	s.man.Shards = append([]shardEntry(nil), old[cut:]...)
 	s.man.Base = w.hi
 	if err := s.publishManifest(); err != nil {
 		s.man.Shards, s.man.Base = old, oldBase
 		return err
-	}
-	for _, name := range dropped {
-		if err := s.fs.Remove(filepath.Join(s.dir, name)); err != nil && !notExist(err) {
-			s.logf("store: removing retired shard file %s: %v", name, err)
-		}
 	}
 	s.logf("store: retired rows [%d,%d); retention base now %d", w.lo, w.hi, w.hi)
 	return nil
@@ -207,12 +194,12 @@ func (s *Store) publishManifest() error {
 		// The backup must be durable before MANIFEST claims its
 		// generation: readManifest falls back to the newest backup, which
 		// must therefore never lag the live manifest.
-		if err := writeManifestGen(s.fs, s.dir, s.man); err != nil {
+		if err := writeManifestAs(s.fs, s.dir, manifestGenName(s.man.Gen), s.man); err != nil {
 			s.man.Gen--
 			return err
 		}
 	}
-	if err := writeManifest(s.fs, s.dir, s.man); err != nil {
+	if err := writeManifestAs(s.fs, s.dir, manifestName, s.man); err != nil {
 		s.man.Gen--
 		return err
 	}
@@ -221,58 +208,66 @@ func (s *Store) publishManifest() error {
 }
 
 // writeShardFile persists absolute rows [lo,hi) of the engine's global
-// storage into a freshly created pages file and syncs it. Page row ids are
-// absolute, so recovery after retention restores the same global row
-// numbering the rows were acknowledged under.
+// storage into a freshly created columns file, syncs it and syncs the store
+// directory, so both the bytes and the file's name survive a crash before
+// any manifest names it.
 func (s *Store) writeShardFile(lo, hi, level int) (shardEntry, error) {
 	name := shardFileName(lo, hi, level)
 	f, err := s.fs.Create(filepath.Join(s.dir, name))
 	if err != nil {
 		return shardEntry{}, fmt.Errorf("creating %s: %w", name, err)
 	}
-	backing, err := pagestore.NewFileBackingOn(f, 0)
-	if err != nil {
-		f.Close()
-		return shardEntry{}, err
-	}
-	defer backing.Close()
-	pool := pagestore.NewBufferPool(backing, checkpointPoolFrames)
-	tbl, err := pagestore.CreateTable(pool, s.dims)
-	if err != nil {
-		return shardEntry{}, err
-	}
 	// Dataset() is an append-stable prefix view over the engine's physical
 	// rows (absolute minus base), so reading the range is safe while the
 	// appender keeps running; retired rows stay readable until restart.
 	view := s.eng.Dataset().Slice(lo-s.base, hi-s.base)
-	for i := 0; i < view.Len(); i++ {
-		if err := tbl.Append(uint32(lo+i), view.Time(i), view.Attrs(i)); err != nil {
-			return shardEntry{}, fmt.Errorf("writing %s: %w", name, err)
-		}
+	err = writeCols(f, view.Times(), view.FlatAttrs())
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := tbl.Seal(); err != nil {
-		return shardEntry{}, err
+	if err != nil {
+		return shardEntry{}, fmt.Errorf("writing %s: %w", name, err)
 	}
-	if err := pool.FlushAll(); err != nil {
-		return shardEntry{}, fmt.Errorf("flushing %s: %w", name, err)
+	if err := s.fs.SyncDir(s.dir); err != nil {
+		return shardEntry{}, fmt.Errorf("syncing %s after creating %s: %w", s.dir, name, err)
 	}
-	if err := backing.Sync(); err != nil {
-		return shardEntry{}, fmt.Errorf("syncing %s: %w", name, err)
-	}
-	return shardEntry{
-		File:     name,
-		Lo:       lo,
-		Hi:       hi,
-		LastTime: view.Time(view.Len() - 1),
-		Level:    level,
-		Pages:    tbl.Meta(),
-	}, nil
+	return shardEntry{File: name, Lo: lo, Hi: hi, Level: level}, nil
 }
 
-// loadShard reads one checkpointed shard back into columnar rows, verifying
-// every page checksum along the way.
+// writeCols writes the columns file of times and flat to f, checksumming
+// the bytes as they pass through the one bounded buffer, and syncs f.
+func writeCols(f wal.File, times []int64, flat []float64) error {
+	buf := make([]byte, colsBufSize)
+	var crc uint32
+	n, words := len(times), len(times)+len(flat)
+	// Word w of the payload is time w for w < n, then attribute w-n.
+	for w := 0; w < words; {
+		off, chunk := int64(w)*8, buf[:min(len(buf), (words-w)*8)]
+		for i := 0; i < len(chunk); i, w = i+8, w+1 {
+			if w < n {
+				binary.LittleEndian.PutUint64(chunk[i:], uint64(times[w]))
+			} else {
+				binary.LittleEndian.PutUint64(chunk[i:], math.Float64bits(flat[w-n]))
+			}
+		}
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		if _, err := f.WriteAt(chunk, off); err != nil {
+			return err
+		}
+	}
+	binary.LittleEndian.PutUint32(buf, crc)
+	if _, err := f.WriteAt(buf[:4], int64(words)*8); err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
+// loadShard reads one checkpointed shard's columns file back into rows. The
+// file must be exactly the size of the entry's rows and its CRC must match;
+// otherwise no row is returned.
 func loadShard(fs wal.FS, dir string, e shardEntry, dims int) (core.RestoredShard, error) {
-	if e.Hi <= e.Lo {
+	n := e.Hi - e.Lo
+	if n <= 0 {
 		return core.RestoredShard{}, fmt.Errorf("empty shard range [%d,%d)", e.Lo, e.Hi)
 	}
 	path := filepath.Join(dir, e.File)
@@ -280,47 +275,45 @@ func loadShard(fs wal.FS, dir string, e shardEntry, dims int) (core.RestoredShar
 	if err != nil {
 		return core.RestoredShard{}, err
 	}
+	// Divide rather than multiply: a corrupt manifest's n must not overflow
+	// into a size that happens to match.
+	rowBytes := int64(8 * (1 + dims))
+	if size < 4 || (size-4)%rowBytes != 0 || (size-4)/rowBytes != int64(n) {
+		return core.RestoredShard{}, fmt.Errorf("%s is %d bytes, not %d rows of %d attributes", e.File, size, n, dims)
+	}
 	f, err := fs.Open(path)
 	if err != nil {
 		return core.RestoredShard{}, err
 	}
-	backing, err := pagestore.NewFileBackingOn(f, size)
-	if err != nil {
-		f.Close()
-		return core.RestoredShard{}, err
-	}
-	defer backing.Close()
-	pool := pagestore.NewBufferPool(backing, checkpointPoolFrames)
-	tbl, err := pagestore.RestoreTable(pool, dims, e.Pages, e.Hi-e.Lo, e.LastTime)
-	if err != nil {
-		return core.RestoredShard{}, err
-	}
-	n := e.Hi - e.Lo
+	defer f.Close()
 	sh := core.RestoredShard{
-		Times: make([]int64, 0, n),
-		Flat:  make([]float64, 0, n*dims),
+		Times: make([]int64, n),
+		Flat:  make([]float64, n*dims),
 		Level: e.Level,
 	}
-	nextID := uint32(e.Lo)
-	var scanErr error
-	err = tbl.ScanRange(math.MinInt64, math.MaxInt64, func(id uint32, tm int64, attrs []float64) bool {
-		if id != nextID {
-			scanErr = fmt.Errorf("row id %d out of sequence (want %d)", id, nextID)
-			return false
+	buf := make([]byte, colsBufSize)
+	var crc uint32
+	for w, words := 0, int(size-4)/8; w < words; {
+		chunk := buf[:min(len(buf), (words-w)*8)]
+		if _, err := f.ReadAt(chunk, int64(w)*8); err != nil {
+			return core.RestoredShard{}, fmt.Errorf("reading %s: %w", e.File, err)
 		}
-		nextID++
-		sh.Times = append(sh.Times, tm)
-		sh.Flat = append(sh.Flat, attrs...)
-		return true
-	})
-	if err == nil {
-		err = scanErr
+		crc = crc32.Update(crc, crc32.IEEETable, chunk)
+		for i := 0; i < len(chunk); i, w = i+8, w+1 {
+			v := binary.LittleEndian.Uint64(chunk[i:])
+			if w < n {
+				sh.Times[w] = int64(v)
+			} else {
+				sh.Flat[w-n] = math.Float64frombits(v)
+			}
+		}
 	}
-	if err != nil {
-		return core.RestoredShard{}, err
+	var sum [4]byte
+	if _, err := f.ReadAt(sum[:], size-4); err != nil {
+		return core.RestoredShard{}, fmt.Errorf("reading %s: %w", e.File, err)
 	}
-	if len(sh.Times) != n {
-		return core.RestoredShard{}, fmt.Errorf("shard holds %d rows, manifest says %d", len(sh.Times), n)
+	if want := binary.LittleEndian.Uint32(sum[:]); crc != want {
+		return core.RestoredShard{}, fmt.Errorf("%s: checksum %08x, file says %08x", e.File, crc, want)
 	}
 	return sh, nil
 }
@@ -356,7 +349,7 @@ func readManifest(fs wal.FS, dir string) (manifest, error) {
 		return m, nil
 	}
 	if notExist(err) {
-		return manifest{Version: 1}, nil
+		return manifest{Version: manifestVersion}, nil
 	}
 	names, lerr := fs.ReadDir(dir)
 	if lerr != nil {
@@ -406,24 +399,15 @@ func readManifestFile(fs wal.FS, dir, name string) (manifest, error) {
 	if err := json.Unmarshal(buf, &m); err != nil {
 		return manifest{}, fmt.Errorf("store: decoding %s: %w", name, err)
 	}
-	if m.Version != 1 {
-		return manifest{}, fmt.Errorf("store: unsupported %s version %d", name, m.Version)
+	if m.Version != manifestVersion {
+		return manifest{}, fmt.Errorf("store: unsupported %s version %d (want %d)", name, m.Version, manifestVersion)
 	}
 	return m, nil
 }
 
-// writeManifest atomically replaces the manifest: write a temp file, sync
-// it, rename over the live name. A crash at any point leaves either the old
-// or the new manifest, never a torn one.
-func writeManifest(fs wal.FS, dir string, m manifest) error {
-	return writeManifestAs(fs, dir, manifestName, m)
-}
-
-// writeManifestGen durably writes m as its MANIFEST.<gen> retention backup.
-func writeManifestGen(fs wal.FS, dir string, m manifest) error {
-	return writeManifestAs(fs, dir, manifestGenName(m.Gen), m)
-}
-
+// writeManifestAs atomically replaces dir/name with m: write a temp file,
+// sync it, rename it over name and sync dir. A crash at any point leaves
+// either the old or the new manifest, never a torn one.
 func writeManifestAs(fs wal.FS, dir, name string, m manifest) error {
 	buf, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -448,11 +432,16 @@ func writeManifestAs(fs wal.FS, dir, name string, m manifest) error {
 	if err := fs.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		return fmt.Errorf("store: publishing manifest: %w", err)
 	}
+	// The rename is durable only once the directory is synced; the caller
+	// truncates the WAL right after this returns.
+	if err := fs.SyncDir(dir); err != nil {
+		return fmt.Errorf("store: syncing %s after publishing manifest: %w", dir, err)
+	}
 	return nil
 }
 
 // gcRetired is the best-effort sweep run after every successful manifest
-// publish and once at Open: drop page files the live manifest no longer
+// publish and once at Open: drop columns files the live manifest no longer
 // references (crash leftovers from a checkpoint or compaction that never
 // published, constituents of a committed level swap, retired shards) and
 // stale manifest temp files — unconditionally, since nothing can ever
@@ -482,7 +471,7 @@ func (s *Store) gcRetired() {
 		switch {
 		case strings.HasSuffix(name, ".tmp") && strings.HasPrefix(name, manifestName):
 			stale = true
-		case strings.HasSuffix(name, ".pages"):
+		case strings.HasSuffix(name, ".cols"):
 			stale = !referenced[name]
 		default:
 			g, ok := parseManifestGen(name)

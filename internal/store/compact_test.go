@@ -33,7 +33,7 @@ func drain(s *Store) {
 }
 
 // assertManifestTiles checks the store's in-memory manifest: shard entries
-// tile [base, sealed) contiguously and every referenced pages file exists.
+// tile [base, sealed) contiguously and every referenced columns file exists.
 func assertManifestTiles(t *testing.T, s *Store) {
 	t.Helper()
 	prev := s.man.Base
@@ -45,7 +45,7 @@ func assertManifestTiles(t *testing.T, s *Store) {
 			t.Fatalf("entry [%d,%d) L%d named %s", e.Lo, e.Hi, e.Level, e.File)
 		}
 		if _, err := s.fs.Size(filepath.Join(s.dir, e.File)); err != nil {
-			t.Fatalf("referenced pages file %s unreadable: %v", e.File, err)
+			t.Fatalf("referenced columns file %s unreadable: %v", e.File, err)
 		}
 		prev = e.Hi
 	}
@@ -85,7 +85,7 @@ func TestStoreCompactionLevelSwapAndRecovery(t *testing.T) {
 	if len(st.man.Shards) >= n/32 {
 		t.Fatalf("manifest still lists %d shards after compacting %d seals", len(st.man.Shards), n/32)
 	}
-	// Constituent files of committed swaps are gone: only referenced pages
+	// Constituent files of committed swaps are gone: only referenced columns
 	// files remain on disk.
 	names, err := fs.ReadDir("db")
 	if err != nil {
@@ -96,8 +96,8 @@ func TestStoreCompactionLevelSwapAndRecovery(t *testing.T) {
 		referenced[e.File] = true
 	}
 	for _, name := range names {
-		if strings.HasSuffix(name, ".pages") && !referenced[name] {
-			t.Fatalf("unreferenced pages file %s survived the swap GC", name)
+		if strings.HasSuffix(name, ".cols") && !referenced[name] {
+			t.Fatalf("unreferenced columns file %s survived the swap GC", name)
 		}
 	}
 	if err := st.Close(); err != nil {
@@ -232,11 +232,11 @@ func TestStoreRetirementAdvancesBase(t *testing.T) {
 	}
 }
 
-// TestOrphanPageGC is the regression test for crash leftovers: pages files
-// and manifest temp files that no manifest references — a checkpoint or
+// TestOrphanShardFileGC is the regression test for crash leftovers: columns
+// files and manifest temp files that no manifest references — a checkpoint or
 // compaction that died before its publish — must be swept at Open even with
 // KeepCheckpoints disabled, and after every successful publish.
-func TestOrphanPageGC(t *testing.T) {
+func TestOrphanShardFileGC(t *testing.T) {
 	fs := wal.NewMemFS()
 	rng := rand.New(rand.NewSource(17))
 	rows := genRows(rng, 64, 1)
@@ -292,14 +292,14 @@ func TestOrphanPageGC(t *testing.T) {
 		t.Fatalf("orphans survived Open's sweep: %v", names)
 	}
 	if !seen[kept] {
-		t.Fatalf("sweep removed the referenced pages file %s", kept)
+		t.Fatalf("sweep removed the referenced columns file %s", kept)
 	}
 	assertRows(t, rec, rows, 64)
 }
 
 // TestCrashDuringCompactionLevelSwap aims the kill-at-any-byte harness at
 // the level swap specifically: budgets land on the byte boundaries of merged
-// (.L*) pages-file writes and the manifest writes that commit them. Recovery
+// (.L*) columns-file writes and the manifest writes that commit them. Recovery
 // must come up on the old or the new level — never lose a row, never
 // reference a torn file — and keep answering like a batch engine.
 func TestCrashDuringCompactionLevelSwap(t *testing.T) {
@@ -323,7 +323,7 @@ func TestCrashDuringCompactionLevelSwap(t *testing.T) {
 		t.Fatalf("golden Close: %v", err)
 	}
 
-	// Collect budgets bracketing every write to a merged pages file, and the
+	// Collect budgets bracketing every write to a merged columns file, and the
 	// first manifest write after each (the swap's commit point).
 	budgets := map[int64]bool{}
 	var cum int64

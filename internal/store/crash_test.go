@@ -3,6 +3,7 @@ package store
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +26,7 @@ import (
 //
 // Budgets sweep both uniform offsets and the exact write boundaries (±1
 // byte) recorded by a golden run, so crashes land before, inside and after
-// individual WAL frames, checkpoint pages and manifest writes.
+// individual WAL frames, checkpoint columns files and manifest writes.
 func TestCrashRecoveryDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n, d = 400, 2
@@ -76,7 +77,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 }
 
 // crashOpts enables compaction so the budget sweep also lands inside merged
-// pages files and the manifest renames that commit level swaps.
+// columns files and the manifest renames that commit level swaps.
 func crashOpts(fs wal.FS) Options {
 	return Options{
 		FS:    fs,
@@ -187,9 +188,9 @@ func assertStrategiesMatchBatch(t *testing.T, rec *Store, rows []Row, m int, bud
 	}
 }
 
-// TestCrashDuringCheckpointRedoes kills the filesystem in the middle of
-// checkpoint page writes specifically: the manifest must never reference a
-// torn shard file, and recovery re-checkpoints the shard from the WAL.
+// TestCrashDuringCheckpointRedoes kills the filesystem in the middle of a
+// checkpoint's columns file specifically: the manifest must never reference
+// a torn shard file, and recovery re-checkpoints the shard from the WAL.
 func TestCrashDuringCheckpointRedoes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rows := genRows(rng, 200, 1)
@@ -200,21 +201,30 @@ func TestCrashDuringCheckpointRedoes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	// Feed one seal's worth, then crash on the shard file's first page
-	// write (pages are 8 KiB; WAL frames are tens of bytes, so arm the
-	// budget only once the seal fires to be sure the checkpoint eats it).
+	// Feed one seal's worth, then crash halfway through the shard's columns
+	// file. The budget is armed before the sealing row so that it covers
+	// exactly that row's WAL frame plus half the file, and the checkpoint is
+	// awaited before any further append can race it for the budget.
+	const fileBytes = 64*(8+8) + 4 // 64 one-attribute rows and the CRC
 	for i, r := range rows {
+		before := ffs.BytesWritten()
 		if _, _, err := st.Append(r.T, r.Attrs); err != nil {
 			break
 		}
-		if i == 63 {
-			ffs.SetCrashBudget(4096) // mid-page: torn checkpoint write
+		switch i {
+		case 62:
+			ffs.SetCrashBudget(ffs.BytesWritten() - before + fileBytes/2)
+		case 63:
+			st.WaitCheckpoints()
 		}
 	}
 	st.WaitCheckpoints()
 	st.Close()
 	if !ffs.Crashed() {
 		t.Fatal("crash budget never tripped")
+	}
+	if ops := ffs.Ops(); !strings.HasSuffix(ops[len(ops)-1].Name, ".cols") {
+		t.Fatalf("the crash tore %s, not the shard's columns file", ops[len(ops)-1].Name)
 	}
 	if err := st.Err(); err == nil {
 		t.Fatal("store did not surface the checkpoint failure")

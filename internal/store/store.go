@@ -3,21 +3,22 @@
 //
 // Every append is framed into the WAL before it reaches the engine, so the
 // row stream and the log agree record for record: WAL LSN i is global row i.
-// When the engine seals its tail (the PR-5 lifecycle), the sealed shard's
-// columnar rows are persisted once into a page-structured checkpoint file
-// (pagestore heap pages with per-page checksums) by a background
-// checkpointer, the manifest is atomically republished, and the WAL's
+// When the engine seals its tail, a background checkpointer writes the
+// sealed shard's two columns once, as they are, into a columns file (times,
+// then row-major attributes, then a CRC-32), the manifest is atomically
+// republished with one fixed-size entry for the shard, and the WAL's
 // low-water mark advances past the shard — so recovery loads sealed history
 // in bulk from checkpoints and replays only the unsealed tail.
 //
 // Open is also the recovery path: it loads the manifest's checkpointed
 // shards (zero WAL replay), repairs and replays the tail WAL through the
 // normal append path (re-firing seals deterministically), and resumes
-// ingestion at the exact next row. Crash-consistency ordering is: shard
-// pages are synced before the manifest references them, and the manifest is
-// durable before the WAL is truncated — a crash between any two steps
-// leaves either redundant-but-unreferenced files or a longer-than-needed
-// WAL, never data loss.
+// ingestion at the exact next row. Crash-consistency ordering is: a shard's
+// columns file and its directory entry are synced before the manifest
+// references them, and the manifest's rename is synced before the WAL is
+// truncated — a crash between any two steps leaves either
+// redundant-but-unreferenced files or a longer-than-needed WAL, never data
+// loss.
 package store
 
 import (
@@ -57,10 +58,11 @@ type Options struct {
 	// KeepCheckpoints, when positive, retains the newest N manifest
 	// generations as MANIFEST.<gen> backups (the newest is always
 	// byte-identical to MANIFEST, so a torn or corrupted MANIFEST recovers
-	// losslessly from it) and garbage-collects older generations plus any
-	// page files the current manifest no longer references (crash
-	// leftovers). Zero keeps the historical behavior: one MANIFEST, no
-	// backups, no GC.
+	// losslessly from it) and removes older generations. Zero writes one
+	// MANIFEST and no backups. Whatever the value, columns files the live
+	// manifest no longer references (crash leftovers, compacted and retired
+	// shards) and stale manifest temps are removed at Open and after every
+	// publish.
 	KeepCheckpoints int
 	// Logf, when set, receives recovery and checkpoint progress lines.
 	Logf func(format string, args ...interface{})
@@ -85,15 +87,15 @@ type RecoveryStats struct {
 type workKind int
 
 const (
-	// workSeal persists a freshly sealed shard's pages and advances the WAL
+	// workSeal persists a freshly sealed shard's columns and advances the WAL
 	// low-water mark.
 	workSeal workKind = iota
 	// workCompact swaps a compacted run for its merged level shard in the
-	// manifest: new pages file first, then the atomic manifest rename, then
-	// GC of the replaced pages files.
+	// manifest: new columns file first, then the atomic manifest rename,
+	// then GC of the replaced columns files.
 	workCompact
 	// workRetire advances the manifest's retention base past retired shards
-	// and GCs their pages files.
+	// and GCs their columns files.
 	workRetire
 )
 
@@ -121,7 +123,7 @@ type Store struct {
 	// store, so the engine never restored them. Constant after Open (further
 	// retirement advances the manifest base and the engine's retirement
 	// boundary in lockstep, leaving the mapping fixed); WAL LSNs, manifest
-	// row ranges, page row ids and subscription positions are all absolute.
+	// row ranges and subscription positions are all absolute.
 	base int
 
 	log *wal.Log
@@ -195,7 +197,7 @@ func Open(dir string, dims int, opts Options) (*Store, error) {
 	}
 	s.man = man
 	// Sweep crash leftovers before anything new is written: a checkpoint or
-	// compaction that died before its manifest rename leaves synced pages
+	// compaction that died before its manifest rename leaves synced columns
 	// files no manifest references, and they would otherwise accumulate
 	// silently forever.
 	s.gcRetired()
@@ -538,7 +540,7 @@ func (s *Store) Close() error {
 	return err
 }
 
-// checkpointLoop drains sealed ranges — persist shard pages, republish the
+// checkpointLoop drains sealed ranges — persist shard columns, republish the
 // manifest, advance the WAL low-water mark — and republishes the manifest
 // when the subscription registration set changes. One unit of work at a
 // time, in order; on stop it finishes the queue before exiting.

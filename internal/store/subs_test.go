@@ -135,7 +135,7 @@ func TestStoreDurableSubscriptionRoundTrip(t *testing.T) {
 
 // TestStoreKeepCheckpointsRetention checks the -keepcheckpoints contract:
 // backup generations are bounded, the newest backup matches MANIFEST byte
-// for byte, orphaned page files are swept, and a corrupted MANIFEST
+// for byte, orphaned columns files are swept, and a corrupted MANIFEST
 // recovers losslessly from the newest retained backup.
 func TestStoreKeepCheckpointsRetention(t *testing.T) {
 	fs := wal.NewMemFS()
@@ -156,7 +156,7 @@ func TestStoreKeepCheckpointsRetention(t *testing.T) {
 	if st.Checkpoints() < 4 {
 		t.Fatalf("only %d checkpoints; the retention sweep needs more generations than it keeps", st.Checkpoints())
 	}
-	// Plant an orphan pages file (a crash leftover shape) and force one more
+	// Plant an orphan columns file (a crash leftover shape) and force one more
 	// publish cycle to sweep it.
 	orphan := filepath.Join("db", shardFileName(9000, 9064, 0))
 	if f, err := fs.Create(orphan); err == nil {
@@ -182,7 +182,7 @@ func TestStoreKeepCheckpointsRetention(t *testing.T) {
 			gens = append(gens, name)
 		}
 		if name == filepath.Base(orphan) {
-			t.Fatalf("orphan pages file %s survived the retention sweep", name)
+			t.Fatalf("orphan columns file %s survived the retention sweep", name)
 		}
 		if strings.HasSuffix(name, ".tmp") {
 			t.Fatalf("stale temp file %s survived the retention sweep", name)
@@ -217,7 +217,7 @@ func TestStoreKeepCheckpointsRetention(t *testing.T) {
 	}
 }
 
-func readFile(t *testing.T, fs wal.FS, path string) []byte {
+func readFile(t testing.TB, fs wal.FS, path string) []byte {
 	t.Helper()
 	size, err := fs.Size(path)
 	if err != nil {

@@ -1,13 +1,16 @@
 // Package faultfs wraps a wal.FS with injectable faults: crash points at
 // every write boundary (with torn partial writes), short reads, bit flips,
-// and targeted write failures. It drives the crash-recovery differential
-// tests and the pagestore error-path tests.
+// and targeted write failures. It drives the store's crash-recovery tests
+// (WAL segments, checkpoint columns files and manifests) and the pagestore
+// error-path tests.
 //
 // The crash model matches a process kill on a journaling filesystem: a
 // byte budget counts down across all writes; the write that exhausts it is
-// applied only partially (a torn write) and every later operation fails
-// with ErrCrashed. Whatever was applied before the crash is the durable
-// state — tests "recover" by opening the inner filesystem again.
+// applied only partially (a torn write) and every later operation, file and
+// directory syncs included, fails with ErrCrashed. Whatever was applied
+// before the crash is the durable state, synced or not — tests "recover" by
+// opening the inner filesystem again. Sync ordering is therefore not
+// checked here; the store checks it with a recording filesystem.
 package faultfs
 
 import (
@@ -214,6 +217,14 @@ func (f *FS) MkdirAll(dir string) error {
 		return err
 	}
 	return f.inner.MkdirAll(dir)
+}
+
+// SyncDir implements wal.FS.
+func (f *FS) SyncDir(dir string) error {
+	if err := f.checkAlive(); err != nil {
+		return err
+	}
+	return f.inner.SyncDir(dir)
 }
 
 // file wraps one open handle with the FS's armed faults.

@@ -9,9 +9,10 @@ import (
 // File is the random-access file contract the durability layer writes
 // through. *os.File satisfies it directly; MemFS provides an in-memory
 // implementation for tests, and package faultfs wraps either with injectable
-// torn writes, short reads, bit flips and crash points. The interface is
-// deliberately identical to pagestore.BlockFile so checkpoint files and WAL
-// segments share one fault-injection surface.
+// torn writes, short reads, bit flips and crash points, so checkpoint
+// columns files, manifests and WAL segments share one fault-injection
+// surface. pagestore.BlockFile has the same method set, so the page store's
+// tests run over these filesystems too.
 type File interface {
 	io.ReaderAt
 	io.WriterAt
@@ -43,6 +44,10 @@ type FS interface {
 	Rename(oldname, newname string) error
 	// MkdirAll creates dir and any missing parents.
 	MkdirAll(dir string) error
+	// SyncDir makes dir's entries durable: a file's own Sync does not
+	// persist its name, and a Rename is not durable until its directory is
+	// synced.
+	SyncDir(dir string) error
 }
 
 // OSFS is the production FS backed by the operating system.
@@ -90,3 +95,16 @@ func (OSFS) Rename(oldname, newname string) error { return os.Rename(oldname, ne
 
 // MkdirAll implements FS.
 func (OSFS) MkdirAll(dir string) error { return os.MkdirAll(filepath.Clean(dir), 0o755) }
+
+// SyncDir implements FS.
+func (OSFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}

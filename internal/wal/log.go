@@ -207,6 +207,12 @@ func (l *Log) startSegment(base uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: creating segment %s: %w", name, err)
 	}
+	// The segment's name must be durable before any record in it is
+	// acknowledged.
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: syncing %s after creating %s: %w", l.dir, name, err)
+	}
 	l.seg = f
 	l.segBase = base
 	l.segSize = 0

@@ -128,6 +128,10 @@ func (m *MemFS) MkdirAll(dir string) error {
 	return nil
 }
 
+// SyncDir implements FS. MemFS has no volatile state to flush: every
+// Create, Rename and Remove is durable the moment it returns.
+func (m *MemFS) SyncDir(string) error { return nil }
+
 // memFile holds the shared content; memHandle is one open descriptor.
 // Handles opened before a Rename keep writing to the same content, matching
 // POSIX semantics.

@@ -43,7 +43,7 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 
 // Recover opens (or creates) a crash-safe live+sharded store in dir for
 // d-dimensional records. Existing state is recovered exactly: checkpointed
-// sealed shards load in bulk from their page files, the tail WAL is
+// sealed shards load in bulk from their columns files, the tail WAL is
 // repaired (a torn final record is truncated) and replayed through the
 // normal append path, and the store resumes ingestion at the exact next
 // row. The recovered engine answers every query identically to one that
