@@ -113,11 +113,6 @@ func TestQueryModes(t *testing.T) {
 	if !strings.Contains(most, "most durable records") || strings.Count(most, "id=") != 4 {
 		t.Fatalf("mostdurable output wrong:\n%s", most)
 	}
-	seq := run(t, "durquery", "-input", csv, "-k", "2", "-tau", "100", "-stats")
-	rmq := run(t, "durquery", "-input", csv, "-k", "2", "-tau", "100", "-rmq", "-stats")
-	if strings.Fields(rmq)[1] != strings.Fields(seq)[1] {
-		t.Fatalf("rmq CLI answer differs:\n%s\n%s", rmq, seq)
-	}
 }
 
 func TestQueryErrors(t *testing.T) {
@@ -132,7 +127,7 @@ func TestQueryErrors(t *testing.T) {
 
 func TestBenchList(t *testing.T) {
 	out := run(t, "durbench", "-list")
-	for _, id := range []string{"fig1", "fig8", "fig12", "tab4", "tab6", "lemma4", "abl-block"} {
+	for _, id := range []string{"fig1", "fig8", "fig12", "tab4", "tab6", "lemma4", "abl-forest"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("registry listing missing %s:\n%s", id, out)
 		}
@@ -821,5 +816,15 @@ func TestServedStandingQueryCrashResume(t *testing.T) {
 func TestQueryLiveFlagConflicts(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "data.csv")
 	run(t, "durgen", "-kind", "ind", "-n", "200", "-d", "2", "-out", csv)
-	runExpectError(t, "durquery", "-input", csv, "-live", "-rmq")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-live", "-shards", "2"}, "-live and -shards are mutually exclusive"},
+		{[]string{"-sealrows", "50"}, "-sealrows/-sealspan require -live"},
+	} {
+		if out := runExpectError(t, "durquery", append([]string{"-input", csv}, c.args...)...); !strings.Contains(out, c.want) {
+			t.Fatalf("durquery %v failed without naming the conflict %q:\n%s", c.args, c.want, out)
+		}
+	}
 }

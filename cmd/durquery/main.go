@@ -81,7 +81,6 @@ func main() {
 		mostDur   = flag.Int("mostdurable", 0, "instead of DurTop, report the N all-time most durable records")
 		shards    = flag.Int("shards", 1, "evaluate over this many time shards (independent per-shard engines)")
 		shardBy   = flag.String("shardby", "count", "shard partitioning: count|timespan")
-		useRMQ    = flag.Bool("rmq", false, "use the sparse-table RMQ building block (fixed-scorer workloads)")
 		live      = flag.Bool("live", false, "evaluate through the streaming ingestion engine (append records one at a time)")
 		sealRows  = flag.Int("sealrows", 0, "with -live: route appends through the live+sharded lifecycle, sealing the tail every N records")
 		sealSpan  = flag.Int64("sealspan", 0, "with -live: seal the tail once its arrivals span this many ticks")
@@ -170,10 +169,6 @@ func main() {
 		*start, *end = lo, hi
 	}
 
-	engOpts := durable.Options{}
-	if *useRMQ {
-		engOpts = durable.WithRMQBlock(engOpts)
-	}
 	strategy, err := durable.ParseShardStrategy(*shardBy)
 	if err != nil {
 		fatal(err)
@@ -187,17 +182,10 @@ func main() {
 		if *shards > 1 {
 			fatal(fmt.Errorf("-live and -shards are mutually exclusive (use -sealrows/-sealspan for live sharding)"))
 		}
-		if *useRMQ {
-			// The live engine's forward building block is always the
-			// incremental forest; silently overriding -rmq would misreport
-			// what was measured.
-			fatal(fmt.Errorf("-live and -rmq are mutually exclusive (the live path always uses the forest index)"))
-		}
 		if *sealRows > 0 || *sealSpan > 0 {
 			// Live+sharded lifecycle: the stream seals into static shards as
 			// it is replayed, and the query spans sealed + tail.
 			q, err := durable.Open(durable.FromStream(ds.Dims()),
-				durable.WithOptions(engOpts),
 				durable.WithLiveOptions(durable.LiveOptions{Capacity: ds.Len()}),
 				durable.WithLiveSharding(durable.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan}))
 			if err != nil {
@@ -212,7 +200,7 @@ func main() {
 			eng = lse
 			break
 		}
-		q, err := durable.Open(durable.FromStream(ds.Dims()), durable.WithOptions(engOpts),
+		q, err := durable.Open(durable.FromStream(ds.Dims()),
 			durable.WithLiveOptions(durable.LiveOptions{Capacity: ds.Len()}))
 		if err != nil {
 			fatal(err)
@@ -225,14 +213,14 @@ func main() {
 		}
 		eng = le
 	case *shards > 1:
-		q, err := durable.Open(durable.FromDataset(ds), durable.WithOptions(engOpts),
+		q, err := durable.Open(durable.FromDataset(ds),
 			durable.WithSharding(durable.ShardOptions{Shards: *shards, Strategy: strategy}))
 		if err != nil {
 			fatal(err)
 		}
 		eng = q
 	default:
-		q, err := durable.Open(durable.FromDataset(ds), durable.WithOptions(engOpts))
+		q, err := durable.Open(durable.FromDataset(ds))
 		if err != nil {
 			fatal(err)
 		}

@@ -37,7 +37,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/monitor"
 	"repro/internal/planner"
-	"repro/internal/rmq"
 	"repro/internal/score"
 	"repro/internal/topk"
 )
@@ -254,20 +253,6 @@ func NewMonitor(k int, tau int64, s Scorer, opts MonitorOptions) (*Monitor, erro
 	return monitor.New(k, tau, s, opts)
 }
 
-// Block is the pluggable range top-k building block of the paper's §II; the
-// default is the tree index, and WithRMQBlock selects the sparse-table
-// alternative for fixed-scorer workloads.
-type Block = core.Block
-
 // DurabilityRecord reports how long one record stayed in the top-k; see
 // Engine.DurabilityProfile and Engine.MostDurable.
 type DurabilityRecord = core.DurabilityRecord
-
-// WithRMQBlock returns the options with the building block replaced by the
-// sparse-table RMQ structure: O(n log n) per distinct scorer instance, then
-// O(k log k) per range top-k probe. Best when many durable queries reuse the
-// same Scorer value with varying k, tau and I.
-func WithRMQBlock(opts Options) Options {
-	opts.NewBlock = func(ds *data.Dataset) core.Block { return rmq.NewBlock(ds) }
-	return opts
-}

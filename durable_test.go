@@ -201,24 +201,6 @@ func TestPublicAPIMaxDuration(t *testing.T) {
 	_ = full
 }
 
-func TestPublicAPIRMQBlock(t *testing.T) {
-	ds := buildDataset(t, 600)
-	scorer, err := durable.NewSingleAttr(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := openEngine(t, ds, durable.WithOptions(durable.WithRMQBlock(durable.Options{})))
-	lo, hi := ds.Span()
-	res, err := eng.DurableTopK(durable.Query{K: 3, Tau: 40, Start: lo, End: hi, Scorer: scorer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := durable.BruteForce(ds, scorer, 3, 40, lo, hi, durable.LookBack)
-	if !reflect.DeepEqual(res.IDs(), want) {
-		t.Fatalf("RMQ-backed engine answer %v want %v", res.IDs(), want)
-	}
-}
-
 func TestPublicAPIMostDurable(t *testing.T) {
 	ds := buildDataset(t, 500)
 	eng := openEngine(t, ds)

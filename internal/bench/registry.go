@@ -31,7 +31,6 @@ var registry = []Experiment{
 	{ID: "abl-threshold", Paper: "ablation", Title: "index LengthThreshold sweep", Run: runAblationThreshold},
 	{ID: "abl-bounds", Paper: "ablation", Title: "skyline vs MBR-only node bounds", Run: runAblationBounds},
 	{ID: "abl-forest", Paper: "ablation", Title: "static tree vs appendable forest", Run: runAblationForest},
-	{ID: "abl-block", Paper: "ablation", Title: "tree vs RMQ building block (fixed scorer)", Run: runAblationBlock},
 	{ID: "shardscale", Paper: "extension", Title: "time-sharded scale-out: latency vs shard count", Run: runShardScale},
 	{ID: "abl-planner", Paper: "ablation", Title: "cost-based Auto planner vs fixed strategies", Run: runAblationPlanner},
 	{ID: "ext-anchor", Paper: "extension", Title: "mid-anchored durability windows (lead sweep)", Run: runExtAnchor},

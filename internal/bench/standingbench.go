@@ -23,6 +23,13 @@ import (
 // so the ratio between rows is the cost of verdict fan-out on ingestion.
 var standingSubCounts = []int{1, 16, 256}
 
+// standingQuickSubCounts is the sweep of a Config.Quick smoke run: the
+// 256-subscription level costs over twenty times the other two together, and
+// they already drive the same fan-out path. A full run (durbench -standing
+// without -quick, and -streamjson, which writes the committed standing-* rows
+// of BENCH_stream.json) keeps every level.
+var standingQuickSubCounts = standingSubCounts[:2]
+
 // standingRows caps how much of the dataset each standing-query
 // configuration feeds: 256 subscriptions over the full reference stream
 // would dominate the whole suite without changing what the rows measure.
@@ -44,9 +51,10 @@ const standingBatchRows = 512
 
 // standingThroughput measures serving standing queries over loopback TCP and
 // fills the standing_* rows of rep: a live dataset is fed through the
-// server's append path with N subscriptions attached — each on its own v2
-// connection, each with a distinct random scorer, so per-append scoring
-// cannot be shared and the rows measure worst-case verdict fan-out.
+// server's append path with N subscriptions attached, for each N in
+// subCounts — each on its own v2 connection, each with a distinct random
+// scorer, so per-append scoring cannot be shared and the rows measure
+// worst-case verdict fan-out.
 //
 // standing_appends_per_sec is end-to-end: the clock stops only once every
 // subscriber has received the event for the final append, so the rate folds
@@ -54,7 +62,7 @@ const standingBatchRows = 512
 // standing_confirm_latency_ns is the mean delay from starting the append
 // that closed a record's look-ahead window to a subscriber holding that
 // confirmation — the wire analogue of the freshness lag.
-func standingThroughput(rep *StreamReport, ds *data.Dataset, seed int64) error {
+func standingThroughput(rep *StreamReport, ds *data.Dataset, seed int64, subCounts []int) error {
 	n := ds.Len()
 	if n > standingRows {
 		n = standingRows
@@ -66,9 +74,9 @@ func standingThroughput(rep *StreamReport, ds *data.Dataset, seed int64) error {
 		tau = 1
 	}
 	rep.StandingSubRows = n
-	rep.StandingAppendsPerSec = make(map[string]float64, len(standingSubCounts))
-	rep.StandingConfirmLatencyNs = make(map[string]float64, len(standingSubCounts))
-	for _, subs := range standingSubCounts {
+	rep.StandingAppendsPerSec = make(map[string]float64, len(subCounts))
+	rep.StandingConfirmLatencyNs = make(map[string]float64, len(subCounts))
+	for _, subs := range subCounts {
 		aps, lat, err := standingRun(ds, n, tau, subs, seed+int64(subs))
 		if err != nil {
 			return fmt.Errorf("bench: standing %d subs: %w", subs, err)
@@ -304,9 +312,9 @@ func standingRun(ds *data.Dataset, n int, tau int64, subs int, seed int64) (appe
 // the standing-query rows of BENCH_stream.json rendered as a table.
 func runStandingScale(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
-	dsName := "nba-2"
+	dsName, subCounts := "nba-2", standingSubCounts
 	if cfg.Quick {
-		dsName = "ind-4000"
+		dsName, subCounts = "ind-4000", standingQuickSubCounts
 	}
 	ds, err := DatasetFor(cfg, dsName)
 	if err != nil {
@@ -314,13 +322,13 @@ func runStandingScale(cfg Config, w io.Writer) error {
 	}
 	rep := &StreamReport{Dataset: dsName, Records: ds.Len(), Dims: ds.Dims(),
 		K: defaultK, TauPct: defaultTauPct, GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: cfg.Seed}
-	if err := standingThroughput(rep, ds, cfg.Seed); err != nil {
+	if err := standingThroughput(rep, ds, cfg.Seed, subCounts); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "dataset=%s rows=%d d=%d | k=%d tau=%d%% | GOMAXPROCS=%d seed=%d\n",
 		rep.Dataset, rep.StandingSubRows, rep.Dims, rep.K, rep.TauPct, rep.GOMAXPROCS, rep.Seed)
 	base := rep.StandingAppendsPerSec["1"]
-	for _, subs := range standingSubCounts {
+	for _, subs := range subCounts {
 		key := strconv.Itoa(subs)
 		cost := ""
 		if subs > 1 && base > 0 {
@@ -329,7 +337,7 @@ func runStandingScale(cfg Config, w io.Writer) error {
 		fmt.Fprintf(w, "%-30s %12.0f%s\n",
 			fmt.Sprintf("appends/s, %3d subscription(s)", subs), rep.StandingAppendsPerSec[key], cost)
 	}
-	for _, subs := range standingSubCounts {
+	for _, subs := range subCounts {
 		key := strconv.Itoa(subs)
 		fmt.Fprintf(w, "%-30s %12.0f\n",
 			fmt.Sprintf("confirm latency ns, %3d sub(s)", subs), rep.StandingConfirmLatencyNs[key])

@@ -154,7 +154,7 @@ var allStreamSections = []streamSection{liveRows, liveShardedRows, compactionLif
 		return serveThroughput(rep, ds, rep.Seed)
 	},
 	func(rep *StreamReport, ds *data.Dataset, _ QuerySpec, _ score.Scorer) error {
-		return standingThroughput(rep, ds, rep.Seed)
+		return standingThroughput(rep, ds, rep.Seed, standingSubCounts)
 	},
 }
 

@@ -43,7 +43,7 @@ func anchorSpan(q *Query) (back, lead int64) {
 // contains all k items and each outranks q strictly — except for records
 // tying the k-th score, which the gap scan below surfaces and checks
 // individually.
-func runTHopAnchored(v *view, pr *probe, q Query, st *Stats) []int32 {
+func runTHopAnchored(v *spanBlock, pr *probe, q Query, st *Stats) []int32 {
 	ds := v.ds
 	back, lead := anchorSpan(&q)
 	loIdx := ds.LowerBound(q.Start)
@@ -108,7 +108,7 @@ func runTHopAnchored(v *view, pr *probe, q Query, st *Stats) []int32 {
 // [gapLo, gapHi) whose score ties sk, appending durable ones to res. It
 // reports false when the range may hold more tying records than one
 // building-block probe can enumerate.
-func checkGapTies(v *view, pr *probe, q *Query, st *Stats, gapLo, gapHi int, sk float64, res *[]int32) bool {
+func checkGapTies(v *spanBlock, pr *probe, q *Query, st *Stats, gapLo, gapHi int, sk float64, res *[]int32) bool {
 	if gapLo >= gapHi {
 		return true
 	}
@@ -144,7 +144,7 @@ func checkGapTies(v *view, pr *probe, q *Query, st *Stats, gapLo, gapHi int, sk 
 // the arrival times whose window contains p, i.e. [p.t - Lead, p.t + back].
 // Equal-score runs are decided before any of their intervals are added, so
 // ties never block each other.
-func runSBaseAnchored(v *view, q Query, st *Stats) []int32 {
+func runSBaseAnchored(v *spanBlock, q Query, st *Stats) []int32 {
 	ds := v.ds
 	back, lead := anchorSpan(&q)
 	lo := ds.LowerBound(satSub(q.Start, back))
@@ -273,7 +273,7 @@ func (c *coverBlocks) rangeCovered(t1, t2 int64) bool {
 // scores never block each other, and sub-interval abandonment re-proved by
 // an explicit min-coverage query (Lemma 6's geometric shortcut only holds
 // for end-anchored windows).
-func runSHopAnchored(v *view, pr *probe, q Query, st *Stats) []int32 {
+func runSHopAnchored(v *spanBlock, pr *probe, q Query, st *Stats) []int32 {
 	back, lead := anchorSpan(&q)
 	subLen := q.Tau
 	if subLen < 1 {

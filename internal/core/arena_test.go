@@ -9,6 +9,15 @@ import (
 	"repro/internal/topk"
 )
 
+// wholeSpan points pr at the look-back span over all of eng's rows and
+// returns its block, the one a strategy evaluating the whole dataset probes.
+func wholeSpan(eng *Engine, pr *probe) *spanBlock {
+	n := eng.ds.Len()
+	pr.span = *eng.ds.Slice(0, n)
+	pr.blk = spanBlock{shards: eng.group.shards, ds: &pr.span, rhi: n}
+	return &pr.blk
+}
+
 // TestRunSHopZeroAllocs asserts the arena acceptance criterion directly:
 // once the probe's arena, scratch and buffers are warm, a full S-Hop
 // evaluation — prefetch queries, heap processing, durability checks,
@@ -24,9 +33,9 @@ func TestRunSHopZeroAllocs(t *testing.T) {
 		Start: lo + span/10, End: hi - span/10,
 		Scorer: score.MustLinear(0.3, 0.7), Algorithm: SHop,
 	}
-	v := &eng.fwd
 	pr := newProbe()
 	defer pr.release()
+	v := wholeSpan(eng, pr)
 	var st Stats
 	// Warm the arena, scratch and map storage.
 	want := runSHop(v, pr, q, &st)

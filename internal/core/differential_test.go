@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/data"
-	"repro/internal/topk"
 )
 
 // Cross-strategy differential property harness: every evaluation strategy —
@@ -26,34 +25,6 @@ import (
 // test (1 = degenerate single shard; 16 usually exceeds the shard-per-record
 // density on small datasets, exercising cut clamping).
 var diffShardCounts = []int{1, 2, 7, 16}
-
-// foreignBlock hides the tree index behind the bare Block contract, and
-// foreignScratchBlock behind Block plus ScratchBlock (embedding an interface
-// promotes only its own methods): what a span meets when
-// Options.NewBlock supplies the building block, so its merge runs through
-// the re-offer fallback instead of continuing natively.
-type foreignBlock struct{ Block }
-
-type foreignScratchBlock struct {
-	Block
-	ScratchBlock
-}
-
-// diffEngineOpts returns the engine options of differential trial engine i:
-// the tree index for most, a foreign building block for every third.
-func diffEngineOpts(i int) Options {
-	opts := testEngineOpts()
-	switch i % 3 {
-	case 1:
-		opts.NewBlock = func(ds *data.Dataset) Block { return foreignBlock{topk.Build(ds, opts.Index)} }
-	case 2:
-		opts.NewBlock = func(ds *data.Dataset) Block {
-			idx := topk.Build(ds, opts.Index)
-			return foreignScratchBlock{idx, idx}
-		}
-	}
-	return opts
-}
 
 // diffDataset builds one of three adversarially shaped datasets:
 //
@@ -156,11 +127,11 @@ func runDifferentialTrial(t *testing.T, seed int64) {
 	eng := NewEngine(ds, testEngineOpts())
 	sharded := make([]*ShardedEngine, len(diffShardCounts))
 	for i, count := range diffShardCounts {
-		// Alternate strategy and building block so all get coverage.
-		sharded[i] = NewShardedEngine(ds, diffEngineOpts(i), testShardOpts(count, ShardStrategy(rng.Intn(2))))
+		// Alternate the strategy so both get coverage.
+		sharded[i] = NewShardedEngine(ds, testEngineOpts(), testShardOpts(count, ShardStrategy(rng.Intn(2))))
 	}
 	// One engine with enough shards for a window to cover several.
-	wide := NewShardedEngine(ds, diffEngineOpts(rng.Intn(3)), ShardOptions{Shards: 6 + rng.Intn(6)})
+	wide := NewShardedEngine(ds, testEngineOpts(), ShardOptions{Shards: 6 + rng.Intn(6)})
 	sharded = append(sharded, wide)
 
 	fail := func(engine string, q Query, got, want []int) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/data"
 	"repro/internal/planner"
@@ -11,36 +12,22 @@ import (
 	"repro/internal/topk"
 )
 
-// Block is the pluggable range top-k building block of §II: any structure
-// that answers Q(s, k, W) over a closed time window (Query) or a half-open
-// record index range (QueryRange) with results in (score desc, time desc)
-// order. The default is the tree index of package topk; package rmq provides
-// an alternative for fixed-scorer workloads.
+// Block is the range top-k building block of §II that an Engine holds: the
+// tree index of package topk (*topk.Index), or a live tail's pinned forest
+// view (*topk.View), and nothing else. It carries exactly the methods called
+// through it; evaluations continue one merge across the shards' blocks through
+// Engine.mergeRange, which switches on these two concrete types.
 type Block interface {
+	// Query answers Q(s, k, [t1, t2]) in (score desc, time desc) order.
 	Query(s score.Scorer, k int, t1, t2 int64) []topk.Item
-	QueryRange(s score.Scorer, k int, lo, hi int) []topk.Item
-}
-
-// ScratchBlock is an optional Block capability: probes that run on
-// caller-provided working memory (topk.Scratch) and append results into a
-// reusable buffer. One durable top-k evaluation issues hundreds of
-// building-block probes; the engine threads a single Scratch plus one result
-// buffer through all of them, making the probe hot path allocation-free.
-// Both *topk.Index and *rmq.Block implement it.
-type ScratchBlock interface {
-	QueryInto(s score.Scorer, k int, t1, t2 int64, sc *topk.Scratch, dst []topk.Item) []topk.Item
-	QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *topk.Scratch, dst []topk.Item) []topk.Item
+	// UpperBoundAll bounds the scorer over every record the block indexes.
+	UpperBoundAll(s score.Scorer) float64
 }
 
 // Options configures an Engine.
 type Options struct {
-	// Index configures the default range top-k building block.
+	// Index configures the tree index, the range top-k building block.
 	Index topk.Options
-	// NewBlock, when set, replaces the default tree index: it is invoked
-	// once, over the engine's dataset, and must return a Block honouring the
-	// (score desc, time desc) contract. Look-ahead windows probe the same
-	// block (see view.mergeRange).
-	NewBlock func(ds *data.Dataset) Block
 	// SkybandScanBudget caps the per-record dominator scan when building
 	// S-Band's durable k-skyband index; 0 computes exact durations. An
 	// exhausted budget over-approximates a record's duration, which keeps
@@ -59,27 +46,14 @@ type Options struct {
 // concurrent queries.
 type Engine struct {
 	opts Options
-	fwd  view
+	ds   *data.Dataset
+	idx  Block // a *topk.Index, or a live tail's *topk.View
 
 	self  [1]timeShard // the engine's whole dataset, as its group's one shard
 	group shardGroup
 
 	mu     sync.Mutex // serializes the lazy ladder builds
 	ladder map[Anchor]*skyband.Ladder
-}
-
-// view bundles a dataset direction with its building block.
-type view struct {
-	ds  *data.Dataset
-	idx Block
-	// into is idx's optional scratch-probe capability, nil when absent.
-	into ScratchBlock
-}
-
-func newView(ds *data.Dataset, idx Block) view {
-	v := view{ds: ds, idx: idx}
-	v.into, _ = idx.(ScratchBlock)
-	return v
 }
 
 // counter tags for instrumented building-block calls.
@@ -142,60 +116,22 @@ func (st *Stats) count(kind queryKind) {
 	}
 }
 
-// topk runs one instrumented building-block query over the closed window
-// [t1, t2]. The result is transient: it lives in pr's buffer and is
-// overwritten by the next transient probe, so callers must finish consuming
-// it first (use topkKeep to retain a result).
-func (v *view) topk(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, t1, t2 int64) []topk.Item {
-	st.count(kind)
-	if v.into != nil {
-		pr.buf = v.into.QueryInto(s, k, t1, t2, pr.sc, pr.buf)
-		return pr.buf
-	}
-	return v.idx.Query(s, k, t1, t2)
-}
+// indexBuilds counts the tree indexes NewEngine has built, process-wide; the
+// cost-contract tests read it as a delta.
+var indexBuilds atomic.Int64
 
-// topkKeep is topk for callers that retain the result beyond the next probe
-// (T-Base's sliding top-k set): the result is written over dst — a buffer the
-// caller owns, nil to allocate — and only the probe's internal working memory
-// is shared.
-func (v *view) topkKeep(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, t1, t2 int64, dst []topk.Item) []topk.Item {
-	st.count(kind)
-	if v.into != nil {
-		return v.into.QueryInto(s, k, t1, t2, pr.sc, dst)
-	}
-	return v.idx.Query(s, k, t1, t2)
-}
-
-// topkRangeKeep is the probe over a half-open record index range, with a
-// freshly allocated, retainable result.
-func (v *view) topkRangeKeep(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, lo, hi int) []topk.Item {
-	st.count(kind)
-	if v.into != nil {
-		return v.into.QueryRangeInto(s, k, lo, hi, pr.sc, nil)
-	}
-	return v.idx.QueryRange(s, k, lo, hi)
-}
-
-// member reports whether record id (arriving at t2) is in the top-k of
-// [t1, t2] given that window's top-k items.
-func (v *view) member(s score.Scorer, k int, items []topk.Item, id int32) bool {
-	if len(items) < k {
-		return true
-	}
-	return s.Score(v.ds.Attrs(int(id))) >= items[k-1].Score
-}
-
-// NewEngine builds the building block over ds and returns a ready engine.
+// NewEngine builds the tree index over ds and returns a ready engine.
 func NewEngine(ds *data.Dataset, opts Options) *Engine {
-	return newEngine(ds, buildBlock(ds, opts), opts)
+	indexBuilds.Add(1)
+	return newEngine(ds, topk.Build(ds, opts.Index), opts)
 }
 
 // newEngine returns an engine whose building block over ds is blk.
 func newEngine(ds *data.Dataset, blk Block, opts Options) *Engine {
 	e := &Engine{
 		opts:   opts,
-		fwd:    newView(ds, blk),
+		ds:     ds,
+		idx:    blk,
 		ladder: make(map[Anchor]*skyband.Ladder),
 	}
 	e.self[0] = timeShard{lo: 0, hi: ds.Len(), eng: e}
@@ -279,19 +215,12 @@ func checkAlgorithm(q *Query, alg Algorithm) error {
 	return nil
 }
 
-func buildBlock(ds *data.Dataset, opts Options) Block {
-	if opts.NewBlock != nil {
-		return opts.NewBlock(ds)
-	}
-	return topk.Build(ds, opts.Index)
-}
-
 // Dataset returns the engine's dataset.
-func (e *Engine) Dataset() *data.Dataset { return e.fwd.ds }
+func (e *Engine) Dataset() *data.Dataset { return e.ds }
 
-// Index exposes the forward building block (for direct range top-k queries,
-// e.g. the sliding/tumbling comparison utilities).
-func (e *Engine) Index() Block { return e.fwd.idx }
+// Index exposes the building block (for direct range top-k queries, e.g. the
+// sliding/tumbling comparison utilities).
+func (e *Engine) Index() Block { return e.idx }
 
 // skyLadder returns the lazily built durable k-skyband ladder for the given
 // anchor. The look-ahead ladder ranks a time-mirrored copy of the dataset,
@@ -304,7 +233,7 @@ func (e *Engine) skyLadder(anchor Anchor) *skyband.Ladder {
 	if ld, ok := e.ladder[anchor]; ok {
 		return ld
 	}
-	ds := e.fwd.ds
+	ds := e.ds
 	if anchor == LookAhead {
 		ds = ds.ReversedInto(nil, nil)
 	}
@@ -323,17 +252,18 @@ func (e *Engine) PrepareSkyband(k int, anchor Anchor) {
 
 // TopK answers the plain (non-durable) range top-k query Q(s, k, [t1, t2]).
 func (e *Engine) TopK(s score.Scorer, k int, t1, t2 int64) []topk.Item {
-	return e.fwd.idx.Query(s, k, t1, t2)
+	return e.idx.Query(s, k, t1, t2)
 }
 
-// evalIDs runs strategy alg for the validated query q over v on pr's working
-// memory and returns the answer ids in v's id space, ascending. A look-ahead
-// query runs the look-back machinery over a time-mirrored v (window
-// [p.t, p.t+tau] becomes [q.t-tau, q.t] for the mirrored record q); its ids
-// ascend in mirrored time, i.e. descend in original time. S-Band reads ld,
-// a skyband ladder over v's rows (nil for the other strategies). The ids may
-// live in pr's arena (valid until its next query).
-func evalIDs(pr *probe, v *view, q *Query, alg Algorithm, st *Stats, ld *skyband.Ladder) []int32 {
+// evalIDs runs strategy alg for the validated query q over the span block v
+// on pr's working memory and returns the answer ids in v's id space,
+// ascending. A look-ahead query runs the look-back machinery over a
+// time-mirrored v (window [p.t, p.t+tau] becomes [q.t-tau, q.t] for the
+// mirrored record q); its ids ascend in mirrored time, i.e. descend in
+// original time. S-Band reads ld, a skyband ladder over v's rows (nil for the
+// other strategies). The ids may live in pr's arena (valid until its next
+// query).
+func evalIDs(pr *probe, v *spanBlock, q *Query, alg Algorithm, st *Stats, ld *skyband.Ladder) []int32 {
 	// Normalize the anchor: end-anchored General queries collapse onto the
 	// specialized LookBack / LookAhead paths.
 	runQ := *q
@@ -383,7 +313,7 @@ func (e *Engine) DurableTopK(q Query) (*Result, error) { return e.group.DurableT
 // (-1, false), the "not computed" of ResultRecord.MaxDuration, for k < 1, a
 // nil scorer or one of another dimensionality, and an id outside [0, Len).
 func (e *Engine) MaxDuration(id, k int, s score.Scorer, anchor Anchor) (int64, bool) {
-	if k < 1 || s == nil || s.Dims() != e.fwd.ds.Dims() || id < 0 || id >= e.fwd.ds.Len() {
+	if k < 1 || s == nil || s.Dims() != e.ds.Dims() || id < 0 || id >= e.ds.Len() {
 		return -1, false
 	}
 	var st Stats

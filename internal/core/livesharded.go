@@ -360,22 +360,20 @@ func (e *LiveShardedEngine) repointSealedLocked() {
 // current global storage. An engine that already does, and a sealed tail's
 // snapshot engine (which reads the tail's own storage until its freeze lands),
 // come back as they are. Otherwise a fresh engine over the current slice takes
-// the tree index rebased (topk.Index.Rebase) or a foreign Options.NewBlock
-// block rebuilt; lazy S-Band ladders are left behind and rebuild on demand.
+// the tree index rebased (topk.Index.Rebase), never rebuilt; lazy S-Band
+// ladders are left behind and rebuild on demand.
 // Freeze and compaction builds pass through here when they install, since a
 // growth may have moved global while they built. Caller holds mu.
 func (e *LiveShardedEngine) repointLocked(eng *Engine, lo, hi int) *Engine {
-	if _, tail := eng.fwd.idx.(*topk.View); tail {
-		return eng
+	x, ok := eng.idx.(*topk.Index)
+	if !ok {
+		return eng // a tail's snapshot engine, over a *topk.View
 	}
 	sub := e.global.Slice(lo, hi)
-	if &eng.fwd.ds.Times()[0] == &sub.Times()[0] {
+	if &eng.ds.Times()[0] == &sub.Times()[0] {
 		return eng
 	}
-	if x, ok := eng.fwd.idx.(*topk.Index); ok {
-		return newEngine(sub, x.Rebase(sub), e.opts)
-	}
-	return NewEngine(sub, e.opts)
+	return newEngine(sub, x.Rebase(sub), e.opts)
 }
 
 // maxPendingFreezes bounds concurrent background freeze builds (and with

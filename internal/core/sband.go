@@ -11,7 +11,7 @@ import (
 // candidates, so a candidate covered by fewer than k blocking intervals
 // needs a durability-check query; the check's top-k set also reveals the
 // missing high-score blockers (Fig. 5). Monotone scorers only.
-func runSBand(v *view, pr *probe, ladder *skyband.Ladder, q Query, st *Stats) []int32 {
+func runSBand(v *spanBlock, pr *probe, ladder *skyband.Ladder, q Query, st *Stats) []int32 {
 	ds := v.ds
 	cands := ladder.Candidates(q.K, q.Start, q.End, q.Tau)
 	st.CandidateCount = len(cands)

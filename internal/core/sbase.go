@@ -41,7 +41,7 @@ func sortScoredDesc(refs []scoredRef) {
 // outrank later ones, so a record is tau-durable exactly when fewer than k
 // blocking intervals cover its arrival. No building-block queries are
 // issued; the O(n log n) sort dominates.
-func runSBase(v *view, q Query, st *Stats) []int32 {
+func runSBase(v *spanBlock, q Query, st *Stats) []int32 {
 	ds := v.ds
 	lo := ds.LowerBound(satSub(q.Start, q.Tau))
 	hi := ds.UpperBound(q.End)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -286,26 +285,15 @@ func shardAt(shards []timeShard, idx int) int {
 	return sort.Search(len(shards), func(i int) bool { return shards[i].hi > idx })
 }
 
-// upperBoundAller is the optional Block capability behind shard-level score
-// pruning: a single upper bound of the scorer over every record the block
-// indexes. *topk.Index implements it through the same skyline gather path
-// the tree descent uses, and *topk.View (the live tail's pinned snapshot)
-// through the captured chunk-tree bounds plus a buffered-suffix scan.
-type upperBoundAller interface {
-	UpperBoundAll(s score.Scorer) float64
-}
-
 // bounds returns every shard's score upper bound for s, filled into pr on
 // first use: a probe serves one evaluation, hence one scorer and one group.
-// Shards whose block cannot report a bound get +Inf (never pruned).
+// The tree index bounds through the same skyline gather path its descent
+// uses, a live tail's view through its captured chunk-tree bounds plus a
+// scan of its buffered suffix.
 func (g *shardGroup) bounds(pr *probe, s score.Scorer) []float64 {
 	if len(pr.ub) == 0 {
 		for i := range g.shards {
-			ub := math.Inf(1)
-			if b, ok := g.shards[i].eng.Index().(upperBoundAller); ok {
-				ub = b.UpperBoundAll(s)
-			}
-			pr.ub = append(pr.ub, ub)
+			pr.ub = append(pr.ub, g.shards[i].eng.idx.UpperBoundAll(s))
 		}
 	}
 	return pr.ub
@@ -401,8 +389,7 @@ func (g *shardGroup) evalSpan(pr *probe, q Query, lo, hi int, out *Result) {
 		pr.span = *g.ds.Slice(rlo, rhi)
 	}
 	pr.blk = spanBlock{shards: g.shards, ds: &pr.span, rlo: rlo, rhi: rhi, mirrored: mirrored}
-	v := newView(&pr.span, &pr.blk)
-	ids := evalIDs(pr, &v, &q, q.Algorithm, &out.Stats, ld)
+	ids := evalIDs(pr, &pr.blk, &q, q.Algorithm, &out.Stats, ld)
 	out.Records = spanRecords(g.ds, q.Scorer, ids, rlo, rhi, mirrored)
 }
 
@@ -450,7 +437,7 @@ func (g *shardGroup) higherCount(pr *probe, st *Stats, s score.Scorer, k, lo, hi
 			continue
 		}
 		st.count(kindCheck)
-		pr.buf = sh.eng.fwd.mergeRange(&m, s, plo, phi, sh.lo, false, pr.sc, pr.buf)
+		sh.eng.mergeRange(&m, s, plo, phi, sh.lo, false)
 		if kth, full := m.Kth(); full && kth.Score > ref {
 			break // k records already outrank ref
 		}

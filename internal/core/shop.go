@@ -68,7 +68,7 @@ func (h *shopHeap) pop() *shopEntry {
 // transient probe buffer, so it is copied into the probe's arena; the heap
 // entry comes from the arena too. A plain function (not a closure) so the
 // S-Hop main loop stays allocation-free.
-func shopPrefetch(v *view, pr *probe, st *Stats, s score.Scorer, k int, lo, hi int64) {
+func shopPrefetch(v *spanBlock, pr *probe, st *Stats, s score.Scorer, k int, lo, hi int64) {
 	if lo > hi {
 		return
 	}
@@ -91,7 +91,7 @@ func shopPrefetch(v *view, pr *probe, st *Stats, s score.Scorer, k int, lo, hi i
 // the heap itself, the visited/answer marks, the blocking treap and the
 // result ids — is carved from the probe's arena, so a steady-state
 // evaluation allocates nothing.
-func runSHop(v *view, pr *probe, q Query, st *Stats) []int32 {
+func runSHop(v *spanBlock, pr *probe, q Query, st *Stats) []int32 {
 	subLen := q.Tau
 	if subLen < 1 {
 		subLen = 1

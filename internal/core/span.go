@@ -18,7 +18,7 @@ import (
 // on the query path: both blocks of a span read each shard engine's one
 // index, the mirrored block (look-ahead windows run as look-back over
 // reversed time) through its mirrored merge. A plain Engine's evaluation is a
-// span over the engine as its one shard.
+// span over the engine as its one shard. Every strategy probes a spanBlock.
 //
 // Block ids address the span: forward id i is global row rlo+i; mirrored id
 // r is global row rhi-1-r, which shard sh reports for its local row
@@ -32,11 +32,6 @@ type spanBlock struct {
 	mirrored bool
 }
 
-var (
-	_ Block        = (*spanBlock)(nil)
-	_ ScratchBlock = (*spanBlock)(nil)
-)
-
 // mirrorCols is the column storage of one span's time-mirrored rows. A span
 // can be the whole dataset, and only a look-ahead evaluation in flight needs
 // one, so the columns have a pool of their own: riding on the pooled probes
@@ -49,24 +44,8 @@ type mirrorCols struct {
 
 var mirrorPool = sync.Pool{New: func() interface{} { return new(mirrorCols) }}
 
-func (b *spanBlock) Query(s score.Scorer, k int, t1, t2 int64) []topk.Item {
-	lo, hi := b.ds.IndexRange(t1, t2)
-	return b.QueryRange(s, k, lo, hi)
-}
-
-func (b *spanBlock) QueryRange(s score.Scorer, k int, lo, hi int) []topk.Item {
-	sc := topk.GetScratch()
-	out := b.QueryRangeInto(s, k, lo, hi, sc, nil)
-	topk.PutScratch(sc)
-	return out
-}
-
-func (b *spanBlock) QueryInto(s score.Scorer, k int, t1, t2 int64, sc *topk.Scratch, dst []topk.Item) []topk.Item {
-	lo, hi := b.ds.IndexRange(t1, t2)
-	return b.QueryRangeInto(s, k, lo, hi, sc, dst)
-}
-
-func (b *spanBlock) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *topk.Scratch, dst []topk.Item) []topk.Item {
+// queryRange answers the top-k of the span's rows [lo, hi) into dst, on sc.
+func (b *spanBlock) queryRange(s score.Scorer, k int, lo, hi int, sc *topk.Scratch, dst []topk.Item) []topk.Item {
 	lo, hi = max(lo, 0), min(hi, b.rhi-b.rlo)
 	if k <= 0 || lo >= hi {
 		return dst[:0]
@@ -86,69 +65,65 @@ func (b *spanBlock) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *topk.S
 		if b.mirrored {
 			shift = b.rhi - 1 - sh.lo
 		}
-		dst = sh.eng.fwd.mergeRange(&m, s, a-sh.lo, z-sh.lo, shift, b.mirrored, sc, dst)
+		sh.eng.mergeRange(&m, s, a-sh.lo, z-sh.lo, shift, b.mirrored)
 	}
 	return m.Finish(dst)
 }
 
-// mergeRange continues m with the view's records [lo, hi), reported under
+// topk runs one instrumented building-block query over the closed window
+// [t1, t2]. The result is transient: it lives in pr's buffer and is
+// overwritten by the next transient probe, so callers must finish consuming
+// it first (use topkKeep to retain a result).
+func (b *spanBlock) topk(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, t1, t2 int64) []topk.Item {
+	pr.buf = b.topkKeep(pr, st, kind, s, k, t1, t2, pr.buf)
+	return pr.buf
+}
+
+// topkKeep is topk for callers that retain the result beyond the next probe
+// (T-Base's sliding top-k set): the result is written over dst — a buffer the
+// caller owns, nil to allocate — and only the probe's internal working memory
+// is shared.
+func (b *spanBlock) topkKeep(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, t1, t2 int64, dst []topk.Item) []topk.Item {
+	st.count(kind)
+	lo, hi := b.ds.IndexRange(t1, t2)
+	return b.queryRange(s, k, lo, hi, pr.sc, dst)
+}
+
+// topkRangeKeep is the probe over a half-open record index range, with a
+// freshly allocated, retainable result.
+func (b *spanBlock) topkRangeKeep(pr *probe, st *Stats, kind queryKind, s score.Scorer, k int, lo, hi int) []topk.Item {
+	st.count(kind)
+	return b.queryRange(s, k, lo, hi, pr.sc, nil)
+}
+
+// member reports whether record id (arriving at t2) is in the top-k of
+// [t1, t2] given that window's top-k items.
+func (b *spanBlock) member(s score.Scorer, k int, items []topk.Item, id int32) bool {
+	if len(items) < k {
+		return true
+	}
+	return s.Score(b.ds.Attrs(int(id))) >= items[k-1].Score
+}
+
+// mergeRange continues m with the engine's records [lo, hi), reported under
 // id+shift — or, mirror set, as a time-reversed copy would report them: record
 // i as id shift−i at time −Time(i), ranked in the mirrored tie order (see
-// topk.Index.MergeRangeMirrored). The tree index and a live tail's forest view
-// continue the merge natively; any other building block (Options.NewBlock)
-// answers a top-k of its own, which is re-offered item by item through tmp —
-// the caller's result buffer, free until the merge finishes — and returned for
-// reuse. The switch is on concrete types because m lives on the caller's
-// stack: handed to an interface method it would escape, one allocation per
-// probe.
-func (v *view) mergeRange(m *topk.Merger, s score.Scorer, lo, hi, shift int, mirror bool, sc *topk.Scratch, tmp []topk.Item) []topk.Item {
-	switch x := v.idx.(type) {
+// topk.Index.MergeRangeMirrored). The switch is on concrete types because m
+// lives on the caller's stack: handed to an interface method it would escape,
+// one allocation per probe.
+func (e *Engine) mergeRange(m *topk.Merger, s score.Scorer, lo, hi, shift int, mirror bool) {
+	switch x := e.idx.(type) {
 	case *topk.Index:
 		if mirror {
 			x.MergeRangeMirrored(m, s, lo, hi, shift)
 		} else {
 			x.MergeRange(m, s, lo, hi, shift)
 		}
-		return tmp
 	case *topk.View:
 		if mirror {
 			x.MergeRangeMirrored(m, s, lo, hi, shift)
 		} else {
 			x.MergeRange(m, s, lo, hi, shift)
 		}
-		return tmp
-	}
-	// A foreign block ranks ties forward only. The mirrored top-k differs
-	// from the forward one only inside the tie group of the k-th score, so a
-	// mirrored probe widens the forward one until that group is whole — the
-	// last item scores below the k-th, or the range is exhausted — and lets
-	// the merge re-rank what it returned.
-	k := m.K()
-	if k <= 0 {
-		return tmp
-	}
-	want := k
-	for {
-		var items []topk.Item
-		if v.into != nil {
-			tmp = v.into.QueryRangeInto(s, want, lo, hi, sc, tmp)
-			items = tmp
-		} else {
-			items = v.idx.QueryRange(s, want, lo, hi)
-		}
-		if !mirror {
-			for _, it := range items {
-				it.ID += int32(shift)
-				m.Offer(it)
-			}
-			return tmp
-		}
-		if len(items) < want || want >= hi-lo || items[want-1].Score != items[k-1].Score {
-			for _, it := range items {
-				m.Offer(topk.Item{ID: int32(shift) - it.ID, Time: -it.Time, Score: it.Score})
-			}
-			return tmp
-		}
-		want = min(2*want, hi-lo)
 	}
 }

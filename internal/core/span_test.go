@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/data"
 	"repro/internal/score"
-	"repro/internal/topk"
 )
 
 // TestStraddleRegionBuildsNothing is the span path's cost contract: a query
@@ -21,17 +19,13 @@ import (
 func TestStraddleRegionBuildsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ds := randDataset(rng, 8000, 2, true)
-	var builds atomic.Int64
-	opts := testEngineOpts()
-	opts.NewBlock = func(d *data.Dataset) Block {
-		builds.Add(1)
-		return topk.Build(d, opts.Index)
-	}
-	se := NewShardedEngine(ds, opts, ShardOptions{Shards: 8})
-	if n := builds.Load(); n != 8 {
+	plain := NewEngine(ds, testEngineOpts())
+	base := indexBuilds.Load()
+	builds := func() int64 { return indexBuilds.Load() - base }
+	se := NewShardedEngine(ds, testEngineOpts(), ShardOptions{Shards: 8})
+	if n := builds(); n != 8 {
 		t.Fatalf("%d index builds for 8 shards", n)
 	}
-	plain := NewEngine(ds, testEngineOpts())
 	lo, hi := ds.Span()
 	for _, anchor := range []Anchor{LookBack, LookAhead} {
 		q := Query{
@@ -50,16 +44,16 @@ func TestStraddleRegionBuildsNothing(t *testing.T) {
 		if len(want.Records) == 0 || !reflect.DeepEqual(got.Records, want.Records) {
 			t.Fatalf("%v: sharded answer differs: got %d records, want %d", anchor, len(got.Records), len(want.Records))
 		}
-		if n := builds.Load(); n != 8 {
+		if n := builds(); n != 8 {
 			t.Fatalf("%v: the first straddling query built %d indexes, want 0", anchor, n-8)
 		}
-		built := builds.Load()
+		built := builds()
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := se.DurableTopK(q); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if n := builds.Load() - built; n != 0 {
+		if n := builds() - built; n != 0 {
 			t.Fatalf("%v: warmed straddling query built %d indexes, want 0", anchor, n)
 		}
 		// The result, its records, the span's views and blocks (5 to 8), plus
@@ -70,7 +64,7 @@ func TestStraddleRegionBuildsNothing(t *testing.T) {
 		}
 		t.Logf("%v: %.0f allocs/query, %d records", anchor, allocs, len(want.Records))
 	}
-	if n := builds.Load(); n != 8 {
+	if n := builds(); n != 8 {
 		t.Fatalf("%d index builds in total, want 8 (one per shard, serving both directions)", n)
 	}
 }

@@ -37,7 +37,7 @@ const tbaseStripe = 512
 // time as its end of the window moves past the rows it holds. Most entering
 // rows rank below a full buffer's last entry; those are turned away by one
 // comparison, before an Item is built or offerItem called.
-func runTBase(v *view, pr *probe, q Query, st *Stats) []int32 {
+func runTBase(v *spanBlock, pr *probe, q Query, st *Stats) []int32 {
 	ds := v.ds
 	loIdx := ds.LowerBound(q.Start)
 	hiIdx := ds.UpperBound(q.End) - 1

@@ -150,20 +150,21 @@ func TestRunTBaseZeroAllocs(t *testing.T) {
 	q := Query{K: 10, Tau: (hi - lo) / 20, Start: lo, End: hi, Scorer: score.MustLinear(0.3, 0.7), Algorithm: TBase}
 	pr := newProbe()
 	defer pr.release()
+	v := wholeSpan(eng, pr)
 	var st Stats
-	want := append([]int32(nil), runTBase(&eng.fwd, pr, q, &st)...)
+	want := append([]int32(nil), runTBase(v, pr, q, &st)...)
 	if len(want) == 0 || st.MaintQueries < 2 {
 		t.Fatalf("%d answers, %d recomputations: not the sweep this test is about", len(want), st.MaintQueries)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if res := runTBase(&eng.fwd, pr, q, &st); len(res) != len(want) {
+		if res := runTBase(v, pr, q, &st); len(res) != len(want) {
 			t.Fatalf("steady-state answer drifted: %d records, want %d", len(res), len(want))
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state T-Base evaluation allocates %.1f times, want 0", allocs)
 	}
-	if res := runTBase(&eng.fwd, pr, q, &st); !reflect.DeepEqual(res, want) {
+	if res := runTBase(v, pr, q, &st); !reflect.DeepEqual(res, want) {
 		t.Fatalf("arena reuse corrupted the answer: got %v want %v", res, want)
 	}
 }

@@ -7,7 +7,7 @@ package core
 // records, each of which outranks it (strictly, thanks to the recency
 // tie-break of the building block). The number of building-block calls is
 // O(|S| + k·ceil(|I|/tau)) (Lemma 1).
-func runTHop(v *view, pr *probe, q Query, st *Stats) []int32 {
+func runTHop(v *spanBlock, pr *probe, q Query, st *Stats) []int32 {
 	ds := v.ds
 	loIdx := ds.LowerBound(q.Start)
 	cur := ds.UpperBound(q.End) - 1

@@ -15,7 +15,7 @@
 //
 // Attribute storage is columnar-friendly: every constructor materializes one
 // contiguous row-major backing array (record i occupies flat[i*d : (i+1)*d]),
-// so the scoring hot loops of packages topk and rmq can evaluate whole index
+// so the scoring hot loops of package topk can evaluate whole index
 // spans with a single bounds-checked slice and no per-record pointer chase
 // (see score.BulkScorer). Live appends preserve the contiguity: AppendRow
 // grows both columns together in amortized chunks, so FlatAttrs is one

@@ -22,9 +22,9 @@ import (
 // it — tree probes run the same pooled-Scratch bulk-scoring path as a
 // statically built Index. When an append grows the storage into a new
 // array, the chunk trees are re-pointed at it, so only snapshotted views
-// keep the old one alive. Forest implements the engine's Block and
-// ScratchBlock contracts (ids address append order), so it can serve as the
-// building block of a live engine directly.
+// keep the old one alive. Ids address append order. A live engine probes
+// the forest through pinned prefix views (Snapshot), each of which continues
+// a caller's merge over its chunk trees and buffer (View.MergeRange).
 //
 // Appends are not safe for concurrent use; queries are read-only and may run
 // concurrently with each other (not with Append).
@@ -173,9 +173,8 @@ func (f *Forest) Snapshot(n int) *View {
 	return v
 }
 
-// View is an append-stable prefix snapshot of a Forest (see Forest.Snapshot).
-// It implements the same Block/ScratchBlock probe contract as the forest,
-// pinned to the records committed at snapshot time.
+// View is an append-stable prefix snapshot of a Forest (see Forest.Snapshot):
+// the forest's probes, pinned to the records committed at snapshot time.
 type View struct {
 	ds       *data.Dataset // prefix view of the storage, Len() == n
 	trees    []chunkTree   // captured tree set (may straddle n; probes clip)
@@ -191,32 +190,13 @@ func (v *View) Dataset() *data.Dataset { return v.ds }
 // Query returns up to k records with highest (score desc, time desc) rank
 // among the view's records with arrival time in [t1, t2].
 func (v *View) Query(s score.Scorer, k int, t1, t2 int64) []Item {
-	sc := GetScratch()
-	out := v.QueryInto(s, k, t1, t2, sc, nil)
-	PutScratch(sc)
-	return out
-}
-
-// QueryRange is Query over the half-open append-order index range [lo, hi).
-func (v *View) QueryRange(s score.Scorer, k int, lo, hi int) []Item {
-	sc := GetScratch()
-	out := v.QueryRangeInto(s, k, lo, hi, sc, nil)
-	PutScratch(sc)
-	return out
-}
-
-// QueryInto is Query with caller-provided working memory.
-func (v *View) QueryInto(s score.Scorer, k int, t1, t2 int64, sc *Scratch, dst []Item) []Item {
 	lo, hi := v.ds.IndexRange(t1, t2)
-	return v.QueryRangeInto(s, k, lo, hi, sc, dst)
-}
-
-// QueryRangeInto is QueryRange with caller-provided working memory; see
-// Forest.QueryRangeInto for the Scratch/dst contract.
-func (v *View) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, dst []Item) []Item {
+	sc := GetScratch()
 	m := sc.Merger(k)
 	v.MergeRange(&m, s, lo, hi, 0)
-	return m.Finish(dst)
+	out := m.Finish(nil)
+	PutScratch(sc)
+	return out
 }
 
 // MergeRange continues m with the view's records [lo, hi), reported under
@@ -302,31 +282,18 @@ func maxScoreRange(ds *data.Dataset, s score.Scorer, lo, hi int) float64 {
 // among records with arrival time in [t1, t2], with IDs referring to append
 // order.
 func (f *Forest) Query(s score.Scorer, k int, t1, t2 int64) []Item {
-	sc := GetScratch()
-	out := f.QueryInto(s, k, t1, t2, sc, nil)
-	PutScratch(sc)
-	return out
-}
-
-// QueryRange is Query over the half-open append-order index range [lo, hi).
-func (f *Forest) QueryRange(s score.Scorer, k int, lo, hi int) []Item {
+	lo, hi := f.tail.IndexRange(t1, t2)
 	sc := GetScratch()
 	out := f.QueryRangeInto(s, k, lo, hi, sc, nil)
 	PutScratch(sc)
 	return out
 }
 
-// QueryInto is Query with caller-provided working memory; see
-// Index.QueryInto for the Scratch/dst contract.
-func (f *Forest) QueryInto(s score.Scorer, k int, t1, t2 int64, sc *Scratch, dst []Item) []Item {
-	lo, hi := f.tail.IndexRange(t1, t2)
-	return f.QueryRangeInto(s, k, lo, hi, sc, dst)
-}
-
-// QueryRangeInto is QueryRange with caller-provided working memory: the
+// QueryRangeInto answers Query over the half-open append-order index range
+// [lo, hi) on caller-provided working memory (see Index.QueryInto): the
 // overlapping chunk trees and the still-buffered tail continue one merge (see
 // MergeRange) living in sc. With a warmed Scratch and a reused dst the whole
-// fan-out performs zero allocations — the steady-state live query path.
+// fan-out performs zero allocations.
 func (f *Forest) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, dst []Item) []Item {
 	m := sc.Merger(k)
 	f.MergeRange(&m, s, lo, hi, 0)

@@ -24,7 +24,7 @@ type WindowResult struct {
 }
 
 // Querier is the fragment of the range top-k building block these utilities
-// need; *topk.Index and core engine blocks satisfy it.
+// need; *topk.Index and an engine's core.Block (Engine.Index) satisfy it.
 type Querier interface {
 	Query(s score.Scorer, k int, t1, t2 int64) []topk.Item
 }
