@@ -78,12 +78,11 @@
 // command-line consumer) and are pushed per-append durability verdicts —
 // instant look-back decisions and delayed look-ahead confirmations — as
 // server-initiated event frames, covering wire appends and the -ingest
-// stdin feed alike. Clients that additionally negotiate the backfill feature
-// get durable subscriptions: the registration survives its connection
-// (resumable by key with the missed events replayed server-side) and, when
-// combined with -wal, survives server crashes too — the registry rides the
-// checkpoint manifest, so a follower reconnecting after a restart resumes
-// gap-free:
+// stdin feed alike. Every subscription is durable: the registration survives
+// its connection (resumable by key with the missed events replayed
+// server-side) and, when combined with -wal, survives server crashes too —
+// the registry rides the checkpoint manifest, so a follower reconnecting
+// after a restart resumes gap-free:
 //
 //	durgen -kind nba -n 100000 | durserved -live games=2 -ingest games -subscriptions -wal /var/lib/durserved
 package main
@@ -185,11 +184,12 @@ func main() {
 		log.Printf("durserved: result cache, %d units of 64 records", *cacheSz)
 	}
 	// Standing queries are an operator opt-in: without -subscriptions the
-	// "events" feature is withheld at hello time and subscribe requests fail
-	// with a clear error, while everything else serves unchanged.
+	// subscription features are withheld at hello time and subscribe
+	// requests fail with a clear error, while everything else serves
+	// unchanged.
 	srv.SetSubscriptions(*subsOn)
 	if *subsOn {
-		log.Printf("durserved: standing-query subscriptions enabled (protocol v2, feature %q)", wire.FeatureEvents)
+		log.Printf("durserved: standing-query subscriptions enabled (protocol v2, features %q and %q)", wire.FeatureEvents, wire.FeatureBackfill)
 	}
 	// The bounded skyband scan keeps S-Band's lazy index build tractable on
 	// adversarial data while staying exact (see DESIGN.md §2).

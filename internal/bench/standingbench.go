@@ -224,7 +224,7 @@ func standingRun(ds *data.Dataset, n int, tau int64, subs int, seed int64) (appe
 			return 0, 0, err
 		}
 		defer cl.Close()
-		if _, _, err := cl.Hello(wire.FeatureEvents); err != nil {
+		if _, _, err := cl.Hello(wire.FeatureEvents, wire.FeatureBackfill); err != nil {
 			return 0, 0, err
 		}
 		w := make([]float64, ds.Dims())
@@ -246,7 +246,7 @@ func standingRun(ds *data.Dataset, n int, tau int64, subs int, seed int64) (appe
 				select {
 				case ev, ok := <-s.Events():
 					if !ok {
-						stalled <- fmt.Errorf("subscriber stream closed after %d/%d events (evicted?)", got, n)
+						stalled <- fmt.Errorf("subscriber stream closed after %d/%d events (evicted, or cut client-side: %d)", got, n, s.Dropped())
 						return
 					}
 					if len(ev.Confirms) > 0 && ev.Prefix >= 1 && ev.Prefix <= n {
@@ -260,7 +260,7 @@ func standingRun(ds *data.Dataset, n int, tau int64, subs int, seed int64) (appe
 					}
 					timer.Reset(standingSubTimeout)
 				case <-timer.C:
-					stalled <- fmt.Errorf("subscriber stalled after %d/%d events (%d dropped client-side)", got, n, s.Dropped())
+					stalled <- fmt.Errorf("subscriber stalled after %d/%d events", got, n)
 					return
 				}
 			}

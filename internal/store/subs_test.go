@@ -115,7 +115,7 @@ func TestStoreDurableSubscriptionRoundTrip(t *testing.T) {
 		from = got[len(got)-1].Prefix
 	}
 	before := len(got)
-	base, err := st2.Registry().Resume(id, from, func(ev sub.Event) { got = append(got, ev) }, st2.RowSource())
+	base, err := st2.Registry().ResumeNotify(id, from, func(ev sub.Event) { got = append(got, ev) }, st2.RowSource(), nil)
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
@@ -336,7 +336,7 @@ func runSubCrashTrial(t *testing.T, rows []Row, budget int64) {
 	if rec.Registry().Len() == 0 {
 		return // registration never became durable before the crash; fine
 	}
-	if _, err := rec.Registry().Resume(id, from, func(ev sub.Event) { delivered = append(delivered, ev) }, rec.RowSource()); err != nil {
+	if _, err := rec.Registry().ResumeNotify(id, from, func(ev sub.Event) { delivered = append(delivered, ev) }, rec.RowSource(), nil); err != nil {
 		t.Fatalf("budget %d: Resume: %v", budget, err)
 	}
 	for _, r := range rows[m:] {

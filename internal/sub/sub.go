@@ -18,10 +18,10 @@
 // Verdicts are a deterministic function of (spec, committed row stream).
 // The registry leans on that everywhere it must bridge a delivery gap:
 // instead of buffering undelivered events it re-derives them by replaying
-// committed rows through a fresh monitor — for historical-base
-// subscriptions (SubscribeFrom), for reattaching a detached subscription
-// past the prefix the consumer last saw (Resume), and for rebuilding
-// registrations from a checkpoint manifest after a restart (RestoreSub).
+// committed rows through a fresh monitor — for reattaching a detached
+// subscription past the prefix the consumer last saw (ResumeNotify), and for
+// rebuilding registrations from a checkpoint manifest after a restart
+// (RestoreSub).
 // Every event carries a per-subscription sequence number that is part of
 // the same deterministic stream, so consumers can prove gap-freedom.
 //
@@ -205,49 +205,6 @@ func (r *Registry) Subscribe(spec Spec, emit Emit) (uint64, error) {
 	return e.id, nil
 }
 
-// SubscribeFrom registers a standing query whose monitor is anchored at a
-// historical prefix: committed rows [fromPrefix, current prefix) are
-// replayed through the fresh monitor via rows before the subscription goes
-// live, and every verdict the replay produces is emitted — so the consumer
-// receives the exact event stream it would have received had it subscribed
-// when the stream stood at fromPrefix. Appends are stalled for the duration
-// of the replay (it runs under the registry lock); that is the price of a
-// splice with no gap and no duplicate.
-func (r *Registry) SubscribeFrom(spec Spec, fromPrefix int, emit Emit, rows RowSource) (uint64, error) {
-	if err := validateSpec(spec, emit); err != nil {
-		return 0, err
-	}
-	if rows == nil {
-		return 0, errors.New("sub: row source must not be nil")
-	}
-	mon, err := monitor.New(spec.K, spec.Tau, spec.Scorer, monitor.Options{TrackAhead: spec.Confirms})
-	if err != nil {
-		return 0, fmt.Errorf("sub: %w", err)
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if fromPrefix < 0 || fromPrefix > r.prefix {
-		n := r.prefix
-		r.mu.Unlock()
-		return 0, fmt.Errorf("sub: fromPrefix %d outside committed prefix [0, %d]", fromPrefix, n)
-	}
-	r.next++
-	e := &entry{id: r.next, spec: spec, base: fromPrefix, acked: fromPrefix, mon: mon, emit: emit}
-	if err := e.replay(fromPrefix, r.prefix, rows, func(ev Event) { e.deliver(ev) }); err != nil {
-		r.next--
-		r.mu.Unlock()
-		return 0, fmt.Errorf("sub: backfill replay: %w", err)
-	}
-	r.registerLocked(e)
-	fn := r.onChange
-	r.mu.Unlock()
-	r.notify(fn)
-	return e.id, nil
-}
-
 // registerLocked slots e into the id table and its scoring group.
 func (r *Registry) registerLocked(e *entry) {
 	if key, ok := score.CanonicalKey(e.spec.Scorer); ok {
@@ -304,7 +261,8 @@ func (e *entry) deliver(ev Event) {
 
 // Detach disconnects a subscription's emitter without dropping its
 // registration: the monitor keeps observing and sequence numbers keep
-// advancing, but events are discarded until Resume reattaches a consumer.
+// advancing, but events are discarded until ResumeNotify reattaches a
+// consumer.
 // This is how a durable subscription survives its connection.
 func (r *Registry) Detach(id uint64) error {
 	r.mu.Lock()
@@ -317,21 +275,17 @@ func (r *Registry) Detach(id uint64) error {
 	return nil
 }
 
-// Resume reattaches a consumer to a registered subscription. Events the
-// consumer missed — everything past fromPrefix, whether discarded while
+// ResumeNotify reattaches a consumer to a registered subscription. Events
+// the consumer missed — everything past fromPrefix, whether discarded while
 // detached or lost in flight — are re-derived by replaying the committed
 // rows [base, prefix) through a throwaway monitor and emitted before the
 // subscription goes live again, with the same sequence numbers the
 // originals carried. Returns the subscription's base prefix. Appends stall
 // during the replay (registry lock), buying an exactly-once splice.
-func (r *Registry) Resume(id uint64, fromPrefix int, emit Emit, rows RowSource) (int, error) {
-	return r.ResumeNotify(id, fromPrefix, emit, rows, nil)
-}
-
-// ResumeNotify is Resume with a readiness hook: ready (when non-nil) runs
-// once validation and the shadow replay have succeeded — the resume is at
-// that point certain to complete — but before the backlog is delivered
-// through emit. A server uses it to put its acknowledgment on the wire ahead
+//
+// ready (when non-nil) runs once validation and the shadow replay have
+// succeeded — the resume is at that point certain to complete — but before
+// the backlog is delivered through emit. A server uses it to put its acknowledgment on the wire ahead
 // of the replayed events, so the consumer can record progress incrementally
 // as the backlog arrives instead of seeing nothing until a potentially large
 // replay has fully flushed (on a flaky connection that ordering would starve
@@ -439,7 +393,7 @@ func (r *Registry) RestoreNextID(n uint64) {
 // reconstructed by silently replaying committed rows [st.Base, prefix) —
 // re-deriving, not re-delivering, so sequence numbers land exactly where
 // they stood — and the subscription is registered detached, waiting for a
-// Resume. st.Spec.Scorer must already be recompiled from its Source.
+// ResumeNotify. st.Spec.Scorer must already be recompiled from its Source.
 func (r *Registry) RestoreSub(st State, rows RowSource) error {
 	if !st.Spec.Decisions && !st.Spec.Confirms {
 		return ErrNoVerdicts

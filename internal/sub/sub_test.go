@@ -270,68 +270,6 @@ func replayFrom(times []int64, attrs [][]float64) RowSource {
 	}
 }
 
-// TestSubscribeFromBackfill: a historical-base subscription must receive
-// the exact event stream — verdicts and sequence numbers — that a
-// subscription registered at that base would have produced live.
-func TestSubscribeFromBackfill(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	times, attrs := feed(rng, 200, 8)
-	s := score.MustLinear(1, 0.5)
-	rows := replayFrom(times, attrs)
-	spec := Spec{Scorer: s, K: 2, Tau: 15, Decisions: true, Confirms: true}
-
-	// Reference: subscribed at base 40, observed everything live.
-	ref := NewRegistry(40)
-	var want []Event
-	refID, err := ref.Subscribe(spec, func(ev Event) { want = append(want, ev) })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Candidate: rows flow first, subscription arrives late with
-	// fromPrefix=40 and must backfill.
-	r := NewRegistry(40)
-	for i := 40; i < 150; i++ {
-		if err := ref.Observe(times[i], attrs[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Observe(times[i], attrs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []Event
-	id, err := r.SubscribeFrom(spec, 40, func(ev Event) { got = append(got, ev) }, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Splice: both keep observing live past the subscribe point.
-	for i := 150; i < 200; i++ {
-		if err := ref.Observe(times[i], attrs[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Observe(times[i], attrs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("backfill+live produced %d events, want %d", len(got), len(want))
-	}
-	for i := range want {
-		w := want[i]
-		w.SubID = id
-		_ = refID
-		if !reflect.DeepEqual(got[i], w) {
-			t.Fatalf("event %d:\n got  %+v\n want %+v", i, got[i], w)
-		}
-	}
-	// Seqs are contiguous from 1.
-	for i, ev := range got {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d has seq %d", i, ev.Seq)
-		}
-	}
-}
-
 // TestDetachResume: detaching discards events but keeps the registration
 // observing; resume re-derives exactly the missed suffix with the original
 // sequence numbers.
@@ -378,7 +316,7 @@ func TestDetachResume(t *testing.T) {
 	if len(got) != delivered {
 		t.Fatalf("detached subscription delivered %d new events", len(got)-delivered)
 	}
-	base, err := r.Resume(id, lastPrefix, func(ev Event) { got = append(got, ev) }, rows)
+	base, err := r.ResumeNotify(id, lastPrefix, func(ev Event) { got = append(got, ev) }, rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +338,7 @@ func TestDetachResume(t *testing.T) {
 	// the client's to drop by seq; here we just prove determinism: same
 	// seq, same payload.
 	var dup []Event
-	if _, err := r.Resume(id, 0, func(ev Event) { dup = append(dup, ev) }, rows); err != nil {
+	if _, err := r.ResumeNotify(id, 0, func(ev Event) { dup = append(dup, ev) }, rows, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(dup) != len(want) {
@@ -464,7 +402,7 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 	// Resume from the acked prefix: nothing to backfill, stream continues.
 	var got []Event
-	if _, err := restored.Resume(st.ID, st.Acked, func(ev Event) { got = append(got, ev) }, rows); err != nil {
+	if _, err := restored.ResumeNotify(st.ID, st.Acked, func(ev Event) { got = append(got, ev) }, rows, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
@@ -518,7 +456,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err := r.RestoreSub(State{ID: 3, Spec: spec, Base: 0}, rows); err == nil {
 		t.Fatal("duplicate id accepted")
 	}
-	if _, err := r.Resume(99, 0, func(Event) {}, rows); err != ErrNotFound {
+	if _, err := r.ResumeNotify(99, 0, func(Event) {}, rows, nil); err != ErrNotFound {
 		t.Fatalf("resume of unknown id: %v", err)
 	}
 	if err := r.Detach(99); err != ErrNotFound {

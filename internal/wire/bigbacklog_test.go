@@ -11,9 +11,11 @@ import (
 // TestResumePaginatesHugeBacklog pins the evict/resume pagination contract
 // for backlogs larger than the per-connection event queue: a durable
 // subscription detaches, far more rows commit than eventQueueDepth can hold,
-// and a raw client catches up by resuming, draining until the terminal
-// evicted frame (or EOF), and resuming again from the last prefix it holds.
-// Every page must be gap-free and the union must cover the whole stream.
+// and a raw client catches up by resuming, draining until the page ends — at
+// the terminal evicted frame, at EOF, or where the client cut the stream
+// because this consumer fell a whole buffer behind — and resuming again from
+// the last prefix it holds. Every page must be gap-free and seq-contiguous,
+// and the union must cover the whole stream.
 func TestResumePaginatesHugeBacklog(t *testing.T) {
 	const rows = 3 * eventQueueDepth
 	fs := wal.NewMemFS()
@@ -42,13 +44,10 @@ func TestResumePaginatesHugeBacklog(t *testing.T) {
 		}
 	}
 
-	// The client's reader never waits for its consumer and counts what it had
-	// to discard; a page with anything discarded on this side of the wire
-	// fails as that, so a consumer-side drop never reads as a gap or a stall in
-	// the server's stream.
 	poll := time.NewTicker(time.Second)
 	defer poll.Stop()
-	lastPrefix, pages := 0, 0
+	lastPrefix, pages, cuts := 0, 0, 0
+	var lastSeq uint64
 	for lastPrefix < rows {
 		pages++
 		if pages > rows {
@@ -63,11 +62,6 @@ func TestResumePaginatesHugeBacklog(t *testing.T) {
 			t.Fatalf("resume at prefix %d: %v", lastPrefix, err)
 		}
 		got, progressed := 0, time.Now()
-		noneDropped := func() {
-			if d := rs.Dropped(); d != 0 {
-				t.Fatalf("page %d: the client dropped %d events (at prefix %d/%d after %d events)", pages, d, lastPrefix, rows, got)
-			}
-		}
 	drain:
 		for lastPrefix < rows {
 			select {
@@ -75,27 +69,27 @@ func TestResumePaginatesHugeBacklog(t *testing.T) {
 				if !ok || ev.Event == EventEvicted {
 					break drain
 				}
-				if ev.Prefix != lastPrefix+1 {
-					noneDropped()
-					t.Fatalf("gap inside page %d: prefix %d after %d", pages, ev.Prefix, lastPrefix)
+				if ev.Prefix != lastPrefix+1 || ev.Seq != lastSeq+1 {
+					t.Fatalf("gap inside page %d: prefix %d seq %d after %d/%d", pages, ev.Prefix, ev.Seq, lastPrefix, lastSeq)
 				}
-				lastPrefix = ev.Prefix
+				lastPrefix, lastSeq = ev.Prefix, ev.Seq
 				got++
 				progressed = time.Now()
 			case <-poll.C:
-				noneDropped()
 				if time.Since(progressed) > 15*time.Second {
 					t.Fatalf("page %d stalled at prefix %d/%d after %d events", pages, lastPrefix, rows, got)
 				}
 			}
 		}
-		noneDropped()
+		if rs.Dropped() != 0 {
+			cuts++
+		}
 		rcl.Close()
 	}
 	if pages < 2 {
 		t.Fatalf("backlog of %d rows fit one page; eviction pagination untested", rows)
 	}
-	t.Logf("caught up %d rows in %d pages", rows, pages)
+	t.Logf("caught up %d rows in %d pages (%d ended by a client cut)", rows, pages, cuts)
 }
 
 // TestSubscribeKeepsEveryParkedFrame: events that reach the client ahead of
@@ -118,7 +112,7 @@ func TestSubscribeKeepsEveryParkedFrame(t *testing.T) {
 			if ReadFrame(sconn, &req) != nil {
 				return
 			}
-			WriteFrame(sconn, &Response{V: Version2, OK: true, Features: []string{FeatureEvents}})
+			WriteFrame(sconn, &Response{V: Version2, OK: true, Features: []string{FeatureEvents, FeatureBackfill}})
 			if ReadFrame(sconn, &req) != nil {
 				return
 			}
@@ -130,7 +124,7 @@ func TestSubscribeKeepsEveryParkedFrame(t *testing.T) {
 				sconn.Close()
 			}
 		}()
-		if _, _, err := cl.Hello(FeatureEvents); err != nil {
+		if _, _, err := cl.Hello(FeatureEvents, FeatureBackfill); err != nil {
 			t.Fatal(err)
 		}
 		s, err := cl.Subscribe(Request{Dataset: "stream"})
@@ -153,5 +147,84 @@ func TestSubscribeKeepsEveryParkedFrame(t *testing.T) {
 		}
 		cconn.Close()
 		sconn.Close()
+	}
+}
+
+// TestClientCutsFullStream: a consumer that stops draining gets a gap-free
+// segment that ends where its buffer filled — seq 1..m, then the channel
+// closes — never a stream that skips ahead. Dropped reports the cut, and the
+// consumer continues by resuming the key from prefix m on the same Client.
+func TestClientCutsFullStream(t *testing.T) {
+	const pushed, key = subEventBuffer + 100, 9
+	cconn, sconn := net.Pipe()
+	defer cconn.Close()
+	defer sconn.Close()
+	cl := NewClient(cconn)
+	resumed := make(chan Request, 1)
+	go func() {
+		var req Request
+		if ReadFrame(sconn, &req) != nil {
+			return
+		}
+		WriteFrame(sconn, &Response{V: Version2, OK: true, Features: []string{FeatureEvents, FeatureBackfill}})
+		if ReadFrame(sconn, &req) != nil {
+			return
+		}
+		WriteFrame(sconn, &Response{V: Version, OK: true, SubID: 1, SubKey: key})
+		for i := 1; i <= pushed; i++ {
+			if WriteFrame(sconn, &Event{V: Version2, Event: EventSub, SubID: 1, Prefix: i, Seq: uint64(i)}) != nil {
+				return
+			}
+		}
+		if ReadFrame(sconn, &req) != nil {
+			return
+		}
+		resumed <- req
+		WriteFrame(sconn, &Response{V: Version, OK: true, SubID: 2, SubKey: req.SubKey, Base: 0})
+	}()
+	if _, _, err := cl.Hello(FeatureEvents, FeatureBackfill); err != nil {
+		t.Fatal(err)
+	}
+	s, err := cl.Subscribe(Request{Dataset: "stream",
+		QuerySpec: QuerySpec{K: 1, Tau: 5, Anchor: "look-back", Weights: []float64{1, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The consumer reads nothing until the client has had to refuse a frame.
+	for deadline := time.Now().Add(10 * time.Second); s.Dropped() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d frames pushed at a consumer that never read; nothing was refused", pushed)
+		}
+	}
+	m := 0
+	for open := true; open; {
+		select {
+		case ev, ok := <-s.Events():
+			if !ok {
+				open = false
+				break
+			}
+			if ev.Seq != uint64(m+1) || ev.Prefix != m+1 {
+				t.Fatalf("stream skipped: seq %d prefix %d after %d", ev.Seq, ev.Prefix, m)
+			}
+			m++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("stream stayed open after seq %d although the client refused a frame", m)
+		}
+	}
+	// Frames that beat the subscribe response to the client are parked and
+	// kept on top of the buffer, so the segment holds at least a buffer's worth.
+	if m < subEventBuffer || m >= pushed {
+		t.Fatalf("segment ended at seq %d, want at least the buffer's %d and fewer than the %d pushed", m, subEventBuffer, pushed)
+	}
+	r, err := cl.Subscribe(Request{Dataset: "stream", SubKey: s.SubKey(), FromPrefix: m})
+	if err != nil {
+		t.Fatalf("resume on the same client: %v", err)
+	}
+	if req := <-resumed; req.Op != OpSubscribe || req.SubKey != key || req.FromPrefix != m {
+		t.Fatalf("resume request %+v, want subscribe key %d from prefix %d", req, key, m)
+	}
+	if r.SubKey() != key {
+		t.Fatalf("resumed subscription key %d, want %d", r.SubKey(), key)
 	}
 }

@@ -9,17 +9,18 @@ import (
 )
 
 // subEventBuffer is each client subscription's event channel capacity. The
-// reader goroutine never blocks delivering into it — a consumer that stops
-// draining loses events locally (counted by Subscription.Dropped) instead of
-// stalling responses for the whole client.
+// reader goroutine never blocks delivering into it: a consumer that lets it
+// fill has its stream ended (see Subscription.Events) instead of stalling
+// responses for the whole client.
 const subEventBuffer = 1024
 
 // Hello negotiates the connection's protocol version, offering the given
-// feature flags (FeatureEvents enables subscriptions). It returns the
-// negotiated version and the feature subset the server accepted. Against a
-// v1 server the call fails with a version error and the connection remains a
-// perfectly good v1 session — clients that can work without subscriptions
-// should treat that as a downgrade, not a failure.
+// feature flags (FeatureEvents and FeatureBackfill together enable
+// subscriptions). It returns the negotiated version and the feature subset
+// the server accepted. Against a v1 server the call fails with a version
+// error and the connection remains a perfectly good v1 session — clients
+// that can work without subscriptions should treat that as a downgrade, not
+// a failure.
 //
 // When v2 is negotiated the client hands its read side to a demultiplexer
 // goroutine: responses still arrive strictly in request order, with
@@ -152,23 +153,27 @@ func (c *Client) readError() error {
 // interleave an append's verdicts ahead of the acknowledgment — so unknown
 // ids above the acknowledged watermark are parked and replayed, in order,
 // when Subscribe learns its id. Ids at or below the watermark belong to
-// subscriptions already torn down; those frames are dropped.
+// subscriptions already torn down or cut; those frames are dropped. A frame
+// that finds its subscription's buffer full cuts that stream: it leaves the
+// table and its channel closes behind the events it already holds.
 func (c *Client) dispatchEvent(ev *Event) {
 	c.subMu.Lock()
+	defer c.subMu.Unlock()
 	if s := c.subs[ev.SubID]; s != nil {
-		c.subMu.Unlock()
-		s.deliver(*ev)
+		if !s.deliver(*ev) {
+			delete(c.subs, ev.SubID)
+			close(s.events)
+		}
 		return
 	}
 	if c.pending != nil && ev.SubID > c.maxSub {
 		c.pending[ev.SubID] = append(c.pending[ev.SubID], *ev)
 	}
-	c.subMu.Unlock()
 }
 
 // Subscription is a standing durable top-k query held on one client
-// connection. Events arrive on Events() in append order, gap-free unless the
-// consumer falls behind (see Dropped).
+// connection: a gap-free segment of the subscription's event stream, which
+// ends at the first gap of any kind (see Events).
 type Subscription struct {
 	id      uint64
 	subKey  uint64
@@ -178,45 +183,51 @@ type Subscription struct {
 	dropped atomic.Int64
 }
 
-func (s *Subscription) deliver(ev Event) {
+// deliver hands ev to the consumer without blocking; false means the buffer
+// was full, and the frame is counted as the one that ended the stream.
+func (s *Subscription) deliver(ev Event) bool {
 	select {
 	case s.events <- ev:
+		return true
 	default:
 		s.dropped.Add(1)
+		return false
 	}
 }
 
 // ID returns the server-assigned (connection-local) subscription id.
 func (s *Subscription) ID() uint64 { return s.id }
 
-// SubKey returns the subscription's durable registry key, or zero on
-// connections that did not negotiate the backfill feature. The key outlives
-// this connection: a later connection resumes the subscription by sending it
-// in a subscribe request (with FromPrefix naming the last event received).
+// SubKey returns the subscription's durable registry key. The key outlives
+// this connection: this or a later connection resumes the subscription by
+// sending it in a subscribe request (with FromPrefix naming the last event
+// received).
 func (s *Subscription) SubKey() uint64 { return s.subKey }
 
-// Base returns the committed prefix the subscription's verdicts start after,
-// as reported by a backfill-negotiated subscribe; zero otherwise. A consumer
-// that has received no events yet resumes from Base.
+// Base returns the committed prefix the subscription's verdicts start after.
+// A consumer that has received no events yet resumes from Base.
 func (s *Subscription) Base() int { return s.base }
 
-// Events is the subscription's verdict stream. It closes when the
-// subscription is dropped (Unsubscribe) or the connection dies; consumers
-// should drain promptly — the channel buffers subEventBuffer frames (beyond
-// those that arrived ahead of the subscribe response, which are all kept) and
-// the client drops, counting, beyond that.
+// Events is the subscription's verdict stream, gap-free and seq-contiguous.
+// It closes at the first gap of any kind: Unsubscribe, the connection's end
+// (a server eviction included), or the consumer letting the buffer fill —
+// the channel holds subEventBuffer frames beyond those that arrived ahead of
+// the subscribe response, and the next frame cuts the stream rather than
+// skip past. The consumer continues by resuming SubKey from the last prefix
+// it received, on this connection or another; Follower does exactly that.
 func (s *Subscription) Events() <-chan Event { return s.events }
 
-// Dropped reports how many events were discarded because the consumer let
-// the channel buffer fill. The server-side stream itself is gap-free: a
-// nonzero count means this process fell behind, not the protocol.
+// Dropped reports whether this client cut the stream because the consumer
+// let the buffer fill: it counts the frame that ended the stream, so it is
+// nonzero exactly when the cut happened.
 func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 
 // Subscribe registers a standing query on a live dataset and returns its
 // event stream. The request carries Dataset plus the query parameters
-// (K, Tau, Weights or Expr, optional Anchor and interval); see the server's
-// subscribe contract for what is accepted. Requires a v2 session with the
-// events feature (Hello(FeatureEvents)).
+// (K, Tau, Weights or Expr, optional Anchor and interval), or SubKey and
+// FromPrefix to resume; see the server's subscribe contract for what is
+// accepted. Requires a v2 session granted both subscription features
+// (Hello(FeatureEvents, FeatureBackfill)).
 func (c *Client) Subscribe(req Request) (*Subscription, error) {
 	if !c.V2() {
 		return nil, errors.New("wire: subscribe requires protocol v2 (call Hello first)")
@@ -280,28 +291,21 @@ func (c *Client) Unsubscribe(s *Subscription) error {
 
 // Follower maintains a standing query across reconnects: it dials, upgrades
 // to v2 offering the events and backfill features, subscribes, and forwards
-// events to one channel; when the connection dies it re-dials under the
-// retry policy and splices back into the stream.
+// events to one channel; whenever the subscription's stream ends it re-dials
+// under the retry policy and resumes by key from the last event forwarded.
 //
-// Against a backfill-capable server the merged stream is gap-free and
-// duplicate-free: the first subscribe yields a durable registry key, each
-// reconnect resumes that key from the last event received, the server
-// replays everything missed before going live, and sequence numbers let the
-// follower drop the rare overlap a conservative resume point produces. A
-// server-side eviction (the follower fell too far behind) announces itself
-// with a terminal evicted frame; the follower swallows it, counts it
-// (Evictions) and resumes exactly like any other disconnect. Only if a
+// The merged stream is gap-free and duplicate-free: the first subscribe
+// yields a durable registry key, each reconnect resumes that key from the
+// last event received, the server replays everything missed before going
+// live, and sequence numbers let the follower drop the rare overlap a
+// conservative resume point produces. Every end of a segment takes that
+// path: a lost connection, a client-side cut (the consumer let the buffers
+// fill), or a server-side eviction, which announces itself with a terminal
+// evicted frame that the follower swallows and counts (Evictions). Only if a
 // resume is rejected — the registration no longer exists, e.g. a restart of
 // a server that does not persist its registry — does the follower fall back
 // to a fresh subscription, counting the seam in Resets; verdicts for rows
-// appended before the fresh base are then permanently missed, exactly the
-// legacy behavior.
-//
-// Against a server that grants only the events feature every reconnect
-// re-registers fresh — the new subscription's monitor starts from the
-// dataset's then-current prefix, so verdicts for rows appended while
-// disconnected are not replayed. Consumers detect the seam by the jump in
-// Event.Prefix (and can re-query the interval to backfill).
+// appended before the fresh base are then permanently missed.
 type Follower struct {
 	addr   string
 	req    Request
@@ -312,7 +316,6 @@ type Follower struct {
 
 	// Resume state, touched only by the follower's own goroutine (Follow's
 	// synchronous first connect included — run starts after).
-	backfill   bool
 	subKey     uint64
 	lastPrefix int
 	lastSeq    uint64
@@ -383,24 +386,16 @@ func (f *Follower) connectOnce() (*Client, *Subscription, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	_, feats, err := c.Hello(FeatureEvents, FeatureBackfill)
-	if err != nil {
+	if _, _, err := c.Hello(FeatureEvents, FeatureBackfill); err != nil {
 		c.Close()
 		return nil, nil, err
 	}
-	backfill := false
-	for _, ft := range feats {
-		if ft == FeatureBackfill {
-			backfill = true
-		}
-	}
-	if backfill && f.subKey != 0 {
+	if f.subKey != 0 {
 		req := f.req
 		req.SubKey = f.subKey
 		req.FromPrefix = f.lastPrefix
 		s, err := c.Subscribe(req)
 		if err == nil {
-			f.backfill = true
 			return c, s, nil
 		}
 		var se *ServerError
@@ -421,12 +416,7 @@ func (f *Follower) connectOnce() (*Client, *Subscription, error) {
 		c.Close()
 		return nil, nil, err
 	}
-	f.backfill = backfill
-	if backfill {
-		f.subKey = s.SubKey()
-		f.lastPrefix = s.Base()
-		f.lastSeq = 0
-	}
+	f.subKey, f.lastPrefix, f.lastSeq = s.SubKey(), s.Base(), 0
 	return c, s, nil
 }
 
@@ -437,8 +427,9 @@ func (f *Follower) run(c *Client, s *Subscription) {
 			c.Close()
 			return
 		}
-		// The subscription's stream ended: the connection is gone. Re-dial
-		// and re-subscribe until stopped or the policy gives up.
+		// The subscription's stream ended: the connection is gone, or this
+		// client cut the stream. Re-dial and resume until stopped or the
+		// policy gives up.
 		c.Close()
 		select {
 		case <-f.stop:
@@ -483,7 +474,7 @@ func (f *Follower) forward(c *Client, s *Subscription) bool {
 				f.evictions.Add(1)
 				continue
 			}
-			if f.backfill && ev.Seq != 0 && ev.Seq <= f.lastSeq {
+			if ev.Seq <= f.lastSeq {
 				// A conservative resume point replayed an event already
 				// forwarded; the deterministic sequence numbers expose it.
 				continue
@@ -493,12 +484,7 @@ func (f *Follower) forward(c *Client, s *Subscription) bool {
 			case <-f.stop:
 				return false
 			}
-			if f.backfill {
-				if ev.Seq != 0 {
-					f.lastSeq = ev.Seq
-				}
-				f.lastPrefix = ev.Prefix
-			}
+			f.lastSeq, f.lastPrefix = ev.Seq, ev.Prefix
 		}
 	}
 }

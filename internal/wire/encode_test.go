@@ -83,7 +83,7 @@ func TestUnsendableAnswerIsAnError(t *testing.T) {
 		// A server that never answers fails the test instead of hanging it.
 		cl.conn.SetDeadline(time.Now().Add(10 * time.Second))
 		if v2 {
-			if _, _, err := cl.Hello(FeatureEvents); err != nil {
+			if _, _, err := cl.Hello(FeatureEvents, FeatureBackfill); err != nil {
 				t.Fatal(err)
 			}
 		}

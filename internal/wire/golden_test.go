@@ -130,9 +130,9 @@ func TestGoldenStatsFrame(t *testing.T) {
 	}
 }
 
-// TestV2FieldsMarshalAway: the fields added for protocol v2 and v2.1 must be
+// TestV2FieldsMarshalAway: the fields added for protocol v2 must be
 // invisible on v1 frames — a v1 request marshals without features/subId (or
-// the v2.1 backfill keys) and a v1 response without them either, so old
+// the subscription keys) and a v1 response without them either, so old
 // peers never see unknown keys.
 func TestV2FieldsMarshalAway(t *testing.T) {
 	b, err := json.Marshal(Request{V: Version, Op: OpPing})
@@ -155,28 +155,19 @@ func TestV2FieldsMarshalAway(t *testing.T) {
 	}
 }
 
-// TestV21FieldsMarshalAwayOnV20Frames: a v2.0 session's frames must not grow
-// the v2.1 keys either — subscribe responses without the backfill feature
-// carry no subKey/base, and event frames no seq — so v2.0 golden bytes in
-// the field stay byte-identical.
-func TestV21FieldsMarshalAwayOnV20Frames(t *testing.T) {
-	rb := encodeBoth(t, &Response{V: Version2, OK: true, SubID: 3})
-	if string(rb) != `{"v":2,"ok":true,"subId":3}` {
-		t.Fatalf("v2.0 subscribe response drifted: %s", rb)
+// TestGoldenSubscriptionFrames pins the subscription frames: a subscribe
+// acknowledgment carries its conn-local subId, durable subKey and base, and
+// an event frame carries its seq between prefix and the verdicts.
+func TestGoldenSubscriptionFrames(t *testing.T) {
+	rb := encodeBoth(t, &Response{V: Version, OK: true, SubID: 3, SubKey: 12, Base: 16})
+	if want := `{"v":1,"ok":true,"subId":3,"subKey":12,"base":16}`; string(rb) != want {
+		t.Fatalf("subscribe response drifted:\n got  %s\n want %s", rb, want)
 	}
-	for _, key := range []string{"subKey", "base", "backfill", "fromPrefix"} {
-		if bytes.Contains(rb, []byte(key)) {
-			t.Fatalf("v2.0 subscribe response leaks v2.1 key %q: %s", key, rb)
-		}
-	}
-	eb := encodeBoth(t, &Event{V: Version2, Event: EventSub, SubID: 3, Prefix: 17,
+	eb := encodeBoth(t, &Event{V: Version2, Event: EventSub, SubID: 3, Prefix: 17, Seq: 1,
 		Decision: &LiveDecision{ID: 16, Time: 99, Durable: true, Rank: 1}})
-	if bytes.Contains(eb, []byte("seq")) {
-		t.Fatalf("v2.0 event frame leaks v2.1 key \"seq\": %s", eb)
-	}
-	want := `{"v":2,"event":"sub","subId":3,"prefix":17,"decision":{"id":16,"time":99,"durable":true,"rank":1}}`
+	want := `{"v":2,"event":"sub","subId":3,"prefix":17,"seq":1,"decision":{"id":16,"time":99,"durable":true,"rank":1}}`
 	if string(eb) != want {
-		t.Fatalf("v2.0 event frame drifted:\n got  %s\n want %s", eb, want)
+		t.Fatalf("event frame drifted:\n got  %s\n want %s", eb, want)
 	}
 }
 

@@ -135,24 +135,4 @@ func TestStoreBackedSubscriptionSurvivesRestart(t *testing.T) {
 			t.Fatalf("timed out at prefix %d", lastPrefix)
 		}
 	}
-
-	// An ephemeral (events-only) subscription on the same store-backed
-	// dataset must NOT be persisted: restart forgets it.
-	eph := dialT(t, addr2)
-	if _, _, err := eph.Hello(FeatureEvents); err != nil {
-		t.Fatal(err)
-	}
-	es, err := eph.Subscribe(Request{Dataset: "stream",
-		QuerySpec: QuerySpec{K: 1, Tau: 1 << 40, Anchor: "look-back", Weights: []float64{1, 1}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if es.SubKey() != 0 {
-		t.Fatalf("ephemeral subscription reported durable key %d", es.SubKey())
-	}
-	reg := st2.Registry()
-	snap := reg.Snapshot()
-	if len(snap) != 1 || snap[0].ID != key {
-		t.Fatalf("persistable snapshot %+v, want exactly the durable registration %d", snap, key)
-	}
 }

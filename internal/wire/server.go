@@ -78,10 +78,10 @@ type Server struct {
 	// requests.
 	cache atomic.Pointer[serve.Cache]
 
-	// subsOff withholds the "events" feature from hello negotiation, so
-	// clients cannot subscribe (durserved makes standing queries an operator
-	// opt-in). Protocol v2 itself still negotiates; only the feature is
-	// denied. Default off: embedders get subscriptions without ceremony.
+	// subsOff withholds the subscription features from hello negotiation,
+	// so clients cannot subscribe (durserved makes standing queries an
+	// operator opt-in). Protocol v2 itself still negotiates; only the
+	// features are denied. Default off: embedders get subscriptions without ceremony.
 	subsOff atomic.Bool
 }
 
@@ -116,7 +116,7 @@ type served struct {
 	provider RegistryProvider
 
 	// subOwners maps a registry subscription key to the connection currently
-	// attached to it. A durable subscription outlives connections; on conn
+	// attached to it. A subscription outlives connections; on conn
 	// teardown it is detached (not dropped) — but only by its current owner,
 	// so a stale connection dying after another one resumed the subscription
 	// cannot sever the new consumer.
@@ -193,7 +193,7 @@ func (sv *served) loadRegistry() *sub.Registry {
 	return sv.subReg.Load()
 }
 
-// rowSource replays committed rows for backfill and resume: the provider's
+// rowSource replays committed rows for a resume: the provider's
 // (WAL-committed rows only) when one is installed, otherwise the engine's
 // append-stable dataset view.
 func (sv *served) rowSource() sub.RowSource {
@@ -235,7 +235,7 @@ func (sv *served) claimSub(regID uint64, st *connState) {
 	sv.ownMu.Unlock()
 }
 
-// resumeOwned reattaches st to durable subscription regID, replaying missed
+// resumeOwned reattaches st to subscription regID, replaying missed
 // events past fromPrefix, and transfers ownership to st. The registry call
 // happens under ownMu so it cannot interleave with a stale owner's
 // detachIfOwner — lock order is always ownMu → registry lock. ready fires
@@ -260,7 +260,7 @@ func (sv *served) resumeOwned(regID uint64, fromPrefix int, st *connState, emit 
 	return base, nil
 }
 
-// detachIfOwner detaches durable subscription regID — discarding events until
+// detachIfOwner detaches subscription regID — discarding events until
 // a Resume — but only if st is still its owner. Holding ownMu across the
 // Detach means a connection that resumed the subscription concurrently (and
 // took ownership) can never have its freshly attached emitter severed by the
@@ -347,7 +347,7 @@ func (s *Server) SetConnTimeout(d time.Duration) {
 func (s *Server) SetScheduler(sched *serve.Scheduler) { s.sched.Store(sched) }
 
 // SetSubscriptions enables or disables standing-query serving: when off, the
-// "events" feature is withheld during hello negotiation, so subscribe
+// subscription features are withheld during hello negotiation, so subscribe
 // requests are rejected with a clear error while every other v1 and v2
 // operation works unchanged. On by default; durserved turns it off unless
 // started with -subscriptions. Applies to hellos negotiated after the call.
@@ -664,8 +664,7 @@ func (s *Server) serveConnPipelined(conn net.Conn, sched *serve.Scheduler, st *c
 			case sl, ok := <-slots:
 				if !ok {
 					// Read loop ended and every response is out; flush the
-					// events still queued (e.g. truncated confirmations from
-					// connection teardown) before the connection closes.
+					// events still queued before the connection closes.
 					flushEvents()
 					return
 				}
@@ -757,10 +756,8 @@ func (s *Server) serveConnPipelined(conn net.Conn, sched *serve.Scheduler, st *c
 		}()
 	}
 done:
-	// Retire this connection's subscriptions before the writer shuts down:
-	// their final truncated confirmations enqueue as events and are flushed
-	// by the writer's close path, so a mid-stream server Close still delivers
-	// every pending verdict.
+	// Detach this connection's subscriptions before the writer shuts down;
+	// the events already queued are still flushed by the writer's close path.
 	s.unsubscribeAll(st)
 	close(slots)
 	wg.Wait()

@@ -31,14 +31,11 @@ type connState struct {
 	// v2 flips when a hello negotiates protocol v2. Written and read only by
 	// the connection's read loop (hello is always handled inline).
 	v2 bool
-	// eventsOK records that the hello accepted the "events" feature flag;
-	// subscriptions require it.
-	eventsOK bool
-	// backfillOK records that the hello accepted the "backfill" feature:
-	// subscriptions on this connection are durable (they survive the
-	// connection, resumable by SubKey), event frames carry sequence numbers,
-	// and subscribe may anchor at a historical prefix.
-	backfillOK bool
+	// subsOK records that the hello granted the "events" and "backfill"
+	// features, which come together or not at all: subscriptions on this
+	// connection are keyed and durable (they outlive the connection,
+	// resumable by SubKey) and their event frames carry sequence numbers.
+	subsOK bool
 
 	// events carries server-initiated frames to the connection's writer,
 	// which interleaves them with responses at frame granularity. Mostly
@@ -74,13 +71,12 @@ type subProgress struct {
 
 // connSub ties a conn-local subscription id to its dataset registry entry.
 // Ids are conn-local because registry ids are per dataset: two subscriptions
-// on different datasets could otherwise collide on one connection. durable
-// marks registrations that outlive the connection (backfill feature): conn
-// teardown detaches them for a later resume instead of dropping them.
+// on different datasets could otherwise collide on one connection. Every
+// registration outlives the connection: teardown detaches it for a later
+// resume instead of dropping it.
 type connSub struct {
-	sv      *served
-	regID   uint64
-	durable bool
+	sv    *served
+	regID uint64
 }
 
 func newConnState() *connState {
@@ -191,9 +187,9 @@ func evictConn(conn net.Conn, st *connState) {
 // handleHello negotiates the connection's protocol version: the result is
 // min(client version, Version2), with feature flags intersected when v2 wins.
 // The response's V carries the negotiated version — the one place a v1-shaped
-// frame reports something other than the baseline version. The backfill
-// feature is granted only alongside events (it refines the event stream);
-// offering it without events yields neither.
+// frame reports something other than the baseline version. The events and
+// backfill features are one subscription contract and are granted together:
+// a hello that offers only one of them gets neither.
 func (s *Server) handleHello(req *Request, st *connState) *Response {
 	if req.V < Version {
 		return errResponse(fmt.Errorf("%w: %d (want %d or newer)", ErrBadVersion, req.V, Version))
@@ -217,35 +213,29 @@ func (s *Server) handleHello(req *Request, st *connState) *Response {
 				wantBackfill = true
 			}
 		}
-		if wantEvents && !s.subsOff.Load() {
-			st.eventsOK = true
-			resp.Features = append(resp.Features, FeatureEvents)
-			if wantBackfill {
-				st.backfillOK = true
-				resp.Features = append(resp.Features, FeatureBackfill)
-			}
+		if wantEvents && wantBackfill && !s.subsOff.Load() {
+			st.subsOK = true
+			resp.Features = []string{FeatureEvents, FeatureBackfill}
 		}
 	}
 	return resp
 }
 
+// errNoSubs rejects a subscription operation on a connection whose hello was
+// not granted the subscription features.
+func errNoSubs(op string) *Response {
+	return errResponse(fmt.Errorf("wire: %s requires a v2 hello granting the %q and %q features", op, FeatureEvents, FeatureBackfill))
+}
+
 // handleSubscribe registers a standing durable top-k query on a live dataset
-// and starts pushing per-append event frames to this connection. On
-// backfill-negotiated connections the registration is durable — the response
-// carries its registry key (SubKey) and base prefix, its events carry
-// sequence numbers, and a non-zero FromPrefix (marked by Backfill) anchors
-// it at a historical prefix with the missed events replayed server-side
-// before the live splice. A SubKey in the request resumes an existing
-// durable registration instead of creating one.
+// and starts pushing per-append event frames to this connection. The
+// registration is durable: the response carries its registry key (SubKey)
+// and base prefix, and its events carry sequence numbers. A SubKey in the
+// request resumes an existing registration from FromPrefix instead of
+// creating one; FromPrefix without a SubKey is an error.
 func (s *Server) handleSubscribe(req *Request, st *connState, conn net.Conn) *Response {
-	if !st.v2 {
-		return errResponse(errors.New("wire: subscribe requires protocol v2 (send hello first)"))
-	}
-	if !st.eventsOK {
-		return errResponse(errors.New("wire: subscribe requires the events feature (offer it in hello)"))
-	}
-	if (req.Backfill || req.SubKey != 0) && !st.backfillOK {
-		return errResponse(errors.New("wire: backfill and resume require the backfill feature (offer it in hello)"))
+	if !st.subsOK {
+		return errNoSubs(OpSubscribe)
 	}
 	sv, err := s.lookup(req.Dataset)
 	if err != nil {
@@ -256,6 +246,9 @@ func (s *Server) handleSubscribe(req *Request, st *connState, conn net.Conn) *Re
 	}
 	if req.SubKey != 0 {
 		return s.handleResume(req, st, sv, conn)
+	}
+	if req.FromPrefix != 0 {
+		return errResponse(errors.New("wire: fromPrefix resumes a subscription and needs its subKey"))
 	}
 	scorer, err := requestScorer(req, sv)
 	if err != nil {
@@ -284,73 +277,57 @@ func (s *Server) handleSubscribe(req *Request, st *connState, conn net.Conn) *Re
 	if req.Start != 0 || req.End != 0 || req.ExplicitInterval {
 		spec.Bounded, spec.Start, spec.End = true, req.Start, req.End
 	}
-	if st.backfillOK {
-		// The persistable scorer recipe makes the registration durable: it
-		// survives connection loss (resumable by key) and, on provider-backed
-		// datasets, process restarts. Ephemeral v2.0 subscriptions carry no
-		// Source and die with their connection, exactly as before — a crashed
-		// v2.0 client cannot leak registrations.
-		src := &sub.Source{}
-		if len(req.Weights) > 0 {
-			src.Weights = append([]float64(nil), req.Weights...)
-		} else {
-			src.Expr = req.Expr
-			src.Names = sv.attrs
-		}
-		spec.Source = src
+	// The persistable scorer recipe makes the registration durable: it
+	// survives connection loss (resumable by key) and, on provider-backed
+	// datasets, process restarts.
+	src := &sub.Source{}
+	if len(req.Weights) > 0 {
+		src.Weights = append([]float64(nil), req.Weights...)
+	} else {
+		src.Expr = req.Expr
+		src.Names = sv.attrs
 	}
+	spec.Source = src
 
 	st.mu.Lock()
 	st.nextSub++
 	id := st.nextSub
 	st.mu.Unlock()
 	logf := s.logf
-	emit := func(ev sub.Event) {
-		st.pushEvent(subEventFrame(id, ev, st.backfillOK), conn, logf)
-	}
 	reg := sv.registry()
 	// Read before Subscribe, so it can only undershoot the subscription's
 	// true base: no event exists at or below an undershot base, hence a
 	// consumer resuming "from base" can neither miss nor repeat anything.
 	base := reg.Prefix()
-	var regID uint64
-	if req.Backfill {
-		regID, err = reg.SubscribeFrom(spec, req.FromPrefix, emit, sv.rowSource())
-		base = req.FromPrefix
-	} else {
-		regID, err = reg.Subscribe(spec, emit)
-	}
+	regID, err := reg.Subscribe(spec, func(ev sub.Event) {
+		st.pushEvent(subEventFrame(id, ev), conn, logf)
+	})
 	if err != nil {
 		return errResponse(err)
 	}
-	if spec.Source != nil {
-		// A durable registration is acknowledged only once it actually is
-		// durable: provider-backed datasets persist the registry to the
-		// checkpoint manifest before the response leaves. On failure the
-		// registration rolls back — better no subscription than one that
-		// silently evaporates on restart.
-		if serr := sv.syncSubscriptions(); serr != nil {
-			_ = reg.Unsubscribe(regID)
-			return errResponse(fmt.Errorf("wire: subscription could not be made durable: %w", serr))
-		}
-		sv.claimSub(regID, st)
+	// A durable registration is acknowledged only once it actually is
+	// durable: provider-backed datasets persist the registry to the
+	// checkpoint manifest before the response leaves. On failure the
+	// registration rolls back — better no subscription than one that
+	// silently evaporates on restart.
+	if serr := sv.syncSubscriptions(); serr != nil {
+		_ = reg.Unsubscribe(regID)
+		return errResponse(fmt.Errorf("wire: subscription could not be made durable: %w", serr))
 	}
+	sv.claimSub(regID, st)
 	st.mu.Lock()
-	st.subs[id] = connSub{sv: sv, regID: regID, durable: spec.Source != nil}
+	st.subs[id] = connSub{sv: sv, regID: regID}
 	st.mu.Unlock()
-	resp := &Response{V: Version, OK: true, SubID: id}
-	if st.backfillOK {
-		resp.SubKey = regID
-		resp.Base = base
-	}
-	return resp
+	return &Response{V: Version, OK: true, SubID: id, SubKey: regID, Base: base}
 }
 
 // handleResume splices this connection onto an existing durable
 // subscription: every event past req.FromPrefix — discarded while detached,
-// lost in flight, or queued at the previous connection when it died — is
-// re-derived from the committed rows and delivered (with its original
-// sequence numbers) before the subscription resumes live delivery.
+// lost in flight, queued at the previous connection when it died, or cut by
+// the client when its own buffer filled — is re-derived from the committed
+// rows and delivered (with its original sequence numbers) before the
+// subscription resumes live delivery. The new conn-local id replaces any
+// this connection already held for the key.
 //
 // The acknowledgment goes out ahead of the replay backlog: once the registry
 // validates the resume (the ready hook), the ack is enqueued on the event
@@ -374,7 +351,7 @@ func (s *Server) handleResume(req *Request, st *connState, sv *served, conn net.
 	logf := s.logf
 	ackSent := false
 	base, err := sv.resumeOwned(req.SubKey, req.FromPrefix, st, func(ev sub.Event) {
-		st.pushEvent(subEventFrame(id, ev, true), conn, logf)
+		st.pushEvent(subEventFrame(id, ev), conn, logf)
 	}, func(base int) {
 		ackSent = st.pushFrame(&Response{V: Version, OK: true, SubID: id, SubKey: req.SubKey, Base: base})
 	})
@@ -382,7 +359,8 @@ func (s *Server) handleResume(req *Request, st *connState, sv *served, conn net.
 		return errResponse(err)
 	}
 	st.mu.Lock()
-	st.subs[id] = connSub{sv: sv, regID: req.SubKey, durable: true}
+	st.forgetLocked(sv, req.SubKey)
+	st.subs[id] = connSub{sv: sv, regID: req.SubKey}
 	st.mu.Unlock()
 	if ackSent {
 		return respDeferred
@@ -390,102 +368,80 @@ func (s *Server) handleResume(req *Request, st *connState, sv *served, conn net.
 	return &Response{V: Version, OK: true, SubID: id, SubKey: req.SubKey, Base: base}
 }
 
-// handleUnsubscribe drops a subscription — really drops it, durable or not:
-// unsubscribe is the client saying "done", as opposed to the implicit
-// detach of a vanishing connection. Its final event — the still-pending
-// look-ahead candidates, flushed as truncated confirmations — is enqueued by
-// the registry during the drop, and the writer flushes queued events before
-// any response, so the final event always precedes this acknowledgment.
-// A non-zero SubKey (with Dataset, backfill feature required) addresses a
-// durable registration by key, letting a client retire a subscription it no
-// longer holds a conn-local id for.
-func (s *Server) handleUnsubscribe(req *Request, st *connState) *Response {
-	if !st.v2 {
-		return errResponse(errors.New("wire: unsubscribe requires protocol v2 (send hello first)"))
-	}
-	if req.SubKey != 0 {
-		if !st.backfillOK {
-			return errResponse(errors.New("wire: keyed unsubscribe requires the backfill feature (offer it in hello)"))
+// forgetLocked retires every conn-local id this connection holds for
+// registration regID of sv. Caller holds st.mu.
+func (st *connState) forgetLocked(sv *served, regID uint64) {
+	for id, cs := range st.subs {
+		if cs.sv == sv && cs.regID == regID {
+			delete(st.subs, id)
 		}
+	}
+}
+
+// handleUnsubscribe drops a subscription — really drops it: unsubscribe is
+// the client saying "done", as opposed to the implicit detach of a vanishing
+// connection. Its final event — the still-pending look-ahead candidates,
+// flushed as truncated confirmations — is enqueued by the registry during
+// the drop, and the writer flushes queued events before any response, so the
+// final event always precedes this acknowledgment. A non-zero SubKey (with
+// Dataset) addresses the registration by key, letting a client retire a
+// subscription it no longer holds a conn-local id for.
+func (s *Server) handleUnsubscribe(req *Request, st *connState) *Response {
+	if !st.subsOK {
+		return errNoSubs(OpUnsubscribe)
+	}
+	var cs connSub
+	if req.SubKey != 0 {
 		sv, err := s.lookup(req.Dataset)
 		if err != nil {
 			return errResponse(err)
 		}
-		reg := sv.loadRegistry()
-		if reg == nil {
-			return errResponse(fmt.Errorf("wire: %w", sub.ErrNotFound))
-		}
-		if err := reg.Unsubscribe(req.SubKey); err != nil {
-			return errResponse(err)
-		}
-		sv.dropSubOwner(req.SubKey)
-		// Retire any conn-local alias this connection holds for the key, so a
-		// later conn-local unsubscribe doesn't double-drop.
+		cs = connSub{sv: sv, regID: req.SubKey}
+	} else {
 		st.mu.Lock()
-		for id, cs := range st.subs {
-			if cs.sv == sv && cs.regID == req.SubKey {
-				delete(st.subs, id)
-			}
-		}
+		var ok bool
+		cs, ok = st.subs[req.SubID]
 		st.mu.Unlock()
-		if err := sv.syncSubscriptions(); err != nil {
-			return errResponse(fmt.Errorf("wire: subscription dropped but not yet durably: %w", err))
+		if !ok {
+			return errResponse(fmt.Errorf("wire: no subscription %d on this connection", req.SubID))
 		}
-		return &Response{V: Version, OK: true, SubKey: req.SubKey}
 	}
 	st.mu.Lock()
-	cs, ok := st.subs[req.SubID]
-	delete(st.subs, req.SubID)
+	st.forgetLocked(cs.sv, cs.regID)
 	st.mu.Unlock()
-	if !ok {
-		return errResponse(fmt.Errorf("wire: no subscription %d on this connection", req.SubID))
+	reg := cs.sv.loadRegistry()
+	if reg == nil {
+		return errResponse(fmt.Errorf("wire: %w", sub.ErrNotFound))
 	}
-	if reg := cs.sv.loadRegistry(); reg != nil {
-		if err := reg.Unsubscribe(cs.regID); err != nil {
-			return errResponse(err)
-		}
+	if err := reg.Unsubscribe(cs.regID); err != nil {
+		return errResponse(err)
 	}
-	if cs.durable {
-		cs.sv.dropSubOwner(cs.regID)
-		if err := cs.sv.syncSubscriptions(); err != nil {
-			return errResponse(fmt.Errorf("wire: subscription dropped but not yet durably: %w", err))
-		}
+	cs.sv.dropSubOwner(cs.regID)
+	if err := cs.sv.syncSubscriptions(); err != nil {
+		return errResponse(fmt.Errorf("wire: subscription dropped but not yet durably: %w", err))
 	}
-	return &Response{V: Version, OK: true, SubID: req.SubID}
+	return &Response{V: Version, OK: true, SubID: req.SubID, SubKey: req.SubKey}
 }
 
-// unsubscribeAll retires every subscription of a closing connection:
-// ephemeral ones are dropped (flushing their final truncated confirmations
-// into the event queue for the writer's shutdown drain); durable ones are
-// detached — the registration stays, sequence numbers keep advancing, and a
-// reconnecting consumer resumes by key with the gap replayed. The ownership
-// check inside detachIfOwner keeps a stale connection's teardown from
-// severing a subscription another connection has since resumed.
+// unsubscribeAll detaches every subscription of a closing connection: the
+// registration stays, sequence numbers keep advancing, and a reconnecting
+// consumer resumes by key with the gap replayed. The ownership check inside
+// detachIfOwner keeps a stale connection's teardown from severing a
+// subscription another connection has since resumed.
 func (s *Server) unsubscribeAll(st *connState) {
 	st.mu.Lock()
 	subs := st.subs
 	st.subs = make(map[uint64]connSub)
 	st.mu.Unlock()
 	for _, cs := range subs {
-		if cs.durable {
-			cs.sv.detachIfOwner(cs.regID, st)
-			continue
-		}
-		if reg := cs.sv.loadRegistry(); reg != nil {
-			_ = reg.Unsubscribe(cs.regID)
-		}
+		cs.sv.detachIfOwner(cs.regID, st)
 	}
 }
 
 // subEventFrame converts a registry event into its wire frame, stamping the
-// connection-local subscription id. Sequence numbers travel only on
-// backfill-negotiated connections (withSeq): v2.0 frames stay byte-identical
-// to what they always were.
-func subEventFrame(id uint64, ev sub.Event, withSeq bool) *Event {
-	frame := &Event{V: Version2, Event: EventSub, SubID: id, Prefix: ev.Prefix}
-	if withSeq {
-		frame.Seq = ev.Seq
-	}
+// connection-local subscription id.
+func subEventFrame(id uint64, ev sub.Event) *Event {
+	frame := &Event{V: Version2, Event: EventSub, SubID: id, Prefix: ev.Prefix, Seq: ev.Seq}
 	if d := ev.Decision; d != nil {
 		frame.Decision = &LiveDecision{ID: d.ID, Time: d.Time, Durable: d.Durable, Rank: d.Rank}
 	}

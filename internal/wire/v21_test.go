@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// TestBackfillNegotiation pins the v2.1 feature matrix: backfill is granted
-// only alongside events, withheld entirely when subscriptions are off, and a
-// session without it gets clean rejections (not dead connections) for
-// backfill-shaped subscribe requests.
+// TestBackfillNegotiation pins the feature matrix: events and backfill are
+// granted together or not at all, withheld entirely when subscriptions are
+// off, and a session without them gets clean rejections (not dead
+// connections) for every subscription operation.
 func TestBackfillNegotiation(t *testing.T) {
 	srv, addr := startV2Server(t, 0)
 
@@ -26,57 +26,34 @@ func TestBackfillNegotiation(t *testing.T) {
 	if v != Version2 || !reflect.DeepEqual(feats, []string{FeatureEvents, FeatureBackfill}) {
 		t.Fatalf("negotiated v%d features %v, want v%d [%s %s]", v, feats, Version2, FeatureEvents, FeatureBackfill)
 	}
-
-	// backfill without events → neither (backfill refines the event stream).
-	alone := dialT(t, addr)
-	if _, feats, err = alone.Hello(FeatureBackfill); err != nil {
-		t.Fatal(err)
-	}
-	if len(feats) != 0 {
-		t.Fatalf("backfill without events accepted features %v, want none", feats)
-	}
-
-	// Events-only session (a v2.0 client): backfill-shaped subscribes are
-	// rejected cleanly and the session survives.
-	v20 := dialT(t, addr)
-	if _, feats, err = v20.Hello(FeatureEvents); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(feats, []string{FeatureEvents}) {
-		t.Fatalf("events-only hello accepted %v", feats)
-	}
 	spec := QuerySpec{K: 1, Tau: 1 << 40, Anchor: "look-back", Weights: []float64{1, 1}}
-	if _, err := v20.Subscribe(Request{Dataset: "stream", QuerySpec: spec, Backfill: true, FromPrefix: 0}); err == nil {
-		t.Fatal("fromPrefix subscribe accepted without the backfill feature")
+	// fromPrefix names where a resume starts; without a key it is an error,
+	// not a fresh subscription.
+	if _, err := full.Subscribe(Request{Dataset: "stream", QuerySpec: spec, FromPrefix: 3}); err == nil {
+		t.Fatal("fromPrefix subscribe without subKey accepted")
 	}
-	if _, err := v20.Subscribe(Request{Dataset: "stream", QuerySpec: spec, SubKey: 7}); err == nil {
-		t.Fatal("resume subscribe accepted without the backfill feature")
-	}
-	if _, err := v20.do(Request{Op: OpUnsubscribe, Dataset: "stream", SubKey: 7}); err == nil {
-		t.Fatal("keyed unsubscribe accepted without the backfill feature")
-	}
-	if err := v20.Ping(); err != nil {
-		t.Fatalf("session broken after rejected backfill ops: %v", err)
-	}
-	// Plain subscriptions on the events-only session stay ephemeral: no key,
-	// no base, no sequence numbers on the frames.
-	s, err := v20.Subscribe(Request{Dataset: "stream", QuerySpec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.SubKey() != 0 || s.Base() != 0 {
-		t.Fatalf("ephemeral subscription got key %d base %d, want zeros", s.SubKey(), s.Base())
-	}
-	if err := srv.AppendRow("stream", 1, []float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-s.Events():
-		if ev.Seq != 0 {
-			t.Fatalf("v2.0 event frame carried seq %d, want none", ev.Seq)
+
+	// Either feature alone → neither.
+	for _, f := range []string{FeatureBackfill, FeatureEvents} {
+		alone := dialT(t, addr)
+		if _, feats, err = alone.Hello(f); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no event")
+		if len(feats) != 0 {
+			t.Fatalf("%s alone accepted features %v, want none", f, feats)
+		}
+		if _, err := alone.Subscribe(Request{Dataset: "stream", QuerySpec: spec}); err == nil {
+			t.Fatalf("subscribe accepted after a hello offering only %s", f)
+		}
+		if _, err := alone.Subscribe(Request{Dataset: "stream", QuerySpec: spec, SubKey: 7}); err == nil {
+			t.Fatalf("resume subscribe accepted after a hello offering only %s", f)
+		}
+		if _, err := alone.do(Request{Op: OpUnsubscribe, Dataset: "stream", SubKey: 7}); err == nil {
+			t.Fatalf("keyed unsubscribe accepted after a hello offering only %s", f)
+		}
+		if err := alone.Ping(); err != nil {
+			t.Fatalf("session broken after rejected subscription ops: %v", err)
+		}
 	}
 
 	// The subscriptions gate withholds backfill along with events.
@@ -203,6 +180,21 @@ func TestDurableSubscriptionResume(t *testing.T) {
 		if ev.Seq != uint64(13+i) || ev.Prefix != 13+i {
 			t.Fatalf("replayed event %d: seq %d prefix %d, want %d/%d", i, ev.Seq, ev.Prefix, 13+i, 13+i)
 		}
+	}
+
+	// A resume on the connection that already holds the key (a client that
+	// cut its own stream) replaces the old conn-local id, which can then no
+	// longer drop the registration out from under the new one.
+	s3b, err := c3.Subscribe(Request{Dataset: "stream", SubKey: key, FromPrefix: 15})
+	if err != nil {
+		t.Fatalf("resume on the same connection: %v", err)
+	}
+	if _, err := c3.do(Request{Op: OpUnsubscribe, SubID: s3.ID()}); err == nil {
+		t.Fatal("the replaced conn-local id still unsubscribed")
+	}
+	appendRows(1)
+	if ev := recv(s3b.Events(), 1)[0]; ev.Seq != 16 || ev.Prefix != 16 {
+		t.Fatalf("same-connection resume: seq %d prefix %d, want 16/16", ev.Seq, ev.Prefix)
 	}
 
 	// Keyed unsubscribe really drops the registration: a further resume fails.
@@ -540,4 +532,68 @@ func TestEvictConnUnit(t *testing.T) {
 			t.Fatalf("evicted frame %d: %+v, want %+v", i, got, w)
 		}
 	}
+}
+
+// TestSlowFollowerNeverSkips: a Follower whose consumer reads slower than the
+// appender writes overflows its buffers again and again — the client cuts
+// the stream, or the server evicts the connection — and every time resumes
+// by key, so the merged stream stays seq- and prefix-contiguous throughout.
+func TestSlowFollowerNeverSkips(t *testing.T) {
+	const rows = 3 * subEventBuffer
+	srv, addr := startV2Server(t, 0)
+	f, err := Follow(addr, Request{Dataset: "stream", QuerySpec: QuerySpec{
+		K: 1, Tau: 1 << 40, Anchor: "look-back", Weights: []float64{1, 1},
+	}}, RetryPolicy{MaxAttempts: 200, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	// The appender runs far ahead of the consumer, in bursts small enough
+	// that the server's writer keeps its queue short: the overflow happens
+	// in this client's buffers, not in the server's event queue.
+	appended := make(chan error, 1)
+	go func() {
+		for i := 1; i <= rows; i++ {
+			if err := srv.AppendRow("stream", int64(i), []float64{float64(i), 0}); err != nil {
+				appended <- err
+				return
+			}
+			if i%64 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		appended <- nil
+	}()
+	var lastSeq uint64
+	lastPrefix := 0
+	deadline := time.After(60 * time.Second)
+	for lastPrefix < rows {
+		select {
+		case ev, ok := <-f.Events():
+			if !ok {
+				t.Fatalf("stream closed at prefix %d: %v", lastPrefix, f.Err())
+			}
+			if ev.Seq != lastSeq+1 || ev.Prefix != lastPrefix+1 {
+				t.Fatalf("merged stream skipped: seq %d prefix %d after %d/%d (reconnects %d)",
+					ev.Seq, ev.Prefix, lastSeq, lastPrefix, f.Reconnects())
+			}
+			lastSeq, lastPrefix = ev.Seq, ev.Prefix
+			if lastSeq%8 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		case <-deadline:
+			t.Fatalf("timed out at prefix %d/%d (reconnects %d)", lastPrefix, rows, f.Reconnects())
+		}
+	}
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	if f.Reconnects() < 1 {
+		t.Fatal("the consumer never fell a buffer behind; the test exercised nothing")
+	}
+	if f.Resets() != 0 {
+		t.Fatalf("%d resets against a server whose registry never restarted", f.Resets())
+	}
+	t.Logf("%d events through %d reconnects (%d evictions)", rows, f.Reconnects(), f.Evictions())
 }

@@ -51,15 +51,15 @@ func TestHelloNegotiation(t *testing.T) {
 
 			// A newer client is negotiated down to v2 and gets its features.
 			cl := dialT(t, addr)
-			v, feats, err := cl.Hello(FeatureEvents, "frobnicate")
+			v, feats, err := cl.Hello(FeatureEvents, FeatureBackfill, "frobnicate")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if v != Version2 {
 				t.Fatalf("negotiated %d, want %d", v, Version2)
 			}
-			if !reflect.DeepEqual(feats, []string{FeatureEvents}) {
-				t.Fatalf("accepted features %v, want [%s] (unknown flags must be dropped)", feats, FeatureEvents)
+			if !reflect.DeepEqual(feats, []string{FeatureEvents, FeatureBackfill}) {
+				t.Fatalf("accepted features %v, want [%s %s] (unknown flags must be dropped)", feats, FeatureEvents, FeatureBackfill)
 			}
 			if !cl.V2() {
 				t.Fatal("client did not record the v2 session")
@@ -72,7 +72,7 @@ func TestHelloNegotiation(t *testing.T) {
 				t.Fatalf("datasets after hello: %v", err)
 			}
 			// A second hello is a protocol error but not fatal.
-			if _, _, err := cl.Hello(FeatureEvents); err == nil {
+			if _, _, err := cl.Hello(FeatureEvents, FeatureBackfill); err == nil {
 				t.Fatal("repeat hello accepted")
 			}
 			if err := cl.Ping(); err != nil {
@@ -144,7 +144,7 @@ func TestV1V2Interop(t *testing.T) {
 
 			// Full v2 session: v1 ops and v2 ops interleave on one connection.
 			v2 := dialT(t, addr)
-			if _, _, err := v2.Hello(FeatureEvents); err != nil {
+			if _, _, err := v2.Hello(FeatureEvents, FeatureBackfill); err != nil {
 				t.Fatal(err)
 			}
 			s, err := v2.Subscribe(Request{Dataset: "stream",
@@ -197,7 +197,7 @@ func TestV1V2Interop(t *testing.T) {
 func TestSubscriptionLifecycle(t *testing.T) {
 	_, addr := startV2Server(t, 0)
 	sub := dialT(t, addr)
-	if _, _, err := sub.Hello(FeatureEvents); err != nil {
+	if _, _, err := sub.Hello(FeatureEvents, FeatureBackfill); err != nil {
 		t.Fatal(err)
 	}
 	s, err := sub.Subscribe(Request{Dataset: "stream",
@@ -253,31 +253,35 @@ func TestSubscriptionLifecycle(t *testing.T) {
 }
 
 // TestServerCloseDrainsEvents: a server Close mid-stream must still deliver
-// the pending truncated confirmations to subscribers before their
-// connections die.
+// the events queued for a subscriber before its connection dies. Close
+// detaches the subscription rather than dropping it, so nothing is flushed
+// as a truncated confirmation.
 func TestServerCloseDrainsEvents(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			srv, addr := startV2Server(t, workers)
 			cl := dialT(t, addr)
-			if _, _, err := cl.Hello(FeatureEvents); err != nil {
+			if _, _, err := cl.Hello(FeatureEvents, FeatureBackfill); err != nil {
 				t.Fatal(err)
 			}
-			// Huge tau: every append stays a pending look-ahead candidate.
+			// Huge tau: every append is decided at once and stays a pending
+			// look-ahead candidate.
 			s, err := cl.Subscribe(Request{Dataset: "stream",
-				QuerySpec: QuerySpec{K: 1, Tau: 1 << 40, Anchor: "look-ahead", Weights: []float64{1, 1}}})
+				QuerySpec: QuerySpec{K: 1, Tau: 1 << 40, Weights: []float64{1, 1}}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Another connection appends, so the subscriber's events are
+			// still queued at its writer when Close lands.
 			rows := make([]IngestRow, 8)
 			for i := range rows {
 				rows[i] = IngestRow{Time: int64(i + 1), Attrs: []float64{float64(i), 1}}
 			}
-			if _, err := cl.Append("stream", rows); err != nil {
+			if _, err := dialT(t, addr).Append("stream", rows); err != nil {
 				t.Fatal(err)
 			}
 			srv.Close()
-			var confirms []LiveConfirmation
+			var decisions, confirms int
 			deadline := time.After(5 * time.Second)
 			for done := false; !done; {
 				select {
@@ -286,18 +290,19 @@ func TestServerCloseDrainsEvents(t *testing.T) {
 						done = true
 						break
 					}
-					confirms = append(confirms, ev.Confirms...)
+					if ev.Decision != nil {
+						decisions++
+					}
+					confirms += len(ev.Confirms)
 				case <-deadline:
 					t.Fatal("subscription stream did not close after server shutdown")
 				}
 			}
-			if len(confirms) != len(rows) {
-				t.Fatalf("drained %d confirmations at shutdown, want %d", len(confirms), len(rows))
+			if decisions != len(rows) {
+				t.Fatalf("drained %d decisions at shutdown, want %d", decisions, len(rows))
 			}
-			for _, c := range confirms {
-				if !c.Truncated {
-					t.Fatalf("shutdown confirmation not truncated: %+v", c)
-				}
+			if confirms != 0 {
+				t.Fatalf("shutdown flushed %d confirmations; Close detaches, it does not drop", confirms)
 			}
 		})
 	}
@@ -414,7 +419,7 @@ func TestStandingQueryStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		if _, _, err := cl.Hello(FeatureEvents); err != nil {
+		if _, _, err := cl.Hello(FeatureEvents, FeatureBackfill); err != nil {
 			t.Fatal(err)
 		}
 		clients[ci] = cl
@@ -482,7 +487,7 @@ func TestStandingQueryStress(t *testing.T) {
 	// Churn: one connection subscribes and unsubscribes mid-stream, so
 	// registry attach/detach races the append path.
 	churn := dialT(t, addr)
-	if _, _, err := churn.Hello(FeatureEvents); err != nil {
+	if _, _, err := churn.Hello(FeatureEvents, FeatureBackfill); err != nil {
 		t.Fatal(err)
 	}
 	var churnEvents atomic.Int64
@@ -715,7 +720,7 @@ func TestSubscriptionsGate(t *testing.T) {
 
 	sub := Request{Dataset: "stream", QuerySpec: QuerySpec{K: 1, Tau: 5, Weights: []float64{1, 1}}}
 	cl := dialT(t, addr)
-	v, feats, err := cl.Hello(FeatureEvents)
+	v, feats, err := cl.Hello(FeatureEvents, FeatureBackfill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -734,7 +739,7 @@ func TestSubscriptionsGate(t *testing.T) {
 
 	srv.SetSubscriptions(true)
 	cl2 := dialT(t, addr)
-	if _, feats, err := cl2.Hello(FeatureEvents); err != nil || len(feats) != 1 {
+	if _, feats, err := cl2.Hello(FeatureEvents, FeatureBackfill); err != nil || len(feats) != 2 {
 		t.Fatalf("hello after re-enable: features %v, err %v", feats, err)
 	}
 	s, err := cl2.Subscribe(sub)

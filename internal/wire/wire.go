@@ -58,18 +58,17 @@ const (
 	OpUnsubscribe = "unsubscribe"
 )
 
-// FeatureEvents is the v2 feature flag for server-initiated event frames
-// (required for subscriptions). Hello requests offer feature flags; the
-// response carries the subset the server accepted.
+// FeatureEvents is the v2 feature flag for server-initiated event frames.
+// Hello requests offer feature flags; the response carries the subset the
+// server accepted.
 const FeatureEvents = "events"
 
-// FeatureBackfill is the v2.1 feature flag for gap-free standing queries:
-// subscribe requests may anchor at a historical prefix (FromPrefix) or
-// resume a durable registration (SubKey), event frames carry per-
-// subscription sequence numbers, and slow subscribers receive a terminal
-// "evicted" frame instead of a silent disconnect. Only granted alongside
-// FeatureEvents; servers predating v2.1 simply never echo it, and clients
-// then fall back to v2.0 semantics.
+// FeatureBackfill is the feature flag for gap-free standing queries: every
+// subscription is keyed (SubKey) and resumable from a prefix with the missed
+// events replayed, event frames carry per-subscription sequence numbers, and
+// slow subscribers receive a terminal "evicted" frame instead of a silent
+// disconnect. Subscriptions need both flags; a server grants FeatureEvents
+// and FeatureBackfill together or neither.
 const FeatureBackfill = "backfill"
 
 // QuerySpec carries the durable top-k query parameters shared by the
@@ -133,16 +132,12 @@ type Request struct {
 	// SubID names the subscription an unsubscribe request drops.
 	SubID uint64 `json:"subId,omitempty"`
 
-	// Protocol v2.1 (feature "backfill"). Backfill marks FromPrefix as a
-	// deliberate historical anchor for a subscribe request even when it is
-	// zero (mirroring ExplicitInterval): the server replays committed rows
-	// [FromPrefix, now) through the new subscription before splicing it into
-	// the live stream. SubKey resumes an existing durable subscription
-	// instead of creating one — the server re-derives and re-sends every
-	// event past FromPrefix, so a reconnect is provably gap-free. On an
-	// unsubscribe request a non-zero SubKey (with Dataset) drops a durable
+	// SubKey on a subscribe request resumes an existing subscription instead
+	// of creating one: the server re-derives and re-sends every event past
+	// FromPrefix (the last prefix the client holds), so a reconnect is
+	// provably gap-free. FromPrefix without SubKey is rejected. On an
+	// unsubscribe request a non-zero SubKey (with Dataset) drops a
 	// registration by its key, attached to this connection or not.
-	Backfill   bool   `json:"backfill,omitempty"`
 	FromPrefix int    `json:"fromPrefix,omitempty"`
 	SubKey     uint64 `json:"subKey,omitempty"`
 }
@@ -235,9 +230,8 @@ type Response struct {
 	Features []string `json:"features,omitempty"`
 	SubID    uint64   `json:"subId,omitempty"`
 
-	// Protocol v2.1 subscribe responses (backfill connections only — both
-	// marshal away otherwise, keeping v2.0 frames byte-identical). SubKey is
-	// the subscription's durable key: it survives the connection (and, on
+	// Every subscribe response carries SubKey and Base. SubKey is the
+	// subscription's durable key: it survives the connection (and, on
 	// crash-safe stores, the server process) and names the registration in a
 	// resume or keyed unsubscribe. Base is the committed prefix the
 	// subscription's verdict stream is anchored at.
@@ -264,8 +258,7 @@ type Event struct {
 	Prefix int `json:"prefix"`
 
 	// Seq numbers this subscription's events 1, 2, 3, … from its base
-	// prefix (protocol v2.1; stamped only on backfill connections, so v2.0
-	// frames are byte-identical). The numbering is derived from the
+	// prefix, on every event frame. The numbering is derived from the
 	// committed row stream — a replayed event carries the same number the
 	// original did — so a consumer proves gap-freedom by checking
 	// contiguity. On an EventEvicted frame, Seq and Prefix report the last
