@@ -67,9 +67,10 @@
 // concurrently — across the requests of one connection and across
 // connections — on an admission pool of N workers, while responses still
 // leave each connection in request order. -cache M adds a shared result cache
-// with a budget of M units of 64 result records (an answer costs 1 +
-// records/64 of them): exact-match repeated queries at an unchanged data epoch
-// replay their response without touching the engine:
+// with a budget of M units of 2560 bytes of encoded answer (an answer costs
+// 1 + bytes/2560 of them, so M bounds the cache at M × 2560 bytes): an
+// exact-match repeated query at an unchanged data epoch is replayed byte for
+// byte, without touching the engine or encoding anything:
 //
 //	durserved -gen net=network:1000000:4 -shards 16 -queryworkers 8 -cache 4096
 //
@@ -107,6 +108,11 @@ import (
 	"repro/internal/wire"
 )
 
+// cacheUnitBytes is the result cache's budget unit (serve.Cache charges an
+// encoded answer 1 + bytes/2560 units); the startup line reports the bound
+// it puts on -cache.
+const cacheUnitBytes = 2560
+
 // keyValue collects repeatable name=value flags.
 type keyValue struct {
 	keys, values []string
@@ -141,7 +147,7 @@ func main() {
 		keepCk   = flag.Int("keepcheckpoints", 0, "with -wal, retain the newest N checkpoint-manifest generations as backups and remove older ones (0 = single manifest, no backups; unreferenced columns files are removed whatever N)")
 		connTO   = flag.Duration("conntimeout", 0, "per-connection read/write deadline; idle or stalled clients are disconnected after this long (0 = none)")
 		qWorkers = flag.Int("queryworkers", 0, "admit this many concurrent query evaluations (pipelined serving; 0 = one request at a time per connection)")
-		cacheSz  = flag.Int("cache", 0, "shared result cache budget in units of 64 result records (an answer costs 1 + records/64); repeated queries at an unchanged data epoch replay without engine work (0 = no cache)")
+		cacheSz  = flag.Int("cache", 0, "shared result cache budget in units of 2560 bytes of encoded answer (an answer costs 1 + bytes/2560); repeated queries at an unchanged data epoch are replayed byte for byte without engine work (0 = no cache)")
 		subsOn   = flag.Bool("subscriptions", false, "serve standing queries: protocol-v2 clients may subscribe to live datasets and are pushed per-append durability verdicts")
 		files    keyValue
 		gens     keyValue
@@ -181,7 +187,8 @@ func main() {
 	}
 	if *cacheSz > 0 {
 		srv.SetCache(serve.NewCache(*cacheSz))
-		log.Printf("durserved: result cache, %d units of 64 records", *cacheSz)
+		log.Printf("durserved: result cache, %d units of %d bytes: at most %.1f MiB of encoded answers",
+			*cacheSz, cacheUnitBytes, float64(*cacheSz)*cacheUnitBytes/(1<<20))
 	}
 	// Standing queries are an operator opt-in: without -subscriptions the
 	// subscription features are withheld at hello time and subscribe

@@ -42,41 +42,45 @@ type resultEpoch struct {
 	keys  map[ResultKey]struct{}
 }
 
-// entry is one cached answer and the budget units it occupies.
+// entry is one cached answer, the budget units it occupies and, for an
+// encoded answer, its size in bytes.
 type entry struct {
-	key  ResultKey
-	val  any
-	cost int
+	key   ResultKey
+	val   any
+	cost  int
+	bytes int
 }
 
-// recordsPerUnit is the answer size one budget unit pays for: an entry costs
-// 1 + records/recordsPerUnit units, so a cache of N units holds at most N
-// answers and at most N × recordsPerUnit records — its memory is bounded by
-// what it holds, not by N × the largest answer.
-const recordsPerUnit = 64
+// bytesPerUnit is the encoded answer size one budget unit pays for — what 64
+// result records of 40 bytes took when answers were cached as records, so a
+// budget of N units bounds the same memory it always did. An answer cached as
+// its encoded bytes ([]byte) costs 1 + len/bytesPerUnit units; any other value
+// costs one. A cache of N units thus holds at most N answers and at most
+// N × bytesPerUnit encoded bytes: its memory is bounded by what it holds, not
+// by N × the largest answer.
+const bytesPerUnit = 2560
 
-// recordCounter is implemented by cached values that know how many result
-// records they hold (*wire.Response); other values cost one unit.
-type recordCounter interface{ RecordCount() int }
-
-func costOf(val any) int {
-	if rc, ok := val.(recordCounter); ok {
-		return 1 + rc.RecordCount()/recordsPerUnit
+// sizeOf returns the encoded size of a cached value: its length when it is an
+// encoded answer, 0 otherwise.
+func sizeOf(val any) int {
+	if b, ok := val.([]byte); ok {
+		return len(b)
 	}
-	return 1
+	return 0
 }
 
 // Cache is a bounded LRU of whole-query answers shared by every connection of
 // a server, keyed by epoch: exact-match repeats at an unchanged epoch replay
 // the answer with zero engine work. It is the only cross-query cache. Its
-// budget is counted in units of recordsPerUnit records, so many small answers
-// and a few huge ones occupy what they actually hold.
+// budget is counted in units of bytesPerUnit encoded bytes, so many small
+// answers and a few huge ones occupy what they actually hold.
 //
 // All methods are safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	max     int // budget, in units
 	used    int // units held by resident entries
+	bytes   int // encoded bytes held by resident entries
 	items   map[ResultKey]*list.Element
 	lru     *list.List // front = most recent
 	evicted uint64
@@ -90,7 +94,7 @@ type Cache struct {
 	invalidated  uint64
 }
 
-// NewCache returns a cache bounded to max budget units (see recordsPerUnit);
+// NewCache returns a cache bounded to max budget units (see bytesPerUnit);
 // max < 1 is clamped to 1.
 func NewCache(max int) *Cache {
 	if max < 1 {
@@ -104,7 +108,8 @@ func NewCache(max int) *Cache {
 	}
 }
 
-// GetResult returns the cached whole answer for key, if present.
+// GetResult returns the cached whole answer for key, if present. The value is
+// shared with every other hit on key and must only be read.
 func (c *Cache) GetResult(key ResultKey) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -125,7 +130,9 @@ func (c *Cache) GetResult(key ResultKey) (any, bool) {
 // entries (counted in Invalidated) rather than leaving them resident until
 // LRU pressure, and a store at an older epoch — a slow evaluation finishing
 // after the data moved on twice — is refused. A static dataset's epoch never
-// changes, so its entries are unaffected.
+// changes, so its entries are unaffected. val is handed as is to every later
+// hit, possibly on many goroutines at once: nothing may modify it after the
+// store.
 func (c *Cache) PutResult(key ResultKey, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -143,7 +150,8 @@ func (c *Cache) PutResult(key ResultKey, val any) {
 		}
 		re.epoch = key.Epoch
 	}
-	cost := costOf(val)
+	size := sizeOf(val)
+	cost := 1 + size/bytesPerUnit
 	if el, ok := c.items[key]; ok {
 		// A refresh may change the cost: give the old units back first.
 		c.remove(el)
@@ -155,8 +163,9 @@ func (c *Cache) PutResult(key ResultKey, val any) {
 		c.remove(c.lru.Back())
 		c.evicted++
 	}
-	c.items[key] = c.lru.PushFront(&entry{key: key, val: val, cost: cost})
+	c.items[key] = c.lru.PushFront(&entry{key: key, val: val, cost: cost, bytes: size})
 	c.used += cost
+	c.bytes += size
 	re.keys[key] = struct{}{}
 }
 
@@ -166,12 +175,14 @@ func (c *Cache) remove(el *list.Element) {
 	delete(c.items, e.key)
 	delete(c.byDataset[e.key.Dataset].keys, e.key)
 	c.used -= e.cost
+	c.bytes -= e.bytes
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
 	Entries       int    // current entries
 	Max           int    // capacity, in budget units
+	Bytes         int    // encoded answer bytes currently resident
 	Hits          uint64 // whole-result hits
 	Misses        uint64 // whole-result misses
 	PartialHits   uint64 // no producer; only the frozen benchmark/ reads it, and it leaves with the next benchmark-purpose PR
@@ -195,6 +206,7 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Entries:     len(c.items),
 		Max:         c.max,
+		Bytes:       c.bytes,
 		Hits:        c.hits,
 		Misses:      c.misses,
 		Evicted:     c.evicted,

@@ -199,27 +199,33 @@ func TestCacheResultEpochSupersedes(t *testing.T) {
 	}
 }
 
-// answer is a cached value reporting its record count, as *wire.Response does.
-type answer int
+// encoded returns an encoded answer of n bytes, as the wire server caches
+// them.
+func encoded(n int) []byte { return make([]byte, n) }
 
-func (a answer) RecordCount() int { return int(a) }
+// costing returns an encoded answer that costs exactly u budget units.
+func costing(u int) []byte { return encoded((u - 1) * bytesPerUnit) }
 
-// TestCacheRecordBudget: the budget counts what the cache holds — an entry
-// costs 1 + records/64 units — so 4 096 units hold thousands of small answers
-// or a handful of huge ones, never thousands of huge ones.
-func TestCacheRecordBudget(t *testing.T) {
+// TestCacheByteBudget: the budget counts what the cache holds — an encoded
+// answer costs 1 + bytes/2560 units — so 4 096 units hold thousands of small
+// answers or a handful of huge ones, never thousands of huge ones. Bytes
+// reports what is resident.
+func TestCacheByteBudget(t *testing.T) {
 	k := func(i int) ResultKey { return ResultKey{Dataset: "d", K: i} }
 	c := NewCache(4096)
+	small := encoded(400)
 	for i := 0; i < 5000; i++ {
-		c.PutResult(k(i), answer(10)) // one unit each
+		c.PutResult(k(i), small) // one unit each
 	}
-	if st := c.Stats(); st.Entries != 4096 || st.Evicted != 5000-4096 || c.used != 4096 {
+	if st := c.Stats(); st.Entries != 4096 || st.Evicted != 5000-4096 || c.used != 4096 || st.Bytes != 4096*400 {
 		t.Fatalf("small answers: %+v, %d units used", st, c.used)
 	}
-	// One 10 000-record answer costs 157 units and evicts that many small ones.
-	c.PutResult(k(-1), answer(10_000))
-	if st := c.Stats(); st.Entries != 4096-157+1 || c.used != 4096 {
-		t.Fatalf("after a 10 000-record answer: %+v, %d units used", st, c.used)
+	// One 400 000-byte answer costs 1 + 156 units and evicts that many small
+	// ones.
+	large := encoded(400_000)
+	c.PutResult(k(-1), large)
+	if st := c.Stats(); st.Entries != 4096-157+1 || c.used != 4096 || st.Bytes != (4096-157)*400+400_000 {
+		t.Fatalf("after a 400 000-byte answer: %+v, %d units used", st, c.used)
 	}
 	if _, ok := c.GetResult(k(-1)); !ok {
 		t.Fatal("the large answer is not resident")
@@ -227,61 +233,61 @@ func TestCacheRecordBudget(t *testing.T) {
 	// Only 26 of them fit, where an entry-counted bound would hold 4 096.
 	big := NewCache(4096)
 	for i := 0; i < 100; i++ {
-		big.PutResult(k(i), answer(10_000))
+		big.PutResult(k(i), large)
 	}
-	if st := big.Stats(); st.Entries != 4096/157 || big.used != st.Entries*157 {
+	if st := big.Stats(); st.Entries != 4096/157 || big.used != st.Entries*157 || st.Bytes != st.Entries*400_000 {
 		t.Fatalf("large answers: %+v, %d units used", st, big.used)
 	}
 	// An answer larger than the whole budget is not stored and evicts nothing.
-	big.PutResult(k(-1), answer(64*4096))
-	if st := big.Stats(); st.Entries != 4096/157 {
+	big.PutResult(k(-1), encoded(4096*bytesPerUnit))
+	if st := big.Stats(); st.Entries != 4096/157 || st.Evicted != 100-4096/157 || st.Bytes != st.Entries*400_000 {
 		t.Fatalf("an over-budget answer disturbed the cache: %+v", st)
 	}
 
 	// A refresh of a resident key is charged its new cost, not the sum.
 	c = NewCache(8)
-	c.PutResult(k(1), answer(0))
-	c.PutResult(k(2), answer(0))
-	c.PutResult(k(1), answer(5*64)) // 1 unit -> 6 units
-	if st := c.Stats(); st.Entries != 2 || st.Evicted != 0 || c.used != 7 {
+	c.PutResult(k(1), costing(1))
+	c.PutResult(k(2), costing(1))
+	c.PutResult(k(1), costing(6))
+	if st := c.Stats(); st.Entries != 2 || st.Evicted != 0 || c.used != 7 || st.Bytes != 5*bytesPerUnit {
 		t.Fatalf("after a costlier refresh: %+v, %d units used", st, c.used)
 	}
-	c.PutResult(k(1), answer(7*64)) // 8 units: only fits alone
-	if st := c.Stats(); st.Entries != 1 || st.Evicted != 1 || c.used != 8 {
+	c.PutResult(k(1), costing(8)) // only fits alone
+	if st := c.Stats(); st.Entries != 1 || st.Evicted != 1 || c.used != 8 || st.Bytes != 7*bytesPerUnit {
 		t.Fatalf("after a refresh that fills the budget: %+v, %d units used", st, c.used)
 	}
-	c.PutResult(k(1), answer(0))
-	if st := c.Stats(); st.Entries != 1 || c.used != 1 {
+	c.PutResult(k(1), costing(1))
+	if st := c.Stats(); st.Entries != 1 || c.used != 1 || st.Bytes != 0 {
 		t.Fatalf("after a cheaper refresh: %+v, %d units used", st, c.used)
 	}
-	// Values that cannot report a size cost one unit.
+	// Values that are not encoded answers cost one unit and no bytes.
 	c.PutResult(k(3), "opaque")
-	if c.used != 2 {
-		t.Fatalf("opaque value: %d units used, want 2", c.used)
+	if st := c.Stats(); c.used != 2 || st.Bytes != 0 {
+		t.Fatalf("opaque value: %+v, %d units used, want 2", st, c.used)
 	}
 }
 
 // TestCacheInvalidateAfterEviction: eviction and epoch invalidation both give
-// an entry's units back exactly once, and an epoch change after evictions
-// drops — and counts — only what is still resident.
+// an entry's units and bytes back exactly once, and an epoch change after
+// evictions drops — and counts — only what is still resident.
 func TestCacheInvalidateAfterEviction(t *testing.T) {
 	c := NewCache(10)
 	k := func(i int, epoch uint64) ResultKey { return ResultKey{Dataset: "live", K: i, Epoch: epoch} }
-	c.PutResult(k(1, 1), answer(3*64)) // 4 units
-	c.PutResult(k(2, 1), answer(3*64)) // 4 units
-	c.PutResult(k(3, 1), answer(6*64)) // 7 units: evicts both
-	if st := c.Stats(); st.Evicted != 2 || st.Entries != 1 || c.used != 7 {
+	c.PutResult(k(1, 1), costing(4))
+	c.PutResult(k(2, 1), costing(4))
+	c.PutResult(k(3, 1), costing(7)) // evicts both
+	if st := c.Stats(); st.Evicted != 2 || st.Entries != 1 || c.used != 7 || st.Bytes != 6*bytesPerUnit {
 		t.Fatalf("after eviction: %+v, %d units used", st, c.used)
 	}
-	c.PutResult(k(4, 1), answer(64)) // 2 units
-	c.PutResult(k(1, 2), answer(0))  // newer epoch: the two residents go
+	c.PutResult(k(4, 1), costing(2))
+	c.PutResult(k(1, 2), costing(1)) // newer epoch: the two residents go
 	st := c.Stats()
-	if st.Invalidated != 2 || st.Evicted != 2 || st.Entries != 1 || c.used != 1 {
+	if st.Invalidated != 2 || st.Evicted != 2 || st.Entries != 1 || c.used != 1 || st.Bytes != 0 {
 		t.Fatalf("after the epoch change: %+v, %d units used", st, c.used)
 	}
 	// The freed units are really free: nine more fit without an eviction.
 	for i := 10; i < 19; i++ {
-		c.PutResult(k(i, 2), answer(0))
+		c.PutResult(k(i, 2), costing(1))
 	}
 	if st := c.Stats(); st.Evicted != 2 || st.Entries != 10 || c.used != 10 {
 		t.Fatalf("after refilling: %+v, %d units used", st, c.used)

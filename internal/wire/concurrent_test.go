@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"math/rand"
 	"net"
 	"reflect"
@@ -188,9 +189,9 @@ func TestConnTimeoutPerIteration(t *testing.T) {
 
 // TestResultCacheEpochInvalidation checks the whole-result cache end to end
 // on a live dataset: an exact repeat at an unchanged epoch replays the stored
-// response (pointer-identical), an append retires the epoch, and the
-// recomputed answer is equal in content for an interval the append cannot
-// affect.
+// frame (the very bytes the miss encoded and stored), an append retires the
+// epoch, and the recomputed answer — read by decoding its frame — is equal in
+// content for an interval the append cannot affect.
 func TestResultCacheEpochInvalidation(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
 	cache := serve.NewCache(64)
@@ -209,7 +210,7 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 		t.Fatalf("first query: %s", r1.Error)
 	}
 	r2 := srv.handle(&req)
-	if r1 != r2 {
+	if !sameBytes(r1.payload, r2.payload) {
 		t.Fatal("repeat at unchanged epoch was recomputed, not replayed")
 	}
 	st := cache.Stats()
@@ -226,12 +227,25 @@ func TestResultCacheEpochInvalidation(t *testing.T) {
 	if !r3.OK {
 		t.Fatalf("post-append query: %s", r3.Error)
 	}
-	if r3 == r2 {
+	if sameBytes(r3.payload, r2.payload) {
 		t.Fatal("cache served a pre-append response after the epoch changed")
 	}
-	if !reflect.DeepEqual(r3.Records, r2.Records) {
-		t.Fatalf("recomputed answer diverged: %+v vs %+v", r3.Records, r2.Records)
+	var before, after Response
+	if err := json.Unmarshal(r2.payload, &before); err != nil {
+		t.Fatal(err)
 	}
+	if err := json.Unmarshal(r3.payload, &after); err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Records) == 0 || !reflect.DeepEqual(after.Records, before.Records) {
+		t.Fatalf("recomputed answer diverged: %+v vs %+v", after.Records, before.Records)
+	}
+}
+
+// sameBytes reports whether a and b are one slice: the same non-empty
+// backing array, not merely equal contents.
+func sameBytes(a, b []byte) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
 // TestExprCompileCache checks that repeated expression sources compile once

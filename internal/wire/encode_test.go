@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 )
 
 // TestInboundFrameCoversEvent: an Event with every field set comes back whole
@@ -57,11 +58,14 @@ func (h hugeAnswer) DurableTopK(core.Query) (*core.Result, error) {
 // TestUnsendableAnswerIsAnError: an answer the server cannot encode — an
 // infinite score, or a frame over MaxFrame — comes back as an error response
 // naming why, on v1 and v2 connections alike, and the connection keeps
-// serving.
+// serving. Such an answer is never cached: every repeat is evaluated again
+// and refused again, and the cache stays empty.
 func TestUnsendableAnswerIsAnError(t *testing.T) {
 	srv := NewServer(func(string, ...interface{}) {})
+	cache := serve.NewCache(64)
+	srv.SetCache(cache)
 	ds := testDataset(t, 500, 1)
-	if err := addStatic(srv, "games", ds, nil); err != nil {
+	if err := addStatic(srv, "games", ds, []string{"points", "assists"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.AddQuerier("huge", hugeAnswer{Querier: core.NewEngine(ds, core.Options{}), n: 250000}, nil); err != nil {
@@ -88,21 +92,39 @@ func TestUnsendableAnswerIsAnError(t *testing.T) {
 			}
 		}
 		for _, c := range []struct {
-			dataset string
-			weights []float64
-			want    string
+			op   string
+			req  Request
+			want string
 		}{
-			{"games", []float64{1e308, 1e308}, "record score is not finite"},
-			{"huge", []float64{1, 1}, "answer exceeds the frame limit"},
+			{OpQuery, Request{Dataset: "games", QuerySpec: QuerySpec{K: 3, Tau: 50, Weights: []float64{1e308, 1e308}}}, "record score is not finite"},
+			// Every score is +Inf. (A NaN scorer is left out: T-Hop need not
+			// terminate on NaN scores.)
+			{OpQuery, Request{Dataset: "games", QuerySpec: QuerySpec{K: 3, Tau: 50, Expr: "1/(points - points)"}}, "record score is not finite"},
+			{OpMostDurable, Request{Dataset: "games", QuerySpec: QuerySpec{K: 2, N: 4, Expr: "1/(points - points)"}}, "record score is not finite"},
+			{OpQuery, Request{Dataset: "huge", QuerySpec: QuerySpec{K: 3, Tau: 50, Weights: []float64{1, 1}}}, "answer exceeds the frame limit"},
 		} {
-			_, _, err := cl.Query(Request{Dataset: c.dataset, QuerySpec: QuerySpec{K: 3, Tau: 50, Weights: c.weights}})
-			var se *ServerError
-			if !errors.As(err, &se) || !strings.Contains(se.Msg, c.want) {
-				t.Fatalf("v2=%v %s: got %v, want a server error containing %q", v2, c.dataset, err, c.want)
-			}
-			if err := cl.Ping(); err != nil {
-				t.Fatalf("v2=%v %s: ping after the refused answer: %v", v2, c.dataset, err)
+			for repeat := 0; repeat < 3; repeat++ {
+				var err error
+				if c.op == OpMostDurable {
+					_, err = cl.MostDurable(c.req)
+				} else {
+					_, _, err = cl.Query(c.req)
+				}
+				var se *ServerError
+				if !errors.As(err, &se) || !strings.Contains(se.Msg, c.want) {
+					t.Fatalf("v2=%v %s %s repeat %d: got %v, want a server error containing %q", v2, c.op, c.req.Dataset, repeat, err, c.want)
+				}
+				if st := cache.Stats(); st.Entries != 0 || st.Bytes != 0 {
+					t.Fatalf("v2=%v %s %s repeat %d: an unsendable answer was cached: %+v", v2, c.op, c.req.Dataset, repeat, st)
+				}
+				if err := cl.Ping(); err != nil {
+					t.Fatalf("v2=%v %s: ping after the refused answer: %v", v2, c.req.Dataset, err)
+				}
 			}
 		}
+	}
+	// Every request above was looked up and missed; none was stored.
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 2*4*3 {
+		t.Fatalf("cache stats %+v, want 24 misses and no hit", st)
 	}
 }

@@ -598,12 +598,21 @@ func (s *Server) serveConnPipelined(conn net.Conn, sched *serve.Scheduler, st *c
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var fw frameWriter
 		write := func(v interface{}) bool {
-			frame, err := encodeFrame(v)
-			if _, isResp := v.(*Response); err != nil && isResp {
+			resp, isResp := v.(*Response)
+			var payload []byte
+			var err error
+			if isResp && resp.payload != nil {
+				// Encoded by its handler: a cache hit is this one write.
+				payload = resp.payload
+			} else {
+				payload, err = encodeFrame(v)
+			}
+			if err != nil && isResp {
 				// The answer cannot travel; its request still gets exactly one
 				// response, naming why, and the connection lives on.
-				frame, err = encodeFrame(errResponse(unsendable(err)))
+				payload, err = encodeFrame(errResponse(unsendable(err)))
 			}
 			if err != nil {
 				s.logf("wire: %s: encode: %v", conn.RemoteAddr(), err)
@@ -612,9 +621,7 @@ func (s *Server) serveConnPipelined(conn net.Conn, sched *serve.Scheduler, st *c
 			if timeout := time.Duration(s.connTimeout.Load()); timeout > 0 {
 				conn.SetWriteDeadline(time.Now().Add(timeout))
 			}
-			_, err = conn.Write(*frame)
-			releaseFrame(frame)
-			if err != nil {
+			if err := fw.write(conn, payload); err != nil {
 				s.logf("wire: %s: write: %v", conn.RemoteAddr(), err)
 				return false
 			}
@@ -937,12 +944,46 @@ func (s *Server) handleQuery(req *Request) *Response {
 	if err != nil {
 		return errResponse(err)
 	}
-	// Whole-result fast path: an exact-match repeat at an unchanged data
-	// epoch replays the previous response verbatim. The epoch is read before
-	// the lookup and re-checked after evaluation; a store happens only when
-	// it did not move, so an entry can never carry an answer from a newer
-	// state than its key claims. Cached responses are shared across requests
-	// and must not be mutated after the store (WriteFrame only reads them).
+	return s.answerCached(sv, func(epoch uint64) (serve.ResultKey, bool) {
+		return resultKey(req, q, epoch)
+	}, func() *Response {
+		res, err := sv.eng.DurableTopK(q)
+		if err != nil {
+			return errResponse(err)
+		}
+		resp := &Response{V: Version, OK: true, Stats: &Stats{
+			Algorithm:      res.Stats.Algorithm.String(),
+			CheckQueries:   res.Stats.CheckQueries,
+			FindQueries:    res.Stats.FindQueries,
+			MaintQueries:   res.Stats.MaintQueries,
+			CandidateCount: res.Stats.CandidateCount,
+			Visited:        res.Stats.Visited,
+			ShardsPruned:   res.Stats.ShardsPruned,
+			ElapsedMicros:  res.Stats.Elapsed.Microseconds(),
+		}}
+		resp.Records = make([]Record, 0, len(res.Records))
+		for _, r := range res.Records {
+			resp.Records = append(resp.Records, Record{
+				ID: r.ID, Time: r.Time, Score: r.Score,
+				MaxDuration: r.MaxDuration, FullHistory: r.FullHistory,
+			})
+		}
+		return resp
+	})
+}
+
+// answerCached answers a query-shaped request through the whole-result
+// cache: key derives the request's cache key at a data epoch (ok=false:
+// uncacheable), eval computes the answer. An exact-match repeat at an
+// unchanged epoch replays the stored payload with no engine work and no
+// encoding. Otherwise the answer is encoded here, on the handler goroutine,
+// and that same payload is stored and sent. The epoch is read before the
+// lookup and re-checked after evaluation; a store happens only when it did
+// not move, so an entry can never carry an answer from a newer state than
+// its key claims. An answer that cannot be sent — a non-finite score, a
+// payload over MaxFrame — becomes the error response naming why and is never
+// stored.
+func (s *Server) answerCached(sv *served, key func(epoch uint64) (serve.ResultKey, bool), eval func() *Response) *Response {
 	var (
 		cache = s.cache.Load()
 		rk    serve.ResultKey
@@ -951,35 +992,23 @@ func (s *Server) handleQuery(req *Request) *Response {
 	)
 	if cache != nil {
 		epoch = epochOf(sv.eng)
-		if rk, keyed = resultKey(req, q, epoch); keyed {
+		if rk, keyed = key(epoch); keyed {
 			if v, ok := cache.GetResult(rk); ok {
-				return v.(*Response)
+				return &Response{payload: v.([]byte)}
 			}
 		}
 	}
-	res, err := sv.eng.DurableTopK(q)
+	resp := eval()
+	if !resp.OK {
+		return resp
+	}
+	payload, err := encodeFrame(resp)
 	if err != nil {
-		return errResponse(err)
+		return errResponse(unsendable(err))
 	}
-	resp := &Response{V: Version, OK: true, Stats: &Stats{
-		Algorithm:      res.Stats.Algorithm.String(),
-		CheckQueries:   res.Stats.CheckQueries,
-		FindQueries:    res.Stats.FindQueries,
-		MaintQueries:   res.Stats.MaintQueries,
-		CandidateCount: res.Stats.CandidateCount,
-		Visited:        res.Stats.Visited,
-		ShardsPruned:   res.Stats.ShardsPruned,
-		ElapsedMicros:  res.Stats.Elapsed.Microseconds(),
-	}}
-	resp.Records = make([]Record, 0, len(res.Records))
-	for _, r := range res.Records {
-		resp.Records = append(resp.Records, Record{
-			ID: r.ID, Time: r.Time, Score: r.Score,
-			MaxDuration: r.MaxDuration, FullHistory: r.FullHistory,
-		})
-	}
+	resp.payload = payload
 	if keyed && epochOf(sv.eng) == epoch {
-		cache.PutResult(rk, resp)
+		cache.PutResult(rk, payload)
 	}
 	return resp
 }
@@ -1080,38 +1109,24 @@ func (s *Server) handleMostDurable(req *Request) *Response {
 	if req.N < 1 {
 		return errResponse(errors.New("wire: most-durable needs n >= 1"))
 	}
-	// Same epoch-checked fast path as handleQuery; most-durable is the more
-	// expensive report (a full durability profile), so repeats benefit most.
-	var (
-		cache = s.cache.Load()
-		rk    serve.ResultKey
-		epoch uint64
-		keyed bool
-	)
-	if cache != nil {
-		if sk, ok := score.CanonicalKey(scorer); ok {
-			epoch = epochOf(sv.eng)
-			rk = serve.ResultKey{Dataset: req.Dataset, Op: req.Op, Scorer: sk,
-				K: req.K, N: req.N, Anchor: anchor, Epoch: epoch}
-			keyed = true
-			if v, ok := cache.GetResult(rk); ok {
-				return v.(*Response)
-			}
+	// Same cached path as handleQuery; most-durable is the more expensive
+	// report (a full durability profile), so repeats benefit most.
+	return s.answerCached(sv, func(epoch uint64) (serve.ResultKey, bool) {
+		sk, ok := score.CanonicalKey(scorer)
+		return serve.ResultKey{Dataset: req.Dataset, Op: req.Op, Scorer: sk,
+			K: req.K, N: req.N, Anchor: anchor, Epoch: epoch}, ok
+	}, func() *Response {
+		top, err := sv.eng.MostDurable(req.K, scorer, anchor, req.N)
+		if err != nil {
+			return errResponse(err)
 		}
-	}
-	top, err := sv.eng.MostDurable(req.K, scorer, anchor, req.N)
-	if err != nil {
-		return errResponse(err)
-	}
-	resp := &Response{V: Version, OK: true}
-	for _, r := range top {
-		resp.Records = append(resp.Records, Record{
-			ID: r.ID, Time: r.Time, Score: r.Score,
-			MaxDuration: r.Duration, FullHistory: r.FullHistory,
-		})
-	}
-	if keyed && epochOf(sv.eng) == epoch {
-		cache.PutResult(rk, resp)
-	}
-	return resp
+		resp := &Response{V: Version, OK: true}
+		for _, r := range top {
+			resp.Records = append(resp.Records, Record{
+				ID: r.ID, Time: r.Time, Score: r.Score,
+				MaxDuration: r.Duration, FullHistory: r.FullHistory,
+			})
+		}
+		return resp
+	})
 }

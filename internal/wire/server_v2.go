@@ -50,23 +50,13 @@ type connState struct {
 	// overflow); emitters stop enqueueing once set.
 	dead atomic.Bool
 
-	// mu guards the subscription table and progress map. Registry emit
-	// closures take it only for the progress update in pushEvent; no code
-	// path acquires the registry lock while holding mu, so the registry-lock
-	// → mu order in emit closures cannot deadlock.
+	// mu guards the subscription table and each entry's position. Registry
+	// emit closures take it only for the position update in pushEvent; no
+	// code path acquires the registry lock while holding mu, so the
+	// registry-lock → mu order in emit closures cannot deadlock.
 	mu      sync.Mutex
 	nextSub uint64
-	subs    map[uint64]connSub
-	// progress records, per conn-local subscription id, the last event frame
-	// enqueued for delivery — what the terminal evicted frame reports so a
-	// resuming consumer knows where the stream stopped.
-	progress map[uint64]subProgress
-}
-
-// subProgress is the last enqueued event position of one subscription.
-type subProgress struct {
-	seq    uint64
-	prefix int
+	subs    map[uint64]*connSub
 }
 
 // connSub ties a conn-local subscription id to its dataset registry entry.
@@ -74,16 +64,25 @@ type subProgress struct {
 // on different datasets could otherwise collide on one connection. Every
 // registration outlives the connection: teardown detaches it for a later
 // resume instead of dropping it.
+//
+// It also records the last event frame enqueued for delivery — what the
+// terminal evicted frame reports, so a resuming consumer knows where the
+// stream stopped. The subscription's emit closure holds the *connSub, so the
+// position is kept from the first event on (a resume's backlog is emitted
+// before the entry joins the table) and leaves with the entry.
 type connSub struct {
 	sv    *served
 	regID uint64
+	// seq and prefix are the last enqueued event's; guarded by connState.mu.
+	seq    uint64
+	prefix int
 }
 
 func newConnState() *connState {
 	return &connState{
 		events: make(chan interface{}, eventQueueDepth),
 		evict:  make(chan struct{}, 1),
-		subs:   make(map[uint64]connSub),
+		subs:   make(map[uint64]*connSub),
 	}
 }
 
@@ -108,25 +107,23 @@ func (st *connState) pushFrame(frame interface{}) bool {
 	}
 }
 
-// pushEvent enqueues one event frame for the connection's writer without
-// blocking. Called from registry emit closures, which run under the registry
-// lock on whatever goroutine committed the append — so it must never wait.
+// pushEvent enqueues one event frame of subscription cs for the
+// connection's writer without blocking, and records it as cs's position.
+// Called from registry emit closures, which run under the registry lock on
+// whatever goroutine committed the append — so it must never wait.
 // On overflow the connection is evicted instead of dropping the frame: a
 // subscriber that cannot keep up would otherwise see a silent gap in a
 // stream whose whole point is that every verdict is accounted for. Eviction
 // is announced (terminal evicted frames, written by the connection's writer)
 // rather than a bare close, so the consumer can resume without guessing.
-func (st *connState) pushEvent(ev *Event, conn net.Conn, logf func(string, ...interface{})) {
+func (st *connState) pushEvent(cs *connSub, ev *Event, conn net.Conn, logf func(string, ...interface{})) {
 	if st.dead.Load() {
 		return
 	}
 	select {
 	case st.events <- ev:
 		st.mu.Lock()
-		if st.progress == nil {
-			st.progress = make(map[uint64]subProgress)
-		}
-		st.progress[ev.SubID] = subProgress{seq: ev.Seq, prefix: ev.Prefix}
+		cs.seq, cs.prefix = ev.Seq, ev.Prefix
 		st.mu.Unlock()
 	default:
 		if !st.dead.CompareAndSwap(false, true) {
@@ -166,18 +163,13 @@ func evictConn(conn net.Conn, st *connState) {
 		break
 	}
 	st.mu.Lock()
-	type evicted struct {
-		id uint64
-		p  subProgress
-	}
-	list := make([]evicted, 0, len(st.subs))
-	for id := range st.subs {
-		list = append(list, evicted{id: id, p: st.progress[id]})
+	list := make([]*Event, 0, len(st.subs))
+	for id, cs := range st.subs {
+		list = append(list, &Event{V: Version2, Event: EventEvicted, SubID: id, Prefix: cs.prefix, Seq: cs.seq})
 	}
 	st.mu.Unlock()
-	sort.Slice(list, func(i, j int) bool { return list[i].id < list[j].id })
-	for _, e := range list {
-		frame := &Event{V: Version2, Event: EventEvicted, SubID: e.id, Prefix: e.p.prefix, Seq: e.p.seq}
+	sort.Slice(list, func(i, j int) bool { return list[i].SubID < list[j].SubID })
+	for _, frame := range list {
 		if err := WriteFrame(conn, frame); err != nil {
 			return
 		}
@@ -299,8 +291,9 @@ func (s *Server) handleSubscribe(req *Request, st *connState, conn net.Conn) *Re
 	// true base: no event exists at or below an undershot base, hence a
 	// consumer resuming "from base" can neither miss nor repeat anything.
 	base := reg.Prefix()
+	cs := &connSub{sv: sv}
 	regID, err := reg.Subscribe(spec, func(ev sub.Event) {
-		st.pushEvent(subEventFrame(id, ev), conn, logf)
+		st.pushEvent(cs, subEventFrame(id, ev), conn, logf)
 	})
 	if err != nil {
 		return errResponse(err)
@@ -316,7 +309,8 @@ func (s *Server) handleSubscribe(req *Request, st *connState, conn net.Conn) *Re
 	}
 	sv.claimSub(regID, st)
 	st.mu.Lock()
-	st.subs[id] = connSub{sv: sv, regID: regID}
+	cs.regID = regID
+	st.subs[id] = cs
 	st.mu.Unlock()
 	return &Response{V: Version, OK: true, SubID: id, SubKey: regID, Base: base}
 }
@@ -350,8 +344,9 @@ func (s *Server) handleResume(req *Request, st *connState, sv *served, conn net.
 	st.mu.Unlock()
 	logf := s.logf
 	ackSent := false
+	cs := &connSub{sv: sv, regID: req.SubKey}
 	base, err := sv.resumeOwned(req.SubKey, req.FromPrefix, st, func(ev sub.Event) {
-		st.pushEvent(subEventFrame(id, ev), conn, logf)
+		st.pushEvent(cs, subEventFrame(id, ev), conn, logf)
 	}, func(base int) {
 		ackSent = st.pushFrame(&Response{V: Version, OK: true, SubID: id, SubKey: req.SubKey, Base: base})
 	})
@@ -360,7 +355,7 @@ func (s *Server) handleResume(req *Request, st *connState, sv *served, conn net.
 	}
 	st.mu.Lock()
 	st.forgetLocked(sv, req.SubKey)
-	st.subs[id] = connSub{sv: sv, regID: req.SubKey}
+	st.subs[id] = cs
 	st.mu.Unlock()
 	if ackSent {
 		return respDeferred
@@ -390,34 +385,39 @@ func (s *Server) handleUnsubscribe(req *Request, st *connState) *Response {
 	if !st.subsOK {
 		return errNoSubs(OpUnsubscribe)
 	}
-	var cs connSub
+	var (
+		sv    *served
+		regID uint64
+	)
 	if req.SubKey != 0 {
-		sv, err := s.lookup(req.Dataset)
-		if err != nil {
+		var err error
+		if sv, err = s.lookup(req.Dataset); err != nil {
 			return errResponse(err)
 		}
-		cs = connSub{sv: sv, regID: req.SubKey}
+		regID = req.SubKey
 	} else {
 		st.mu.Lock()
-		var ok bool
-		cs, ok = st.subs[req.SubID]
+		cs, ok := st.subs[req.SubID]
+		if ok {
+			sv, regID = cs.sv, cs.regID
+		}
 		st.mu.Unlock()
 		if !ok {
 			return errResponse(fmt.Errorf("wire: no subscription %d on this connection", req.SubID))
 		}
 	}
 	st.mu.Lock()
-	st.forgetLocked(cs.sv, cs.regID)
+	st.forgetLocked(sv, regID)
 	st.mu.Unlock()
-	reg := cs.sv.loadRegistry()
+	reg := sv.loadRegistry()
 	if reg == nil {
 		return errResponse(fmt.Errorf("wire: %w", sub.ErrNotFound))
 	}
-	if err := reg.Unsubscribe(cs.regID); err != nil {
+	if err := reg.Unsubscribe(regID); err != nil {
 		return errResponse(err)
 	}
-	cs.sv.dropSubOwner(cs.regID)
-	if err := cs.sv.syncSubscriptions(); err != nil {
+	sv.dropSubOwner(regID)
+	if err := sv.syncSubscriptions(); err != nil {
 		return errResponse(fmt.Errorf("wire: subscription dropped but not yet durably: %w", err))
 	}
 	return &Response{V: Version, OK: true, SubID: req.SubID, SubKey: req.SubKey}
@@ -431,7 +431,7 @@ func (s *Server) handleUnsubscribe(req *Request, st *connState) *Response {
 func (s *Server) unsubscribeAll(st *connState) {
 	st.mu.Lock()
 	subs := st.subs
-	st.subs = make(map[uint64]connSub)
+	st.subs = make(map[uint64]*connSub)
 	st.mu.Unlock()
 	for _, cs := range subs {
 		cs.sv.detachIfOwner(cs.regID, st)

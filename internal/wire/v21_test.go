@@ -488,15 +488,13 @@ func TestFollowerResumesGapFree(t *testing.T) {
 // and the connection closes.
 func TestEvictConnUnit(t *testing.T) {
 	st := newConnState()
-	st.subs[1] = connSub{}
-	st.subs[2] = connSub{}
+	first, second := &connSub{}, &connSub{seq: 7, prefix: 9}
+	st.subs[1] = first
+	st.subs[2] = second
 	for i := 1; i <= 3; i++ {
-		st.progress = map[uint64]subProgress{
-			1: {seq: uint64(i), prefix: i},
-		}
+		first.seq, first.prefix = uint64(i), i
 		st.events <- &Event{V: Version2, Event: EventSub, SubID: 1, Seq: uint64(i), Prefix: i}
 	}
-	st.progress[2] = subProgress{seq: 7, prefix: 9}
 	st.dead.Store(true)
 
 	p1, p2 := net.Pipe()
@@ -532,6 +530,87 @@ func TestEvictConnUnit(t *testing.T) {
 			t.Fatalf("evicted frame %d: %+v, want %+v", i, got, w)
 		}
 	}
+}
+
+// TestSubscriptionPositionLeavesWithIt: the last-event position a connection
+// keeps per subscription (what its evicted frames report) leaves with the
+// subscription. Thousands of subscribe/append/unsubscribe cycles on one
+// connection, each unsubscribe flushing a final event, leave no entry behind,
+// and a resume replaces the conn-local id it supersedes instead of keeping
+// both.
+func TestSubscriptionPositionLeavesWithIt(t *testing.T) {
+	cycles := 5000
+	if testing.Short() {
+		cycles = 1000
+	}
+	srv := NewServer(func(string, ...interface{}) {})
+	addLive(t, srv, "stream", 1, nil)
+	serverSide, clientSide := net.Pipe()
+	st := newConnState()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.serveConnPipelined(serverSide, nil, st)
+	}()
+	cl := NewClient(clientSide)
+	if _, _, err := cl.Hello(FeatureEvents, FeatureBackfill); err != nil {
+		t.Fatal(err)
+	}
+	positions := func() int {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return len(st.subs)
+	}
+	spec := Request{Dataset: "stream", QuerySpec: QuerySpec{K: 1, Tau: 3, Weights: []float64{1}}}
+	for i := 1; i <= cycles; i++ {
+		s, err := cl.Subscribe(spec)
+		if err != nil {
+			t.Fatalf("cycle %d: subscribe: %v", i, err)
+		}
+		if _, err := cl.Append("stream", []IngestRow{{Time: int64(i), Attrs: []float64{float64(i % 7)}}}); err != nil {
+			t.Fatalf("cycle %d: append: %v", i, err)
+		}
+		if err := cl.Unsubscribe(s); err != nil {
+			t.Fatalf("cycle %d: unsubscribe: %v", i, err)
+		}
+	}
+	if n := positions(); n != 0 {
+		t.Fatalf("%d subscription positions left after %d unsubscribed cycles", n, cycles)
+	}
+
+	s, err := cl.Subscribe(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Append("stream", []IngestRow{{Time: int64(cycles + 1), Attrs: []float64{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := cl.Subscribe(Request{Dataset: "stream", SubKey: s.SubKey(), FromPrefix: s.Base()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ack leaves ahead of the replayed backlog; a ping is read only once
+	// the resume's handler has finished.
+	if err := cl.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if n := positions(); n != 1 {
+		t.Fatalf("%d subscription positions after a resume on the same connection, want 1", n)
+	}
+	st.mu.Lock()
+	cs := st.subs[resumed.ID()]
+	st.mu.Unlock()
+	if cs == nil || cs.seq != 1 || cs.prefix != cycles+1 {
+		t.Fatalf("resumed subscription's position: %+v, want seq 1 at prefix %d", cs, cycles+1)
+	}
+	if err := cl.Unsubscribe(resumed); err != nil {
+		t.Fatal(err)
+	}
+	if n := positions(); n != 0 {
+		t.Fatalf("%d subscription positions left after the last unsubscribe", n)
+	}
+	cl.Close()
+	<-served
 }
 
 // TestSlowFollowerNeverSkips: a Follower whose consumer reads slower than the

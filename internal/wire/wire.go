@@ -237,11 +237,13 @@ type Response struct {
 	// subscription's verdict stream is anchored at.
 	SubKey uint64 `json:"subKey,omitempty"`
 	Base   int    `json:"base,omitempty"`
-}
 
-// RecordCount reports how many result records the response holds; the result
-// cache charges an entry by it.
-func (r *Response) RecordCount() int { return len(r.Records) }
+	// payload, when set, is this response already encoded: the writer sends
+	// these bytes instead of encoding the fields above, which a replayed
+	// cache hit leaves empty. A cached payload is shared by every connection
+	// replaying it and is never written to.
+	payload []byte
+}
 
 // Event is a server-initiated v2 frame pushed to a subscribed connection,
 // interleaved with responses. It is distinguishable from a Response by its
@@ -301,15 +303,17 @@ type ServerError struct {
 func (e *ServerError) Error() string { return "wire: server: " + e.Msg }
 
 // WriteFrame encodes v and writes it as one length-prefixed frame, header
-// and payload in a single Write. Nothing is written when v cannot be encoded
-// or its payload exceeds MaxFrame.
+// and payload in one vectored write (a single writev on a TCP connection).
+// Nothing is written when v cannot be encoded or its payload exceeds
+// MaxFrame.
 func WriteFrame(w io.Writer, v interface{}) error {
-	frame, err := encodeFrame(v)
+	payload, err := encodeFrame(v)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(*frame)
-	releaseFrame(frame)
+	fw := frameWriters.Get().(*frameWriter)
+	err = fw.write(w, payload)
+	frameWriters.Put(fw)
 	return err
 }
 
