@@ -167,7 +167,6 @@ func benchmarkDBMS(b *testing.B, dsName string, n, tauPct, iPct int, hop bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer db.Close()
 	lo, hi := ds.Span()
 	span := hi - lo
 	tau := span * int64(tauPct) / 100

@@ -18,7 +18,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer db.Close()
 	fmt.Printf("loaded %d records into %d heap pages (8 KiB each), summary index: %d nodes\n",
 		ds.Len(), db.Table.NumPages(), db.Index.NumNodes())
 	fmt.Printf("buffer pool: %d frames (deliberately smaller than the data)\n\n", db.Pool.Capacity())

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/data"
 	"repro/internal/score"
@@ -170,6 +172,66 @@ func TestLargeAgreement(t *testing.T) {
 				if !reflect.DeepEqual(res.IDs(), ref.IDs()) {
 					t.Fatalf("k=%d tau=%d: %v disagrees with t-hop (%d vs %d records)",
 						k, tau, alg, len(res.Records), len(ref.Records))
+				}
+			}
+		}
+	}
+}
+
+// TestNaNScoresTerminate holds every strategy to returning when some scores
+// are NaN, as an expression such as log(x0 - 5) yields on every row with
+// x0 < 5. A NaN-scored record fails its own durability check without being
+// outranked, and it can sit among its window's items; a T-Hop that hopped to
+// the newest item then never moved. A NaN also equals nothing, not even
+// itself, so an S-Base that grouped equal-score runs by == never left one.
+// Only termination is asserted: answers under NaN scores are still
+// undefined (see Query).
+func TestNaNScoresTerminate(t *testing.T) {
+	seeds := 30
+	if testing.Short() {
+		seeds = 8
+	}
+	s := score.MustLinear(1)
+	algs := []Algorithm{TBase, THop, SBase, SBand, SHop, Auto}
+	for seed := 0; seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		vals := make([]float64, 120+rng.Intn(201))
+		for i := range vals {
+			vals[i] = float64(rng.Intn(40))
+			if rng.Intn(20) == 0 {
+				vals[i] = math.NaN()
+			}
+		}
+		ds := seriesDataset(vals)
+		shapes := []Querier{
+			NewEngine(ds, testEngineOpts()),
+			NewShardedEngine(ds, testEngineOpts(), ShardOptions{Shards: 3}),
+		}
+		lo, hi := ds.Span()
+		k, tau := 1+rng.Intn(4), int64(5+rng.Intn(60))
+		for si, eng := range shapes {
+			for _, anchor := range []Anchor{LookBack, LookAhead, General} {
+				for _, alg := range algs {
+					if anchor == General && (alg == TBase || alg == SBand) {
+						continue // no mid-anchored form
+					}
+					q := Query{K: k, Tau: tau, Start: lo, End: hi, Scorer: s, Algorithm: alg, Anchor: anchor}
+					if anchor == General {
+						q.Lead = tau / 2
+					}
+					done := make(chan error, 1)
+					go func() {
+						_, err := eng.DurableTopK(q)
+						done <- err
+					}()
+					select {
+					case err := <-done:
+						if err != nil {
+							t.Fatalf("seed %d shape %d %v %v: %v", seed, si, anchor, alg, err)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatalf("seed %d shape %d %v %v (k=%d tau=%d): query did not return", seed, si, anchor, alg, k, tau)
+					}
 				}
 			}
 		}

@@ -112,9 +112,9 @@ func (a Anchor) String() string {
 // (BruteForce*) ranks a NaN score below every real one, and so does the
 // T-Base sweep on an unsharded Engine wherever a window holds at least k
 // real-scored rows (a membership test, score >= k-th, never passes a NaN
-// row). Nothing else is defined under NaN: a NaN that enters a range top-k
-// probe's heap corrupts its order, so the probing strategies can return wrong
-// answers for the rows around it and T-Hop may fail to terminate.
+// row). Every strategy returns under NaN scores, but nothing else is
+// defined: a NaN that enters a range top-k probe's heap corrupts its order,
+// so the probing strategies can return wrong answers for the rows around it.
 type Query struct {
 	K         int          // top-k parameter, >= 1
 	Tau       int64        // durability window length in time ticks, >= 0

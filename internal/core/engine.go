@@ -283,15 +283,9 @@ func evalIDs(pr *probe, v *spanBlock, q *Query, alg Algorithm, st *Stats, ld *sk
 	case TBase:
 		return runTBase(v, pr, runQ, st)
 	case THop:
-		if general {
-			return runTHopAnchored(v, pr, runQ, st)
-		}
-		return runTHop(v, pr, runQ, st)
+		return runTHopAnchored(v, pr, runQ, st)
 	case SBase:
-		if general {
-			return runSBaseAnchored(v, runQ, st)
-		}
-		return runSBase(v, runQ, st)
+		return runSBaseAnchored(v, runQ, st)
 	case SBand:
 		return runSBand(v, pr, ld, runQ, st)
 	default:

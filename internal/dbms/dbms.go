@@ -1,9 +1,10 @@
 // Package dbms implements the paper's DBMS-backed durable top-k procedures
-// (§VI-C) against the embedded page-structured engine of package pagestore —
-// the offline substitute for the PostgreSQL + PL/Python deployment. T-Hop
-// and T-Base run as "stored procedures" whose every data access goes through
+// (§VI-C) against the page-structured engine of package pagestore — the
+// offline substitute for the PostgreSQL + PL/Python deployment. T-Hop and
+// T-Base run as "stored procedures" whose every data access goes through
 // the buffer pool, so elapsed time and page-read counts reproduce the
-// Tables IV-VI comparison.
+// Tables IV-VI comparison. A database is loaded into memory and lives as
+// long as its DB; there is no file format and no reopen.
 package dbms
 
 import (
@@ -20,8 +21,6 @@ type Options struct {
 	// PoolPages is the buffer pool capacity in frames (default 256, i.e.
 	// 2 MiB — deliberately much smaller than the data to exercise I/O).
 	PoolPages int
-	// FilePath, when non-empty, stores pages in a file instead of memory.
-	FilePath string
 }
 
 // DB is a loaded table with its summary index.
@@ -30,10 +29,8 @@ type DB struct {
 	Table *pagestore.Table
 	Index *pagestore.SummaryIndex
 
-	backing     pagestore.Backing
-	catalogPage pagestore.PageID
-	minTime     int64
-	maxTime     int64
+	minTime int64
+	maxTime int64
 }
 
 // Stats instruments one stored-procedure invocation.
@@ -49,25 +46,7 @@ func Load(ds *data.Dataset, opts Options) (*DB, error) {
 	if opts.PoolPages == 0 {
 		opts.PoolPages = 256
 	}
-	var backing pagestore.Backing
-	if opts.FilePath != "" {
-		fb, err := pagestore.NewFileBacking(opts.FilePath)
-		if err != nil {
-			return nil, err
-		}
-		backing = fb
-	} else {
-		backing = pagestore.NewMemBacking()
-	}
-	pool := pagestore.NewBufferPool(backing, opts.PoolPages)
-	// Reserve page 0 for the catalog so Save/Open can find it.
-	catFrame, err := pool.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	catalogPage := catFrame.ID
-	copy(catFrame.Data[:4], catalogMagic)
-	pool.Unpin(catFrame, true)
+	pool := pagestore.NewBufferPool(pagestore.NewMemBacking(), opts.PoolPages)
 	table, err := pagestore.CreateTable(pool, ds.Dims())
 	if err != nil {
 		return nil, err
@@ -88,15 +67,8 @@ func Load(ds *data.Dataset, opts Options) (*DB, error) {
 		return nil, err
 	}
 	lo, hi := ds.Span()
-	return &DB{
-		Pool: pool, Table: table, Index: idx,
-		backing: backing, catalogPage: catalogPage,
-		minTime: lo, maxTime: hi,
-	}, nil
+	return &DB{Pool: pool, Table: table, Index: idx, minTime: lo, maxTime: hi}, nil
 }
-
-// Close releases the backing store.
-func (db *DB) Close() error { return db.backing.Close() }
 
 // Span returns the stored time range.
 func (db *DB) Span() (lo, hi int64) { return db.minTime, db.maxTime }

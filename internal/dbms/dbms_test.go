@@ -2,7 +2,6 @@ package dbms
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -81,27 +80,17 @@ func TestProceduresMatchBruteForce(t *testing.T) {
 				t.Fatalf("trial %d: t-hop %v want %v (k=%d tau=%d I=[%d,%d])",
 					trial, hop, want, k, tau, start, end)
 			}
-			base, baseStats, err := db.DurableTBase(s, k, tau, start, end)
+			base, _, err := db.DurableTBase(s, k, tau, start, end)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !idsEqual(base, want) {
 				t.Fatalf("trial %d: t-base %v want %v", trial, base, want)
 			}
-			shop, shopStats, err := db.DurableSHop(s, k, tau, start, end)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !idsEqual(shop, want) {
-				t.Fatalf("trial %d: s-hop wrapper %v want %v (k=%d tau=%d I=[%d,%d])",
-					trial, shop, want, k, tau, start, end)
-			}
-			if len(want) > 0 && (hopStats.TopKQueries == 0 || shopStats.TopKQueries == 0) {
+			if len(want) > 0 && hopStats.TopKQueries == 0 {
 				t.Fatal("procedures must issue top-k queries")
 			}
-			_ = baseStats
 		}
-		db.Close()
 	}
 }
 
@@ -113,7 +102,6 @@ func TestTHopReadsFewerPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	s := score.MustLinear(0.5, 0.5)
 	lo, hi := ds.Span()
 	span := hi - lo
@@ -136,34 +124,12 @@ func TestTHopReadsFewerPages(t *testing.T) {
 	}
 }
 
-func TestFileBackedLoad(t *testing.T) {
-	ds := randDS(rand.New(rand.NewSource(89)), 2000, 2, 0)
-	path := filepath.Join(t.TempDir(), "table.db")
-	db, err := Load(ds, Options{PoolPages: 8, FilePath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s := score.MustLinear(1, 1)
-	lo, hi := ds.Span()
-	tau := (hi - lo) / 5
-	got, _, err := db.DurableTHop(s, 3, tau, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := core.BruteForce(ds, s, 3, tau, lo, hi, core.LookBack)
-	if !idsEqual(got, want) {
-		t.Fatalf("file-backed t-hop %v want %v", got, want)
-	}
-}
-
 func TestLoadValidation(t *testing.T) {
 	ds := randDS(rand.New(rand.NewSource(97)), 100, 2, 0)
 	db, err := Load(ds, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
 	if lo, hi := db.Span(); lo != ds.Time(0) || hi != ds.Time(ds.Len()-1) {
 		t.Fatalf("Span=(%d,%d)", lo, hi)
 	}

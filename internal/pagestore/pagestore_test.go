@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -102,9 +101,7 @@ func TestTupleRoundTrip(t *testing.T) {
 func TestBufferPoolHitsMissesEvictions(t *testing.T) {
 	backing := NewMemBacking()
 	for i := 0; i < 10; i++ {
-		if _, err := backing.Alloc(); err != nil {
-			t.Fatal(err)
-		}
+		backing.Alloc()
 	}
 	bp := NewBufferPool(backing, 4)
 	// Touch pages 0..9: all misses, evictions from page 4 on.
@@ -158,7 +155,7 @@ func TestBufferPoolPinPreventsEviction(t *testing.T) {
 
 func TestBufferPoolWriteback(t *testing.T) {
 	backing := NewMemBacking()
-	id, _ := backing.Alloc()
+	id := backing.Alloc()
 	backing.Alloc()
 	backing.Alloc()
 	backing.Alloc()
@@ -233,38 +230,6 @@ func TestMemBackingRange(t *testing.T) {
 	}
 	if err := m.WritePage(3, buf); !errors.Is(err, ErrPageRange) {
 		t.Fatalf("write past end: %v", err)
-	}
-}
-
-func TestFileBackingRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pages.db")
-	fb, err := NewFileBacking(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	id, err := fb.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]byte, PageSize)
-	for i := range out {
-		out[i] = byte(i)
-	}
-	if err := fb.WritePage(id, out); err != nil {
-		t.Fatal(err)
-	}
-	in := make([]byte, PageSize)
-	if err := fb.ReadPage(id, in); err != nil {
-		t.Fatal(err)
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("byte %d mismatch", i)
-		}
-	}
-	if fb.NumPages() != 1 {
-		t.Fatalf("NumPages=%d", fb.NumPages())
 	}
 }
 
@@ -382,19 +347,5 @@ func TestSealIdempotent(t *testing.T) {
 	}
 	if len(tbl.Meta()) != 2 {
 		t.Fatalf("want 2 pages after reopen, got %d", len(tbl.Meta()))
-	}
-}
-
-func TestRestoreTableValidation(t *testing.T) {
-	bp := NewBufferPool(NewMemBacking(), 8)
-	if _, err := RestoreTable(bp, 0, nil, 0, 0); err == nil {
-		t.Fatal("zero dims must fail")
-	}
-	tbl, err := RestoreTable(bp, 2, []PageMeta{{ID: 1, MinTime: 5, MaxTime: 9}}, 3, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 3 || tbl.LastTime() != 9 || len(tbl.Meta()) != 1 {
-		t.Fatalf("restored table wrong: %+v", tbl)
 	}
 }

@@ -29,10 +29,10 @@ type Frame struct {
 	elem  *list.Element
 }
 
-// BufferPool caches pages of a Backing with LRU replacement over unpinned
-// frames. Not safe for concurrent use.
+// BufferPool caches pages of a MemBacking with LRU replacement over
+// unpinned frames. Not safe for concurrent use.
 type BufferPool struct {
-	backing  Backing
+	backing  *MemBacking
 	capacity int
 	frames   map[PageID]*Frame
 	lru      *list.List // front = most recently used; holds *Frame
@@ -41,7 +41,7 @@ type BufferPool struct {
 
 // NewBufferPool wraps backing with a pool of the given frame capacity
 // (minimum 4, so multi-page operations can pin simultaneously).
-func NewBufferPool(backing Backing, capacity int) *BufferPool {
+func NewBufferPool(backing *MemBacking, capacity int) *BufferPool {
 	if capacity < 4 {
 		capacity = 4
 	}
@@ -61,9 +61,6 @@ func (bp *BufferPool) Stats() PoolStats { return bp.stats }
 
 // ResetStats zeroes the traffic counters.
 func (bp *BufferPool) ResetStats() { bp.stats = PoolStats{} }
-
-// Backing exposes the wrapped store.
-func (bp *BufferPool) Backing() Backing { return bp.backing }
 
 // Fetch pins page id into memory, reading it from the backing store on a
 // miss.
@@ -89,11 +86,7 @@ func (bp *BufferPool) Fetch(id PageID) (*Frame, error) {
 
 // Alloc creates a new zeroed page in the backing store and pins it.
 func (bp *BufferPool) Alloc() (*Frame, error) {
-	id, err := bp.backing.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	f, err := bp.newFrame(id)
+	f, err := bp.newFrame(bp.backing.Alloc())
 	if err != nil {
 		return nil, err
 	}

@@ -28,13 +28,12 @@ type SummaryIndex struct {
 	table *Table
 	dims  int
 	// loc maps node id to its page and slot.
-	loc  []NodeLoc
+	loc  []nodeLoc
 	root int32
 }
 
-// NodeLoc addresses one serialized summary node (exported so a catalog can
-// persist and restore the index).
-type NodeLoc struct {
+// nodeLoc addresses one serialized summary node.
+type nodeLoc struct {
 	Page PageID
 	Slot uint16
 }
@@ -229,7 +228,7 @@ func BuildSummaryIndex(pool *BufferPool, table *Table) (*SummaryIndex, error) {
 	si.root = level[0]
 
 	// Persist nodes into pages.
-	si.loc = make([]NodeLoc, len(nodes))
+	si.loc = make([]nodeLoc, len(nodes))
 	buf := make([]byte, PageSize)
 	var cur *Frame
 	open := func() error {
@@ -266,7 +265,7 @@ func BuildSummaryIndex(pool *BufferPool, table *Table) (*SummaryIndex, error) {
 				return nil, errors.New("pagestore: summary node exceeds page size")
 			}
 		}
-		si.loc[i] = NodeLoc{Page: cur.ID, Slot: uint16(slot)}
+		si.loc[i] = nodeLoc{Page: cur.ID, Slot: uint16(slot)}
 	}
 	seal()
 	return si, nil
@@ -503,21 +502,3 @@ func (si *SummaryIndex) nodeUpperBound(s score.Scorer, monotone bool, n *summary
 
 // NumNodes returns the number of summary nodes.
 func (si *SummaryIndex) NumNodes() int { return len(si.loc) }
-
-// Root returns the root node id.
-func (si *SummaryIndex) Root() int32 { return si.root }
-
-// Locations returns a copy of the node location table, for persistence.
-func (si *SummaryIndex) Locations() []NodeLoc {
-	out := make([]NodeLoc, len(si.loc))
-	copy(out, si.loc)
-	return out
-}
-
-// RestoreSummaryIndex rebuilds an index handle from persisted locations; the
-// node pages themselves live in the backing store.
-func RestoreSummaryIndex(pool *BufferPool, table *Table, root int32, locs []NodeLoc) *SummaryIndex {
-	loc := make([]NodeLoc, len(locs))
-	copy(loc, locs)
-	return &SummaryIndex{pool: pool, table: table, dims: table.Dims(), loc: loc, root: root}
-}

@@ -119,21 +119,6 @@ func (t *Table) Seal() error {
 	return nil
 }
 
-// RestoreTable rebuilds a sealed table handle from persisted metadata; the
-// heap pages themselves live in the backing store. The restored table is
-// read-only in spirit: further appends continue after lastTime.
-func RestoreTable(pool *BufferPool, dims int, meta []PageMeta, count int, lastTime int64) (*Table, error) {
-	if dims < 1 {
-		return nil, errors.New("pagestore: table needs at least one attribute")
-	}
-	m := make([]PageMeta, len(meta))
-	copy(m, meta)
-	return &Table{pool: pool, dims: dims, meta: m, count: count, lastTime: lastTime}, nil
-}
-
-// LastTime returns the newest stored arrival time.
-func (t *Table) LastTime() int64 { return t.lastTime }
-
 // VisitFunc receives one decoded record; attrs aliases a scratch buffer
 // valid only during the call. Returning false stops the scan.
 type VisitFunc func(id uint32, time int64, attrs []float64) bool

@@ -1,8 +1,7 @@
 // Package faultfs wraps a wal.FS with injectable faults: crash points at
 // every write boundary (with torn partial writes), short reads, bit flips,
 // and targeted write failures. It drives the store's crash-recovery tests
-// (WAL segments, checkpoint columns files and manifests) and the pagestore
-// error-path tests.
+// (WAL segments, checkpoint columns files and manifests).
 //
 // The crash model matches a process kill on a journaling filesystem: a
 // byte budget counts down across all writes; the write that exhausts it is

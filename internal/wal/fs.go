@@ -11,8 +11,7 @@ import (
 // implementation for tests, and package faultfs wraps either with injectable
 // torn writes, short reads, bit flips and crash points, so checkpoint
 // columns files, manifests and WAL segments share one fault-injection
-// surface. pagestore.BlockFile has the same method set, so the page store's
-// tests run over these filesystems too.
+// surface.
 type File interface {
 	io.ReaderAt
 	io.WriterAt
