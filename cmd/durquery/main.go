@@ -182,30 +182,19 @@ func main() {
 		if *shards > 1 {
 			fatal(fmt.Errorf("-live and -shards are mutually exclusive (use -sealrows/-sealspan for live sharding)"))
 		}
+		// The stream is replayed into a live engine; with -sealrows/-sealspan
+		// it seals into static shards as it goes, and the query spans sealed
+		// shards + tail.
+		opts := []durable.OpenOption{durable.FromStream(ds.Dims()),
+			durable.WithLiveOptions(durable.LiveOptions{Capacity: ds.Len()})}
 		if *sealRows > 0 || *sealSpan > 0 {
-			// Live+sharded lifecycle: the stream seals into static shards as
-			// it is replayed, and the query spans sealed + tail.
-			q, err := durable.Open(durable.FromStream(ds.Dims()),
-				durable.WithLiveOptions(durable.LiveOptions{Capacity: ds.Len()}),
-				durable.WithLiveSharding(durable.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan}))
-			if err != nil {
-				fatal(err)
-			}
-			lse := q.(*durable.LiveShardedEngine)
-			for i := 0; i < ds.Len(); i++ {
-				if _, _, err := lse.Append(ds.Time(i), ds.Attrs(i)); err != nil {
-					fatal(err)
-				}
-			}
-			eng = lse
-			break
+			opts = append(opts, durable.WithLiveSharding(durable.LiveShardOptions{SealRows: *sealRows, SealSpan: *sealSpan}))
 		}
-		q, err := durable.Open(durable.FromStream(ds.Dims()),
-			durable.WithLiveOptions(durable.LiveOptions{Capacity: ds.Len()}))
+		q, err := durable.Open(opts...)
 		if err != nil {
 			fatal(err)
 		}
-		le := q.(*durable.LiveEngine)
+		le := q.(*durable.LiveShardedEngine)
 		for i := 0; i < ds.Len(); i++ {
 			if _, _, err := le.Append(ds.Time(i), ds.Attrs(i)); err != nil {
 				fatal(err)

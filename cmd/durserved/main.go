@@ -369,7 +369,8 @@ func isClosed(err error) bool {
 }
 
 // liveServed is the ingestion surface durserved needs from a live dataset's
-// engine, satisfied by core.LiveEngine, core.LiveShardedEngine and the store.
+// engine, satisfied by the live engine (sealing with -sealrows/-sealspan or
+// never) and the store.
 type liveServed interface {
 	wire.LiveIngest
 	Rebuilds() int

@@ -144,8 +144,9 @@ type Querier = core.Querier
 func ParseShardStrategy(s string) (ShardStrategy, error) { return core.ParseShardStrategy(s) }
 
 // LiveEngine answers durable top-k queries over a still-growing dataset: the
-// streaming counterpart of Engine. Records arrive one at a time through
-// Append (incremental flat-storage appends indexed by a logarithmic-merge
+// streaming counterpart of Engine. It is the LiveShardedEngine whose tail
+// never seals: records arrive one at a time through Append (flat-storage
+// appends, each row stored once and indexed in place by a logarithmic-merge
 // forest — no full rebuilds on the query path, look-ahead windows read the
 // forest mirrored); a query at any point returns exactly what a batch Engine
 // built over the records appended so far would. Only a pinned S-Band query
@@ -159,11 +160,11 @@ type LiveEngine = core.LiveEngine
 // LiveOptions configures live ingestion: the storage capacity hint.
 type LiveOptions = core.LiveOptions
 
-// LiveShardedEngine composes live ingestion with time sharding: appends
-// route to a single mutable tail shard, and when the tail reaches a seal
-// threshold (row count or time span) it is frozen into an immutable static
-// shard and a fresh tail opens — the LSM-style lifecycle that bounds rebuild
-// work on an unbounded stream. A query is one span over the sealed shards
+// LiveShardedEngine composes live ingestion with time sharding: appends land
+// in the global columns, indexed in place by a single mutable tail shard, and
+// when the tail reaches a seal threshold (row count or time span) it is
+// frozen into an immutable static shard and a fresh tail opens — the
+// LSM-style lifecycle that bounds rebuild work on an unbounded stream. A query is one span over the sealed shards
 // plus the tail, with the merge probes and pruning of ShardedEngine; answers
 // are bit-identical to a batch Engine over the same prefix.
 type LiveShardedEngine = core.LiveShardedEngine

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	durable "repro"
+	"repro/internal/data"
 	"repro/internal/topk"
 )
 
@@ -27,7 +28,11 @@ func main() {
 		tau = int64(2000)
 	)
 	scorer := durable.MustLinear(0.7, 0.3)
-	forest := topk.NewForest(2, topk.Options{})
+	tail, err := data.NewAppendable(2, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	forest := topk.NewForest(tail, topk.Options{})
 	rng := rand.New(rand.NewSource(42))
 
 	fmt.Printf("streaming 50000 records; flagging arrivals that enter the durable top-%d (tau=%d)\n\n", k, tau)

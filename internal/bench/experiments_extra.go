@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/datagen"
 	"repro/internal/score"
 	"repro/internal/skyband"
@@ -186,7 +187,11 @@ func runAblationForest(cfg Config, w io.Writer) error {
 	staticBuild := time.Since(staticStart)
 
 	forestStart := time.Now()
-	f := topk.NewForest(ds.Dims(), topk.Options{})
+	tail, err := data.NewAppendable(ds.Dims(), 0)
+	if err != nil {
+		return err
+	}
+	f := topk.NewForest(tail, topk.Options{})
 	for i := 0; i < ds.Len(); i++ {
 		if err := f.Append(ds.Time(i), ds.Attrs(i)); err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/data"
 	"repro/internal/monitor"
 	"repro/internal/score"
 	"repro/internal/topk"
@@ -72,7 +73,11 @@ func runExtStream(cfg Config, w io.Writer) error {
 }
 
 func streamViaForest(times []int64, vals [][]float64, s score.Scorer, k int, tau int64) (flags int, seconds float64, err error) {
-	forest := topk.NewForest(1, topk.Options{})
+	tail, err := data.NewAppendable(1, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	forest := topk.NewForest(tail, topk.Options{})
 	start := time.Now()
 	for i := range times {
 		if err := forest.Append(times[i], vals[i]); err != nil {

@@ -121,18 +121,19 @@ func (e *LiveShardedEngine) installCompactedLocked(lo, hi, level int, eng *Engin
 
 // maybeRetireLocked retires every sealed shard whose last arrival is older
 // than latest − RetainSpan, always whole shards from the front of the
-// timeline. Retired rows leave every future query epoch — answers match a
-// batch engine over the retained suffix; the rows themselves stay in the
-// global columnar storage (reclaiming their memory needs the base-offset
-// storage design of ROADMAP item 5, "Memory that is the data").
+// timeline. The age is compared as the exact unsigned difference (no arrival
+// is later than latest), so far-apart times cannot wrap it. Retired rows
+// leave every future query epoch — answers match a batch engine over the
+// retained suffix; the rows themselves stay in the global columnar storage
+// (reclaiming their memory needs the base-offset storage design of ROADMAP
+// item 5, "Memory that is the data").
 // Caller holds mu.
 func (e *LiveShardedEngine) maybeRetireLocked(latest int64) {
 	if e.so.RetainSpan <= 0 {
 		return
 	}
-	cutoff := latest - e.so.RetainSpan
 	idx := 0
-	for idx < len(e.sealed) && e.global.Time(e.sealed[idx].hi-1) < cutoff {
+	for idx < len(e.sealed) && uint64(latest-e.global.Time(e.sealed[idx].hi-1)) > uint64(e.so.RetainSpan) {
 		idx++
 	}
 	if idx == 0 {

@@ -17,8 +17,9 @@ import (
 type LiveShardOptions struct {
 	// SealRows freezes the mutable tail into an immutable static shard once
 	// it holds this many records. 0 disables the row rule — unless SealSpan
-	// is also 0, in which case SealRows defaults to DefaultSealRows (an
-	// unbounded tail would degenerate into a plain live engine).
+	// is also 0, in which case SealRows defaults to DefaultSealRows (a tail
+	// that never seals is a LiveEngine, which NewLiveEngine asks for with
+	// math.MaxInt).
 	SealRows int
 	// SealSpan freezes the tail once its arrivals span at least this many
 	// time ticks (last arrival - first arrival >= SealSpan). 0 disables the
@@ -58,18 +59,22 @@ const DefaultSealRows = 4096
 
 // LiveShardedEngine composes live ingestion with time sharding — the
 // LSM-flavored lifecycle that keeps the unit of rebuild work bounded on an
-// unbounded stream. Appends route to a
-// single mutable tail shard (a LiveEngine over an appendable columnar tail);
-// when the tail trips a seal threshold (row count or time span, see
-// LiveShardOptions) it is sealed — immediately immutable and queryable
-// through its pinned snapshot — then frozen in the background into a static
-// Engine shard over a zero-copy slice of the global storage, while a fresh
-// empty tail takes the appends.
+// unbounded stream. Every append lands once, in the global columns, indexed
+// by the mutable tail: a topk.Forest over the global rows from the tail's
+// first row onward. When the tail trips a seal threshold (row count or time
+// span, see LiveShardOptions) it is sealed — immediately immutable and
+// queryable through its pinned view — then frozen in the background into a
+// static Engine shard over a zero-copy slice of the global storage, while a
+// fresh empty forest takes the appends. A LiveEngine is this engine with a
+// seal rule that never fires.
 // A query is one span over the sealed shards plus the tail, evaluated exactly
 // as on a ShardedEngine (merge probes over the shards' indexes, reach-based
 // routing, per-shard score upper-bound pruning) — the tail participates
-// through an append-stable snapshot (its score bounds are re-derived per
-// epoch, so an append can never leave a stale bound behind).
+// through an append-stable view (its score bounds are re-derived per
+// epoch, so an append can never leave a stale bound behind). An epoch with no
+// sealed shard whose tail starts at row 0 is the tail snapshot engine's own
+// group, so until its first seal the engine plans and answers like an Engine
+// over the same rows, S-Band included.
 //
 // Every append and seal swaps in a fresh immutable query epoch (shardGroup)
 // under a RW lock; a query snapshots the current epoch and then evaluates
@@ -78,9 +83,9 @@ const DefaultSealRows = 4096
 // enforced by the differential harness and FuzzLiveShardedAppend.
 //
 // When an append grows the global columns into a new array, every sealed
-// shard is re-pointed at it (its index rebased, not rebuilt), so exactly one
-// generation of the columns stays reachable once the epochs pinned by
-// in-flight queries finish.
+// shard and the tail's chunk trees are re-pointed at it (their indexes
+// rebased, not rebuilt), so exactly one generation of the columns stays
+// reachable once the epochs pinned by in-flight queries finish.
 //
 // Safe for concurrent use: any number of concurrent queries, one appender.
 type LiveShardedEngine struct {
@@ -93,7 +98,7 @@ type LiveShardedEngine struct {
 	mu     sync.RWMutex
 	global *data.Dataset // appendable columnar storage of every record
 	sealed []timeShard   // frozen shards, ascending, over slices of global's current array
-	tail   *LiveEngine   // mutable tail shard over records [tailLo, Len)
+	tail   *topk.Forest  // the mutable tail: global's records [tailLo, Len), indexed in place
 	tailLo int
 	seq    uint64 // bumped on every append, seal, compaction and retirement; keys the memoized epoch
 
@@ -108,8 +113,8 @@ type LiveShardedEngine struct {
 	indexedRows int
 
 	// freezeWG tracks in-flight background freeze builds; freezing counts
-	// them (guarded by mu) so seal backpressure can bound the retired tails
-	// kept alive awaiting their freeze.
+	// them (guarded by mu) so seal backpressure can bound the builds in
+	// flight.
 	freezeWG sync.WaitGroup
 	freezing int
 
@@ -125,8 +130,8 @@ type LiveShardedEngine struct {
 
 	// groupMu guards the memoized query epoch; a query at an unchanged seq
 	// reuses it (keeping the tail snapshot engine and its lazily built
-	// auxiliary structures warm between appends), and the first query after
-	// an append or seal assembles a fresh one.
+	// skyband ladders warm between appends), and the first query after an
+	// append or seal assembles a fresh one — a forest view, no index build.
 	groupMu  sync.Mutex
 	group    *shardGroup
 	groupSeq uint64
@@ -152,9 +157,7 @@ func NewLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShardOpt
 	if err != nil {
 		return nil, err
 	}
-	e := &LiveShardedEngine{opts: opts, so: so, dims: d, global: global}
-	e.tail = e.newTail()
-	return e, nil
+	return &LiveShardedEngine{opts: opts, so: so, dims: d, global: global, tail: topk.NewForest(global, opts.Index)}, nil
 }
 
 // RestoredShard carries one checkpointed sealed shard's rows for
@@ -201,6 +204,7 @@ func RestoreLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShar
 		e.tailLo = hi
 		e.seq++
 	}
+	e.tail = topk.NewForest(e.global, opts.Index)
 	// A crash can land between a merge's install and its durable level swap;
 	// the restored layout then still holds the constituent run, and re-planning
 	// here simply redoes the merge in the background.
@@ -210,57 +214,45 @@ func RestoreLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShar
 	return e, nil
 }
 
-// newTail opens a fresh empty tail engine sized for one seal cycle.
-func (e *LiveShardedEngine) newTail() *LiveEngine {
-	cap := e.so.SealRows
-	if cap <= 0 || cap > DefaultSealRows {
-		cap = DefaultSealRows
-	}
-	tl, err := NewLiveEngine(e.dims, e.opts, LiveOptions{Capacity: cap})
-	if err != nil {
-		panic(err) // unreachable: dims validated at construction
-	}
-	return tl
-}
-
 // Append commits one record: t must exceed the last appended time and attrs
-// must have exactly Dims values (copied). The record lands in the mutable
-// tail shard; if it trips a seal threshold the tail is sealed — retired to
-// an immutable shard and replaced by a fresh tail — before Append returns,
-// with the static freeze index built in the background (see sealLocked).
+// must have exactly Dims values (copied). The record lands in the global
+// columns, indexed by the mutable tail; if it trips a seal threshold the
+// tail is sealed — retired to an immutable shard and replaced by a fresh
+// tail — before Append returns, with the static freeze index built in the
+// background (see sealLocked).
 // The Decision and confirmations are always zero; per-append verdicts come
 // from standing queries (package sub).
 func (e *LiveShardedEngine) Append(t int64, attrs []float64) (monitor.Decision, []monitor.Confirmation, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return monitor.Decision{}, nil, e.appendLocked(t, attrs)
+}
+
+// appendLocked is Append's body. Caller holds mu.
+func (e *LiveShardedEngine) appendLocked(t int64, attrs []float64) error {
 	c := cap(e.global.Times())
-	if err := e.global.AppendRow(t, attrs); err != nil {
-		return monitor.Decision{}, nil, err
+	if err := e.tail.Append(t, attrs); err != nil {
+		return err
 	}
 	if cap(e.global.Times()) != c {
 		e.repointSealedLocked()
-	}
-	if _, _, err := e.tail.Append(t, attrs); err != nil {
-		// Unreachable: the tail shares the global ordering and dimension
-		// rules and starts strictly after every sealed record. A failure
-		// here would desynchronize tail and global storage, so fail loudly.
-		panic(fmt.Sprintf("core: tail append diverged from global storage: %v", err))
 	}
 	e.seq++
 	if e.sealDue(t) {
 		e.sealLocked()
 	}
-	return monitor.Decision{}, nil, nil
+	return nil
 }
 
 // sealDue reports whether the tail has reached a seal threshold after an
-// append at time t.
+// append at time t. The span is compared as the exact unsigned difference
+// (t is the tail's latest arrival), so far-apart times cannot wrap it.
 func (e *LiveShardedEngine) sealDue(t int64) bool {
 	rows := e.global.Len() - e.tailLo
 	if e.so.SealRows > 0 && rows >= e.so.SealRows {
 		return true
 	}
-	return e.so.SealSpan > 0 && rows > 0 && t-e.global.Time(e.tailLo) >= e.so.SealSpan
+	return e.so.SealSpan > 0 && rows > 0 && uint64(t-e.global.Time(e.tailLo)) >= uint64(e.so.SealSpan)
 }
 
 // Seal freezes the current tail into an immutable static shard immediately,
@@ -276,10 +268,10 @@ func (e *LiveShardedEngine) Seal() {
 // holds mu.
 //
 // The seal is two-phase so neither the appender nor queries ever wait on an
-// index build. Under the lock, the retired tail's append-stable snapshot
-// engine becomes the sealed shard immediately — it is final (nothing appends
-// to a retired tail) and answers bit-identically to a static engine, so the
-// shard is queryable the moment Append returns. The freeze build — a static
+// index build. Under the lock, an engine over the retired tail's forest view
+// becomes the sealed shard immediately — it is final (nothing appends to a
+// retired tail) and answers bit-identically to a static engine, so the shard
+// is queryable the moment Append returns. The freeze build — a static
 // Engine over the zero-copy global slice, the lifecycle's bounded rebuild
 // unit: one build per seal, touching only the tail's rows, never the sealed
 // history — runs in a background goroutine and is swapped into the shard
@@ -292,24 +284,24 @@ func (e *LiveShardedEngine) sealLocked() {
 	if n == e.tailLo {
 		return // empty tail: nothing to freeze (e.g. Seal right after a seal)
 	}
-	tail, lo := e.tail, e.tailLo
-	te, _ := tail.Snapshot()
+	lo := e.tailLo
+	te := e.tailEngine()
 	si := len(e.sealed)
 	e.sealed = append(e.sealed, timeShard{lo: lo, hi: n, eng: te})
 	e.seals++
 	e.sealedRows += n - lo
-	e.rebuilds += tail.Rebuilds()
-	e.indexedRows += tail.IndexedRows()
-	sub := e.global.Slice(lo, n) // captured under mu: Slice reads mutable headers
-	e.tail = e.newTail()
+	e.rebuilds += e.tail.Rebuilds()
+	e.indexedRows += e.tail.IndexedRows()
+	sub := te.ds // the global rows [lo, n), captured under mu
+	e.tail = topk.NewForest(e.global, e.opts.Index)
 	e.tailLo = n
 	e.seq++
 	if e.so.OnSeal != nil {
 		e.so.OnSeal(lo, n)
 	}
 	if e.freezing >= maxPendingFreezes {
-		// Backpressure: seals are outpacing freeze builds, and every
-		// unfrozen retired tail keeps a duplicate copy of its rows alive.
+		// Backpressure: seals are outpacing freeze builds, each of which
+		// holds a core busy and keeps its sealed tail's chunk trees alive.
 		// Degrade to the synchronous build rather than queueing unboundedly
 		// — the appender pays one build, exactly the pre-async behavior.
 		e.sealed[si].eng = NewEngine(sub, e.opts)
@@ -357,28 +349,27 @@ func (e *LiveShardedEngine) repointSealedLocked() {
 }
 
 // repointLocked returns eng, an engine over global rows [lo, hi), reading the
-// current global storage. An engine that already does, and a sealed tail's
-// snapshot engine (which reads the tail's own storage until its freeze lands),
-// come back as they are. Otherwise a fresh engine over the current slice takes
-// the tree index rebased (topk.Index.Rebase), never rebuilt; lazy S-Band
-// ladders are left behind and rebuild on demand.
+// current global storage. An engine that already does comes back as it is.
+// Otherwise a fresh engine over the current slice takes the block rebased —
+// a tree index (topk.Index.Rebase) or a sealed tail's forest view awaiting
+// its freeze (topk.View.Rebase) — never rebuilt; lazy S-Band ladders are
+// left behind and rebuild on demand.
 // Freeze and compaction builds pass through here when they install, since a
 // growth may have moved global while they built. Caller holds mu.
 func (e *LiveShardedEngine) repointLocked(eng *Engine, lo, hi int) *Engine {
-	x, ok := eng.idx.(*topk.Index)
-	if !ok {
-		return eng // a tail's snapshot engine, over a *topk.View
-	}
 	sub := e.global.Slice(lo, hi)
 	if &eng.ds.Times()[0] == &sub.Times()[0] {
 		return eng
 	}
-	return newEngine(sub, x.Rebase(sub), e.opts)
+	if x, ok := eng.idx.(*topk.Index); ok {
+		return newEngine(sub, x.Rebase(sub), e.opts)
+	}
+	return newEngine(sub, eng.idx.(*topk.View).Rebase(sub), e.opts)
 }
 
-// maxPendingFreezes bounds concurrent background freeze builds (and with
-// them the retired tails whose duplicate storage stays alive until their
-// freeze lands); seals beyond the bound build synchronously.
+// maxPendingFreezes bounds concurrent background freeze builds: each one
+// holds a core, and keeps its sealed tail's chunk trees alive until it lands.
+// Seals beyond the bound build synchronously.
 const maxPendingFreezes = 2
 
 // WaitSealed blocks until every background freeze build kicked off by past
@@ -393,11 +384,12 @@ func (e *LiveShardedEngine) WaitSealed() {
 // snapshotEpoch returns the immutable query epoch for the current stream
 // state, memoized until the next append or seal. Caller holds mu (read).
 //
-// The epoch is fully append-stable: sealed shards are static engines over
-// prefix-stable slices, the tail joins through LiveEngine.Snapshot (a pinned
-// forest view), and the dataset is a capacity-clipped prefix — so queries
-// evaluate against it after releasing the lock, and ingestion never waits on
-// a long scan.
+// The epoch is fully append-stable: sealed shards are engines over
+// prefix-stable slices, the tail joins through a pinned forest view, and the
+// dataset is a capacity-clipped prefix — so queries evaluate against it after
+// releasing the lock, and ingestion never waits on a long scan. An epoch
+// with no sealed shard whose tail starts at row 0 is the tail engine's own
+// group, which offers S-Band over that engine's ladders.
 func (e *LiveShardedEngine) snapshotEpoch() *shardGroup {
 	e.groupMu.Lock()
 	defer e.groupMu.Unlock()
@@ -408,13 +400,14 @@ func (e *LiveShardedEngine) snapshotEpoch() *shardGroup {
 	if n == 0 {
 		return nil
 	}
+	if len(e.sealed) == 0 && e.tailLo == 0 {
+		e.group, e.groupSeq = &e.tailEngine().group, e.seq
+		return e.group
+	}
 	shards := make([]timeShard, 0, len(e.sealed)+1)
 	shards = append(shards, e.sealed...)
 	if n > e.tailLo {
-		// Appends are locked out while we hold mu (read), so the tail
-		// snapshot covers exactly records [tailLo, n).
-		te, tn := e.tail.Snapshot()
-		shards = append(shards, timeShard{lo: e.tailLo, hi: e.tailLo + tn, eng: te})
+		shards = append(shards, timeShard{lo: e.tailLo, hi: n, eng: e.tailEngine()})
 	}
 	if len(shards) == 0 {
 		// Retention can retire every sealed shard while the tail is empty;
@@ -424,6 +417,15 @@ func (e *LiveShardedEngine) snapshotEpoch() *shardGroup {
 	e.group = &shardGroup{ds: e.global.Prefix(n), shards: shards}
 	e.groupSeq = e.seq
 	return e.group
+}
+
+// tailEngine returns an engine over the tail's records [tailLo, Len): a
+// pinned view of its forest, no index build. Appends are locked out while
+// the caller holds mu, so the view covers exactly those records, and it
+// keeps answering over them however far the stream grows afterwards.
+func (e *LiveShardedEngine) tailEngine() *Engine {
+	v := e.tail.Snapshot(-1)
+	return newEngine(v.Dataset(), v, e.opts)
 }
 
 // epoch grabs the current query epoch under the read lock (nil when empty).
@@ -534,6 +536,9 @@ func (e *LiveShardedEngine) DurableTopK(q Query) (*Result, error) {
 	}
 	return g.DurableTopK(q)
 }
+
+// errEmptyLive rejects operations that need at least one record.
+var errEmptyLive = errors.New("core: live engine has no records yet")
 
 // Explain returns the planner's assessment of q over the current prefix.
 func (e *LiveShardedEngine) Explain(q Query) (planner.Plan, error) {

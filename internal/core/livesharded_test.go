@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/score"
 	"repro/internal/topk"
 )
@@ -146,6 +147,50 @@ func TestLiveShardedSealSpan(t *testing.T) {
 	}
 	if lse.Seals() != 1 || lse.TailLen() != 1 {
 		t.Fatalf("after t=12: seals=%d tail=%d, want 1/1", lse.Seals(), lse.TailLen())
+	}
+}
+
+// TestFarApartTimes pins the time-distance rules against int64 wraparound:
+// retention keeps a shard whose age RetainSpan covers (math.MaxInt64 keeps
+// everything, whatever the times), and a tail spanning more than SealSpan
+// seals, however far apart its arrivals lie.
+func TestFarApartTimes(t *testing.T) {
+	s := score.MustLinear(1, 1)
+	answer := func(base int64) []int {
+		lse := compactLSE(t, 2, LiveShardOptions{SealRows: 4, RetainSpan: math.MaxInt64})
+		times, rows := make([]int64, 40), make([][]float64, 40)
+		for i := range times {
+			times[i], rows[i] = base+int64(i), []float64{float64(i % 7), float64(i % 5)}
+			if _, _, err := lse.Append(times[i], rows[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := lse.RetiredRows(); got != 0 {
+			t.Fatalf("times from %d: %d rows retired, want none", base, got)
+		}
+		q := Query{K: 2, Tau: 6, Start: times[0], End: times[39], Scorer: s, Algorithm: TBase}
+		res, err := lse.DurableTopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := BruteForce(data.MustNew(times, rows), s, q.K, q.Tau, q.Start, q.End, LookBack)
+		if got := res.IDs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("times from %d:\n got  %v\n want %v", base, got, want)
+		}
+		return want
+	}
+	if neg, pos := answer(-1000), answer(1); !reflect.DeepEqual(neg, pos) {
+		t.Fatalf("shifting the times changed the answer: %v from -1000, %v from 1", neg, pos)
+	}
+
+	lse := compactLSE(t, 1, LiveShardOptions{SealSpan: 1 << 62})
+	for _, tt := range []int64{math.MinInt64 + 1, math.MaxInt64 - 1} {
+		if _, _, err := lse.Append(tt, []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lse.Seals() != 1 || lse.TailLen() != 0 {
+		t.Fatalf("seals=%d tail=%d after arrivals 2^64-3 ticks apart, want 1 seal with empty tail", lse.Seals(), lse.TailLen())
 	}
 }
 
@@ -316,7 +361,7 @@ func TestLiveShardedTailBoundFresh(t *testing.T) {
 }
 
 // TestLiveSnapshotStableAcrossAppends is the directed regression for the
-// torn-prefix hazard: an engine snapshot taken at prefix n must keep
+// torn-prefix hazard: a live engine's query epoch taken at prefix n must keep
 // answering exactly over those n records after the stream grows past it —
 // including time-window probes that would reach later records through an
 // unpinned forest block.
@@ -334,9 +379,9 @@ func TestLiveSnapshotStableAcrossAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, got := le.Snapshot()
-	if got != n {
-		t.Fatalf("Snapshot length %d want %d", got, n)
+	snap := le.epoch()
+	if got := snap.ds.Len(); got != n {
+		t.Fatalf("epoch length %d want %d", got, n)
 	}
 	// Grow far past the snapshot — through several chunk flushes and merges.
 	for i := n; i < total; i++ {

@@ -85,10 +85,11 @@ type ShardInfo struct {
 // once over the rows the query can read, every probe answered from the
 // shards' own indexes through a spanBlock, with reach routing and score
 // upper-bound pruning for the duration searches. Every engine shape answers
-// through one: a plain Engine is the one shard of its own group (a LiveEngine
-// reaches one through its snapshot engine), a batch ShardedEngine owns one
-// group for its whole life, and a LiveShardedEngine swaps in a fresh group
-// whenever an append or a seal changes the shard set. Queries therefore
+// through one: a plain Engine is the one shard of its own group, a batch
+// ShardedEngine owns one group for its whole life, and a LiveShardedEngine
+// (a LiveEngine is one that never seals) swaps in a fresh group whenever an
+// append or a seal changes the shard set — the tail engine's own group while
+// no shard has sealed. Queries therefore
 // always evaluate against a coherent frozen epoch, no matter how the
 // lifecycle moves on.
 type shardGroup struct {
@@ -102,9 +103,9 @@ type shardGroup struct {
 	own *Engine
 }
 
-// Querier is the query-serving contract shared by Engine, ShardedEngine,
-// LiveEngine and LiveShardedEngine; callers that only evaluate queries (the
-// wire server, CLIs) can hold any of them behind it.
+// Querier is the query-serving contract shared by Engine, ShardedEngine and
+// LiveShardedEngine (LiveEngine included); callers that only evaluate
+// queries (the wire server, CLIs) can hold any of them behind it.
 type Querier interface {
 	DurableTopK(q Query) (*Result, error)
 	Explain(q Query) (planner.Plan, error)

@@ -161,7 +161,8 @@ const appendChunkRows = 256
 // (compare cap(Times()) across the call; see topk.Index.Rebase), or each
 // keeps a whole old generation of the columns alive. AppendRow
 // itself is not safe for use concurrently with other Dataset calls; callers
-// that mix writers and readers serialize externally (see core.LiveEngine).
+// that mix writers and readers serialize externally (see
+// core.LiveShardedEngine, whose tail forest appends every row in place).
 func (ds *Dataset) AppendRow(t int64, attrs []float64) error {
 	if !ds.appendable {
 		return ErrNotAppendable

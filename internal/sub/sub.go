@@ -26,8 +26,8 @@
 // the same deterministic stream, so consumers can prove gap-freedom.
 //
 // The registry is engine-agnostic on purpose: it consumes the committed
-// append stream (Observe) and does not care whether rows land in a
-// LiveEngine or a LiveShardedEngine, nor when shards seal or freeze —
+// append stream (Observe) and does not care which engine the rows land in,
+// nor whether and when its shards seal or freeze —
 // those only bump the engine's epoch, never reorder or drop committed
 // rows, so monitor state carries across seals untouched.
 package sub

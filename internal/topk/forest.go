@@ -1,7 +1,6 @@
 package topk
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/data"
@@ -16,26 +15,27 @@ import (
 // block (§II). Records must arrive in strictly increasing time order, the
 // natural regime for instant-stamped temporal data.
 //
-// Storage is the appendable columnar tail of data.Dataset: every append goes
-// through Dataset.AppendRow, so the attribute matrix stays one contiguous
-// row-major array and each chunk tree is built over a zero-copy Slice view of
-// it — tree probes run the same pooled-Scratch bulk-scoring path as a
-// statically built Index. When an append grows the storage into a new
-// array, the chunk trees are re-pointed at it, so only snapshotted views
-// keep the old one alive. Ids address append order. A live engine probes
-// the forest through pinned prefix views (Snapshot), each of which continues
-// a caller's merge over its chunk trees and buffer (View.MergeRange).
+// A forest indexes the rows of an appendable data.Dataset from a start row
+// onward, in place: every append goes through Forest.Append, which commits
+// the row to the dataset (data.Dataset.AppendRow) and indexes it, so the row
+// is stored once however many readers share the columns. Ids are local to
+// the start row: record i is dataset row start+i. Each chunk tree is built
+// over a zero-copy Slice of the columns, so tree probes run the same
+// pooled-Scratch bulk-scoring path as a statically built Index. When an
+// append grows the storage into a new array, the chunk trees are re-pointed
+// at it, so only snapshotted views keep the old one alive. Queries read
+// pinned views (Snapshot), each of which continues a caller's merge over its
+// chunk trees and buffer (View.MergeRange).
 //
-// Appends are not safe for concurrent use; queries are read-only and may run
-// concurrently with each other (not with Append).
+// Appends are not safe for concurrent use; a view's queries are read-only and
+// may run concurrently with each other and with later appends.
 type Forest struct {
-	opts Options
-	base int
-	// tail is the growing columnar storage; chunk trees index zero-copy
-	// prefix slices of it.
-	tail  *data.Dataset
-	trees []chunkTree
-	// buffered records are those in [bufStart, tail.Len()).
+	opts  Options
+	base  int
+	ds    *data.Dataset // the appendable columns, possibly shared
+	start int           // the first dataset row the forest indexes
+	trees []chunkTree   // position-ordered, tiling local records [0, bufStart)
+	// buffered records are those in [bufStart, Len()).
 	bufStart int
 	rebuilds int
 	// indexedRows counts every row (re)indexed by tree builds, the
@@ -49,28 +49,23 @@ type chunkTree struct {
 	idx         *Index
 }
 
-// NewForest returns an empty forest for d-dimensional records.
-func NewForest(d int, opts Options) *Forest {
+// NewForest returns a forest indexing the rows appended to ds from now on:
+// rows already in ds are not part of it, and every later append to ds must
+// go through the forest. A fresh data.NewAppendable dataset makes a
+// standalone forest whose ids are append order.
+func NewForest(ds *data.Dataset, opts Options) *Forest {
 	opts = opts.withDefaults()
-	tail, err := data.NewAppendable(d, 0)
-	if err != nil {
-		panic(err) // unreachable: d >= 1 is checked by callers' constructors
-	}
-	return &Forest{opts: opts, base: opts.LengthThreshold, tail: tail}
+	return &Forest{opts: opts, base: opts.LengthThreshold, ds: ds, start: ds.Len()}
 }
 
 // Len returns the number of appended records.
-func (f *Forest) Len() int { return f.tail.Len() }
+func (f *Forest) Len() int { return f.ds.Len() - f.start }
 
 // Time returns the arrival time of record i.
-func (f *Forest) Time(i int) int64 { return f.tail.Time(i) }
+func (f *Forest) Time(i int) int64 { return f.ds.Time(f.start + i) }
 
 // Attrs returns the attribute vector of record i (aliases internal storage).
-func (f *Forest) Attrs(i int) []float64 { return f.tail.Attrs(i) }
-
-// Dataset returns the forest's growing backing storage. The committed prefix
-// is immutable; use Prefix to snapshot a stable view.
-func (f *Forest) Dataset() *data.Dataset { return f.tail }
+func (f *Forest) Attrs(i int) []float64 { return f.ds.Attrs(f.start + i) }
 
 // Rebuilds returns the number of static tree (re)builds performed, an
 // ablation metric for the amortized analysis.
@@ -85,19 +80,19 @@ func (f *Forest) IndexedRows() int { return f.indexedRows }
 func (f *Forest) Trees() int { return len(f.trees) }
 
 // buffered returns the number of records still awaiting their first tree.
-func (f *Forest) buffered() int { return f.tail.Len() - f.bufStart }
+func (f *Forest) buffered() int { return f.Len() - f.bufStart }
 
 // Append adds one record; attrs is copied. Errors (dimension mismatch,
 // non-increasing time) leave the forest unchanged.
 func (f *Forest) Append(t int64, attrs []float64) error {
-	c := cap(f.tail.Times())
-	if err := f.tail.AppendRow(t, attrs); err != nil {
-		return fmt.Errorf("topk: %w", err)
+	c := cap(f.ds.Times())
+	if err := f.ds.AppendRow(t, attrs); err != nil {
+		return err
 	}
-	if cap(f.tail.Times()) != c {
+	if cap(f.ds.Times()) != c {
 		f.rebase()
 	}
-	if f.tail.Len()-f.bufStart >= f.base {
+	if f.buffered() >= f.base {
 		f.flush()
 	}
 	return nil
@@ -105,25 +100,34 @@ func (f *Forest) Append(t int64, attrs []float64) error {
 
 // flush turns the buffer into a tree and cascades equal-size merges.
 func (f *Forest) flush() {
-	start, size := f.bufStart, f.tail.Len()-f.bufStart
-	f.bufStart = f.tail.Len()
+	start, size := f.bufStart, f.Len()-f.bufStart
+	f.bufStart = f.Len()
 	for len(f.trees) > 0 && f.trees[len(f.trees)-1].size == size {
-		prev := f.trees[len(f.trees)-1]
-		f.trees = f.trees[:len(f.trees)-1]
+		last := len(f.trees) - 1
+		prev := f.trees[last]
+		// Clear the slot before popping it: a tree left in the spare
+		// capacity is missed by rebase and pins its column generation.
+		f.trees[last] = chunkTree{}
+		f.trees = f.trees[:last]
 		start, size = prev.start, prev.size+size
 	}
-	f.trees = append(f.trees, chunkTree{start: start, size: size, idx: f.buildTree(start, size)})
+	f.trees = append(f.trees, chunkTree{start: start, size: size, idx: Build(f.rows(start, size), f.opts)})
 	f.rebuilds++
 	f.indexedRows += size
 }
 
-// rebase re-points every chunk tree at the storage the tail just grew into
+// rows returns the zero-copy view of local records [start, start+size).
+func (f *Forest) rows(start, size int) *data.Dataset {
+	return f.ds.Slice(f.start+start, f.start+start+size)
+}
+
+// rebase re-points every chunk tree at the storage the dataset just grew into
 // (see Index.Rebase), so the previous generation stays reachable only from
 // views snapshotted before the growth. Views hold their own copies of the
 // tree set, so the swap never disturbs them.
 func (f *Forest) rebase() {
 	for i, ct := range f.trees {
-		f.trees[i].idx = ct.idx.Rebase(f.tail.Slice(ct.start, ct.start+ct.size))
+		f.trees[i].idx = ct.idx.Rebase(f.rows(ct.start, ct.size))
 	}
 }
 
@@ -137,47 +141,45 @@ func (f *Forest) TreeDatasets() []*data.Dataset {
 	return out
 }
 
-func (f *Forest) buildTree(start, size int) *Index {
-	ds := f.tail.Slice(start, start+size)
-	if ds.Len() == 0 {
-		panic("topk: empty chunk tree") // unreachable: flush only runs on full buffers
-	}
-	return Build(ds, f.opts)
-}
-
 // Snapshot returns an append-stable view of the forest's first n records
 // (clamped to the current length). The view captures its own copy of the
-// chunk-tree set and the buffered range, so later Appends — including flushes
-// that pop and merge trees — are invisible to it: the view keeps answering
-// exactly over records [0, n) for as long as it is held, with no lock
-// required. Chunk trees are immutable once built and the columnar storage is
-// prefix-stable, which is what makes the capture sound.
+// chunk trees lying wholly inside the prefix, and scans the rest of the
+// prefix unindexed, so later Appends — including flushes that pop and merge
+// trees — are invisible to it: the view keeps answering exactly over records
+// [0, n) for as long as it is held, with no lock required. Chunk trees are
+// immutable once built and the columnar storage is prefix-stable, which is
+// what makes the capture sound.
 //
 // Snapshot itself must not run concurrently with Append (callers serialize,
-// see core.LiveEngine); the returned view's queries are read-only and safe
-// for concurrent use with each other and with later Appends.
+// see core.LiveShardedEngine); the returned view's queries are read-only and
+// safe for concurrent use with each other and with later Appends.
 func (f *Forest) Snapshot(n int) *View {
-	if n < 0 || n > f.tail.Len() {
-		n = f.tail.Len()
+	if n < 0 || n > f.Len() {
+		n = f.Len()
 	}
-	v := &View{
-		ds:       f.tail.Prefix(n),
-		bufStart: min(f.bufStart, n),
-	}
+	v := &View{ds: f.rows(0, n)}
 	for _, ct := range f.trees {
-		if ct.start >= n {
-			break // trees are position-ordered; the rest lie past the prefix
+		if ct.start+ct.size > n {
+			break // trees are position-ordered; the rest reach past the prefix
 		}
 		v.trees = append(v.trees, ct)
+		v.bufStart = ct.start + ct.size
 	}
 	return v
+}
+
+// Query returns up to k records with highest (score desc, time desc) rank
+// among records with arrival time in [t1, t2], with IDs local to the forest,
+// answered through a view of every record appended so far.
+func (f *Forest) Query(s score.Scorer, k int, t1, t2 int64) []Item {
+	return f.Snapshot(-1).Query(s, k, t1, t2)
 }
 
 // View is an append-stable prefix snapshot of a Forest (see Forest.Snapshot):
 // the forest's probes, pinned to the records committed at snapshot time.
 type View struct {
-	ds       *data.Dataset // prefix view of the storage, Len() == n
-	trees    []chunkTree   // captured tree set (may straddle n; probes clip)
+	ds       *data.Dataset // the prefix's rows, Len() == n
+	trees    []chunkTree   // captured trees, tiling records [0, bufStart)
 	bufStart int           // records [bufStart, Len()) are scanned unindexed
 }
 
@@ -186,6 +188,23 @@ func (v *View) Len() int { return v.ds.Len() }
 
 // Dataset returns the view's stable prefix storage.
 func (v *View) Dataset() *data.Dataset { return v.ds }
+
+// Rebase returns the view over ds, a content-identical copy of the view's
+// rows in other storage: every captured tree is rebased (see Index.Rebase),
+// nothing is rebuilt, and every probe answers exactly as before. The live
+// engine uses it to move a sealed tail awaiting its freeze onto the current
+// generation of grown columns. Rebase panics if ds differs in length or
+// dimensionality; equal contents are the caller's contract.
+func (v *View) Rebase(ds *data.Dataset) *View {
+	if ds.Len() != v.ds.Len() || ds.Dims() != v.ds.Dims() {
+		panic("topk: Rebase over a dataset of another shape")
+	}
+	w := &View{ds: ds, trees: make([]chunkTree, len(v.trees)), bufStart: v.bufStart}
+	for i, ct := range v.trees {
+		w.trees[i] = chunkTree{start: ct.start, size: ct.size, idx: ct.idx.Rebase(ds.Slice(ct.start, ct.start+ct.size))}
+	}
+	return w
+}
 
 // Query returns up to k records with highest (score desc, time desc) rank
 // among the view's records with arrival time in [t1, t2].
@@ -202,55 +221,30 @@ func (v *View) Query(s score.Scorer, k int, t1, t2 int64) []Item {
 // MergeRange continues m with the view's records [lo, hi), reported under
 // id+shift; see Index.MergeRange.
 func (v *View) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
-	forestMergeRange(m, v.ds, v.trees, v.bufStart, s, lo, hi, shift, false)
+	v.mergeRange(m, s, lo, hi, shift, false)
 }
 
 // MergeRangeMirrored continues m with the view's records [lo, hi) as a
 // time-reversed copy would report them, record i as id shift−i at time
 // −Time(i); see Index.MergeRangeMirrored.
 func (v *View) MergeRangeMirrored(m *Merger, s score.Scorer, lo, hi, shift int) {
-	forestMergeRange(m, v.ds, v.trees, v.bufStart, s, lo, hi, shift, true)
+	v.mergeRange(m, s, lo, hi, shift, true)
 }
 
 // UpperBoundAll returns a valid upper bound of the scorer over every record
 // the view covers: the max of the captured chunk-tree root bounds and a bulk
-// scan of the still-unindexed buffered suffix. The sharded engine's
-// cross-shard pruning uses it for the mutable tail shard; because a View is
-// pinned at snapshot time, the bound can never go stale under later appends —
-// a fresh snapshot (and with it a fresh bound) is taken per query epoch.
+// scan of the unindexed suffix. The sharded engine's cross-shard pruning uses
+// it for the mutable tail shard; because a View is pinned at snapshot time,
+// the bound can never go stale under later appends — a fresh snapshot (and
+// with it a fresh bound) is taken per query epoch.
 func (v *View) UpperBoundAll(s score.Scorer) float64 {
-	n := v.ds.Len()
-	best := math.Inf(-1)
+	best := maxScoreRange(v.ds, s, v.bufStart, v.ds.Len())
 	for _, ct := range v.trees {
-		if ct.start >= n {
-			break
-		}
-		if ct.start+ct.size <= n {
-			if ub := ct.idx.UpperBoundAll(s); ub > best {
-				best = ub
-			}
-			continue
-		}
-		// A tree straddling the prefix end (merged after the snapshot point):
-		// bound just its in-prefix rows by scoring them directly.
-		if ub := maxScoreRange(v.ds, s, ct.start, n); ub > best {
+		if ub := ct.idx.UpperBoundAll(s); ub > best {
 			best = ub
 		}
 	}
-	if ub := maxScoreRange(v.ds, s, max(v.bufStart, treesEnd(v.trees, n)), n); ub > best {
-		best = ub
-	}
 	return best
-}
-
-// treesEnd returns the first record index not covered by the captured trees,
-// clamped to n.
-func treesEnd(trees []chunkTree, n int) int {
-	if len(trees) == 0 {
-		return 0
-	}
-	last := trees[len(trees)-1]
-	return min(last.start+last.size, n)
 }
 
 // maxScoreRange bulk-scores records [lo, hi) of ds and returns the maximum.
@@ -278,60 +272,19 @@ func maxScoreRange(ds *data.Dataset, s score.Scorer, lo, hi int) float64 {
 	return best
 }
 
-// Query returns up to k records with highest (score desc, time desc) rank
-// among records with arrival time in [t1, t2], with IDs referring to append
-// order.
-func (f *Forest) Query(s score.Scorer, k int, t1, t2 int64) []Item {
-	lo, hi := f.tail.IndexRange(t1, t2)
-	sc := GetScratch()
-	out := f.QueryRangeInto(s, k, lo, hi, sc, nil)
-	PutScratch(sc)
-	return out
-}
-
-// QueryRangeInto answers Query over the half-open append-order index range
-// [lo, hi) on caller-provided working memory (see Index.QueryInto): the
-// overlapping chunk trees and the still-buffered tail continue one merge (see
-// MergeRange) living in sc. With a warmed Scratch and a reused dst the whole
-// fan-out performs zero allocations.
-func (f *Forest) QueryRangeInto(s score.Scorer, k int, lo, hi int, sc *Scratch, dst []Item) []Item {
-	m := sc.Merger(k)
-	f.MergeRange(&m, s, lo, hi, 0)
-	return m.Finish(dst)
-}
-
-// MergeRange continues m with the records of the half-open append-order range
-// [lo, hi), reported under id+shift; see Index.MergeRange.
-func (f *Forest) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
-	forestMergeRange(m, f.tail, f.trees, f.bufStart, s, lo, hi, shift, false)
-}
-
-// MergeRangeMirrored continues m with records [lo, hi) as a time-reversed
-// copy would report them; see Index.MergeRangeMirrored.
-func (f *Forest) MergeRangeMirrored(m *Merger, s score.Scorer, lo, hi, shift int) {
-	forestMergeRange(m, f.tail, f.trees, f.bufStart, s, lo, hi, shift, true)
-}
-
-// forestMergeRange is the shared probe core of Forest and View: trees and
-// bufStart describe an indexed prefix of ds ([bufStart, ds.Len()) is scanned
-// unindexed); the range is clamped to ds, so a View's prefix storage pins hi
-// regardless of how far the parent forest has grown since the snapshot. Every
-// chunk tree continues the caller's merge, so a tree descends only where it
-// can still beat the k-th item the earlier ones left. With mirror set every
-// record is reported mirrored (see Index.MergeRangeMirrored): a tree row r is
-// forest record start+r, so its mirrored id is (shift−start)−r.
-func forestMergeRange(m *Merger, ds *data.Dataset, trees []chunkTree, bufStart int, s score.Scorer, lo, hi, shift int, mirror bool) {
-	n := ds.Len()
-	if hi > n {
-		hi = n
-	}
-	if lo < 0 {
-		lo = 0
-	}
+// mergeRange is the view's probe core: the range is clamped to the view, so
+// its prefix storage pins hi regardless of how far the forest has grown since
+// the snapshot. Every chunk tree continues the caller's merge, so a tree
+// descends only where it can still beat the k-th item the earlier ones left.
+// With mirror set every record is reported mirrored (see
+// Index.MergeRangeMirrored): a tree row r is view record start+r, so its
+// mirrored id is (shift−start)−r.
+func (v *View) mergeRange(m *Merger, s score.Scorer, lo, hi, shift int, mirror bool) {
+	lo, hi = max(lo, 0), min(hi, v.ds.Len())
 	if m.res.k <= 0 || lo >= hi {
 		return
 	}
-	for _, ct := range trees {
+	for _, ct := range v.trees {
 		clo, chi := max(ct.start, lo), min(ct.start+ct.size, hi)
 		if clo >= chi {
 			continue
@@ -342,11 +295,11 @@ func forestMergeRange(m *Merger, ds *data.Dataset, trees []chunkTree, bufStart i
 			ct.idx.mergeRange(m, s, clo-ct.start, chi-ct.start, ct.start+shift, false)
 		}
 	}
-	// Bulk-score the clipped still-buffered suffix in one stripe.
-	if blo, bhi := max(bufStart, lo), hi; blo < bhi {
-		times := ds.Times()
-		flat := ds.FlatAttrs()
-		d := ds.Dims()
+	// Bulk-score the clipped unindexed suffix in one stripe.
+	if blo, bhi := max(v.bufStart, lo), hi; blo < bhi {
+		times := v.ds.Times()
+		flat := v.ds.FlatAttrs()
+		d := v.ds.Dims()
 		buf := m.sc.scoreBuf(bhi - blo)
 		if bulk, ok := s.(score.BulkScorer); ok {
 			bulk.ScoreRange(buf, flat, d, blo, bhi)

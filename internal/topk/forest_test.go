@@ -4,9 +4,22 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/score"
 )
 
+// newForest returns a standalone forest: one over a fresh dataset of its own.
+func newForest(d int, opts Options) *Forest {
+	ds, err := data.NewAppendable(d, 0)
+	if err != nil {
+		panic(err)
+	}
+	return NewForest(ds, opts)
+}
+
+// TestForestMatchesStatic checks forests against a static index over the same
+// records, half of them in place over a dataset that already holds earlier
+// rows: those rows are not the forest's, and its ids are local to its first.
 func TestForestMatchesStatic(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 15; trial++ {
@@ -15,7 +28,19 @@ func TestForestMatchesStatic(t *testing.T) {
 		ds := randDS(rng, n, d, 4*(trial%2)) // alternate ties / no ties
 		opts := Options{LengthThreshold: 16, MaxNodeSkyline: 16}
 		idx := Build(ds, opts)
-		f := NewForest(d, opts)
+		f := newForest(d, opts)
+		if trial%2 == 1 {
+			shared, err := data.NewAppendable(d, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pre := 0, 1+rng.Intn(300); i < pre; i++ { // earlier rows, all before ds's first time
+				if err := shared.AppendRow(ds.Time(0)-int64(1000-i), ds.Attrs(0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f = NewForest(shared, opts)
+		}
 		for i := 0; i < n; i++ {
 			if err := f.Append(ds.Time(i), ds.Attrs(i)); err != nil {
 				t.Fatal(err)
@@ -41,7 +66,7 @@ func TestForestMatchesStatic(t *testing.T) {
 }
 
 func TestForestAppendValidation(t *testing.T) {
-	f := NewForest(2, Options{})
+	f := newForest(2, Options{})
 	if err := f.Append(1, []float64{1}); err == nil {
 		t.Fatal("wrong dims must fail")
 	}
@@ -58,7 +83,7 @@ func TestForestAppendValidation(t *testing.T) {
 
 func TestForestBinaryCounterShape(t *testing.T) {
 	base := 8
-	f := NewForest(1, Options{LengthThreshold: base})
+	f := newForest(1, Options{LengthThreshold: base})
 	total := base * 11 // 11 full chunks
 	for i := 0; i < total; i++ {
 		if err := f.Append(int64(i+1), []float64{float64(i)}); err != nil {
@@ -75,7 +100,7 @@ func TestForestBinaryCounterShape(t *testing.T) {
 }
 
 func TestForestPendingBufferQueried(t *testing.T) {
-	f := NewForest(1, Options{LengthThreshold: 64})
+	f := newForest(1, Options{LengthThreshold: 64})
 	for i := 0; i < 10; i++ { // all records still in the pending buffer
 		if err := f.Append(int64(i+1), []float64{float64(i)}); err != nil {
 			t.Fatal(err)
@@ -88,7 +113,7 @@ func TestForestPendingBufferQueried(t *testing.T) {
 }
 
 func TestForestAttrsCopied(t *testing.T) {
-	f := NewForest(1, Options{})
+	f := newForest(1, Options{})
 	row := []float64{7}
 	if err := f.Append(1, row); err != nil {
 		t.Fatal(err)
@@ -99,8 +124,8 @@ func TestForestAttrsCopied(t *testing.T) {
 	}
 }
 
-// TestForestRangeMatchesStatic checks the append-order QueryRange surface
-// (the live engine's building-block contract) against a static index over the
+// TestForestRangeMatchesStatic checks a view's append-order range probe (the
+// live engine's building-block contract) against a static index over the
 // same records, including ranges that straddle tree boundaries and the
 // pending buffer.
 func TestForestRangeMatchesStatic(t *testing.T) {
@@ -111,7 +136,7 @@ func TestForestRangeMatchesStatic(t *testing.T) {
 		ds := randDS(rng, n, d, 4*(trial%2))
 		opts := Options{LengthThreshold: 16, MaxNodeSkyline: 16}
 		idx := Build(ds, opts)
-		f := NewForest(d, opts)
+		f := newForest(d, opts)
 		for i := 0; i < n; i++ {
 			if err := f.Append(ds.Time(i), ds.Attrs(i)); err != nil {
 				t.Fatal(err)
@@ -119,12 +144,15 @@ func TestForestRangeMatchesStatic(t *testing.T) {
 		}
 		s := linearFor(rng, d)
 		sc := GetScratch()
+		view := f.Snapshot(-1)
 		var dst []Item
 		for q := 0; q < 25; q++ {
 			k := 1 + rng.Intn(6)
 			lo := rng.Intn(n + 1)
 			hi := lo + rng.Intn(n-lo+1)
-			dst = f.QueryRangeInto(s, k, lo, hi, sc, dst)
+			m := sc.Merger(k)
+			view.MergeRange(&m, s, lo, hi, 0)
+			dst = m.Finish(dst)
 			want := idx.QueryRange(s, k, lo, hi)
 			if !itemsEqual(dst, want) {
 				t.Fatalf("trial %d n=%d k=%d [%d,%d):\nforest %v\nstatic %v",
@@ -142,7 +170,7 @@ func TestForestRangeMatchesStatic(t *testing.T) {
 // rebuilds, and the amortized rebuild work stays within the O(log n) bound.
 func TestForestRebuildInvariants(t *testing.T) {
 	const base = 8
-	f := NewForest(1, Options{LengthThreshold: base})
+	f := newForest(1, Options{LengthThreshold: base})
 	s := score.MustLinear(1)
 	total := base*21 + 3
 	for i := 0; i < total; i++ {
@@ -193,14 +221,14 @@ func TestForestRebuildInvariants(t *testing.T) {
 }
 
 // TestForestQueryZeroAllocs asserts the steady-state live probe criterion:
-// with a warmed Scratch and reused dst, a forest fan-out probe — trees plus
-// pending buffer — performs zero allocations.
+// with a warmed Scratch and reused dst, a probe of a forest's view — trees
+// plus pending buffer — performs zero allocations.
 func TestForestQueryZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	// 67 full chunks (1000011b => trees of 64, 2 and 1 chunks) plus a
 	// 17-record pending buffer: the fan-out hits every merge shape.
 	const n = 67*DefaultLengthThreshold + 17
-	f := NewForest(2, Options{})
+	f := newForest(2, Options{})
 	tt := int64(0)
 	for i := 0; i < n; i++ {
 		tt += int64(1 + rng.Intn(3))
@@ -215,14 +243,20 @@ func TestForestQueryZeroAllocs(t *testing.T) {
 	s := score.MustLinear(0.3, 0.7)
 	sc := GetScratch()
 	defer PutScratch(sc)
+	view := f.Snapshot(-1)
 	var dst []Item
+	probe := func(lo, hi int) {
+		m := sc.Merger(10)
+		view.MergeRange(&m, s, lo, hi, 0)
+		dst = m.Finish(dst)
+	}
 	for i := 0; i < 10; i++ { // warm the buffers
-		dst = f.QueryRangeInto(s, 10, i*128, n-i, sc, dst)
+		probe(i*128, n-i)
 	}
 	probes := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		lo := (probes * 37) % (n / 2)
-		dst = f.QueryRangeInto(s, 10, lo, lo+n/2, sc, dst)
+		probe(lo, lo+n/2)
 		probes++
 	})
 	if allocs != 0 {
@@ -231,7 +265,7 @@ func TestForestQueryZeroAllocs(t *testing.T) {
 }
 
 func BenchmarkForestAppend(b *testing.B) {
-	f := NewForest(2, Options{})
+	f := newForest(2, Options{})
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -242,7 +276,8 @@ func BenchmarkForestAppend(b *testing.B) {
 // TestForestSnapshotStable pins the append-stability contract of Snapshot:
 // a view taken at prefix n answers exactly like a static index over those n
 // records forever — across later appends, buffer flushes, and the tree merges
-// they cascade (which pop and rewrite the parent's tree set in place).
+// they cascade (which pop and rewrite the parent's tree set in place) — and
+// so does the view rebased onto a copy of its rows.
 func TestForestSnapshotStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 8; trial++ {
@@ -251,7 +286,7 @@ func TestForestSnapshotStable(t *testing.T) {
 		total := n + 1 + rng.Intn(600) // appends continuing past the snapshot
 		ds := randDS(rng, total, d, 4*(trial%2))
 		opts := Options{LengthThreshold: 8, MaxNodeSkyline: 16}
-		f := NewForest(d, opts)
+		f := newForest(d, opts)
 		for i := 0; i < n; i++ {
 			if err := f.Append(ds.Time(i), ds.Attrs(i)); err != nil {
 				t.Fatal(err)
@@ -268,17 +303,23 @@ func TestForestSnapshotStable(t *testing.T) {
 		}
 		prefix := ds.Prefix(n)
 		idx := Build(prefix, opts)
+		moved, err := data.NewFlat(append([]int64(nil), prefix.Times()...), append([]float64(nil), prefix.FlatAttrs()...), d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebased := view.Rebase(moved)
 		s := linearFor(rng, d)
 		lo, hi := ds.Span() // deliberately spans past the prefix end
 		for q := 0; q < 12; q++ {
 			k := 1 + rng.Intn(6)
 			t1 := lo + int64(rng.Intn(int(hi-lo)+1)) - 2
 			t2 := t1 + int64(rng.Intn(int(hi-lo)+2))
-			got := view.Query(s, k, t1, t2)
 			want := idx.Query(s, k, t1, t2)
-			if !itemsEqual(got, want) {
-				t.Fatalf("trial %d n=%d total=%d k=%d [%d,%d]:\nview   %v\nstatic %v",
-					trial, n, total, k, t1, t2, got, want)
+			for name, v := range map[string]*View{"view": view, "rebased view": rebased} {
+				if got := v.Query(s, k, t1, t2); !itemsEqual(got, want) {
+					t.Fatalf("trial %d n=%d total=%d k=%d [%d,%d]:\n%s %v\nstatic %v",
+						trial, n, total, k, t1, t2, name, got, want)
+				}
 			}
 		}
 		// The pinned upper bound must bound every prefix record and be
@@ -298,13 +339,13 @@ func TestForestSnapshotStable(t *testing.T) {
 
 // TestForestSnapshotOldPrefix exercises snapshots taken at a length the
 // forest has long grown past: merged trees straddling the prefix end must be
-// clipped, not over-answer.
+// left to the view's unindexed scan, not over-answer.
 func TestForestSnapshotOldPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const total = 500
 	ds := randDS(rng, total, 2, 0)
 	opts := Options{LengthThreshold: 8}
-	f := NewForest(2, opts)
+	f := newForest(2, opts)
 	for i := 0; i < total; i++ {
 		if err := f.Append(ds.Time(i), ds.Attrs(i)); err != nil {
 			t.Fatal(err)

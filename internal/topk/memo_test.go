@@ -41,7 +41,7 @@ func memoPieces(rng *rand.Rand, ds *data.Dataset, count int) []memoPiece {
 		if i%2 == 0 {
 			p.idx = Build(ds.Slice(p.lo, p.hi), Options{LengthThreshold: 2 + rng.Intn(12)})
 		} else {
-			f := NewForest(ds.Dims(), Options{LengthThreshold: 2 + rng.Intn(6)})
+			f := newForest(ds.Dims(), Options{LengthThreshold: 2 + rng.Intn(6)})
 			for r := p.lo; r < p.hi; r++ {
 				if err := f.Append(ds.Time(r), ds.Attrs(r)); err != nil {
 					panic(err)
@@ -310,7 +310,7 @@ func TestMemoSessionZeroAllocs(t *testing.T) {
 	const fn = 67*DefaultLengthThreshold + 17
 	ds := randDS(rng, fn, 2, 0)
 	idx := Build(ds, Options{})
-	f := NewForest(2, Options{})
+	f := newForest(2, Options{})
 	for i := 0; i < fn; i++ {
 		if err := f.Append(ds.Time(i), ds.Attrs(i)); err != nil {
 			t.Fatal(err)
@@ -319,13 +319,16 @@ func TestMemoSessionZeroAllocs(t *testing.T) {
 	s := score.MustLinear(0.3, 0.7)
 	sc := GetScratch()
 	defer PutScratch(sc)
+	view := f.Snapshot(-1)
 	var dst []Item
 	session := func() {
 		sc.BeginMemo()
 		for i := 0; i < 12; i++ {
 			lo := (i * 137) % 2048
 			dst = idx.QueryRangeInto(s, 10, lo, lo+1500, sc, dst)
-			dst = f.QueryRangeInto(s, 10, lo, lo+fn/2, sc, dst)
+			m := sc.Merger(10)
+			view.MergeRange(&m, s, lo, lo+fn/2, 0)
+			dst = m.Finish(dst)
 		}
 	}
 	session() // warm the buffers and the memo's tables

@@ -73,7 +73,7 @@ func mergePieces(rng *rand.Rand, ds *data.Dataset, whole *Index, s score.Scorer,
 				own.MergeRange(&m, s, 0, b-a, a+shift)
 			}
 		default:
-			f := NewForest(ds.Dims(), Options{LengthThreshold: 2 + rng.Intn(6)})
+			f := newForest(ds.Dims(), Options{LengthThreshold: 2 + rng.Intn(6)})
 			for r := a; r < b; r++ {
 				if err := f.Append(ds.Time(r), ds.Attrs(r)); err != nil {
 					panic(err)

@@ -25,7 +25,7 @@ func newMirrorCase(rng *rand.Rand, ds *data.Dataset) *mirrorCase {
 		rev:    Build(ds.ReversedInto(nil, nil), Options{LengthThreshold: 1 + rng.Intn(16)}),
 		fwd:    Build(ds, Options{LengthThreshold: 1 + rng.Intn(16)}),
 		pieces: memoPieces(rng, ds, 1+rng.Intn(6)),
-		forest: NewForest(ds.Dims(), Options{LengthThreshold: 2 + rng.Intn(8)}),
+		forest: newForest(ds.Dims(), Options{LengthThreshold: 2 + rng.Intn(8)}),
 	}
 	for r := 0; r < n; r++ {
 		if err := mc.forest.Append(ds.Time(r), ds.Attrs(r)); err != nil {
@@ -39,7 +39,7 @@ func newMirrorCase(rng *rand.Rand, ds *data.Dataset) *mirrorCase {
 // in it is reported as id shift-i at time -Time(i).
 type mirrorProbe struct {
 	k, lo, hi, shift int
-	via              int // 0 index, 1 forest, 2 a view of a prefix, 3 pieces
+	via              int // 0 index, 1 the whole forest's view, 2 a view of a prefix, 3 pieces
 }
 
 // want is the probe answered by the reversed copy's index: forward row i is
@@ -57,7 +57,7 @@ func (pb mirrorProbe) got(mc *mirrorCase, s score.Scorer, sc *Scratch) []Item {
 	case 0:
 		mc.fwd.MergeRangeMirrored(&m, s, pb.lo, pb.hi, pb.shift)
 	case 1:
-		mc.forest.MergeRangeMirrored(&m, s, pb.lo, pb.hi, pb.shift)
+		mc.forest.Snapshot(mc.forest.Len()).MergeRangeMirrored(&m, s, pb.lo, pb.hi, pb.shift)
 	case 2:
 		mc.forest.Snapshot(pb.hi).MergeRangeMirrored(&m, s, pb.lo, pb.hi, pb.shift)
 	default:

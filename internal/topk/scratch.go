@@ -67,7 +67,7 @@ func (sc *Scratch) GatherHits() int64 { return sc.gatherHits }
 func (sc *Scratch) ResetCounters() { sc.gatherHits = 0 }
 
 // Merger is one top-k accumulation shared by a sequence of range probes: each
-// MergeRange call (Index, Forest, View) continues the same k-heap, so the
+// MergeRange call (Index, View) continues the same k-heap, so the
 // current k-th item bounds every later probe. Results are the top-k of the
 // union of the merged ranges — arrival times are unique, so (score desc, time
 // desc) is a total order and the answer does not depend on how the union was

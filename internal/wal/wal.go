@@ -1,7 +1,8 @@
 // Package wal implements the write-ahead log that makes live ingestion
-// crash-safe. The live engines (core.LiveEngine, core.LiveShardedEngine)
-// ingest entirely in memory; this package gives them a durable append
-// stream so a killed process can recover every acknowledged row.
+// crash-safe. The live engine (core.LiveShardedEngine; a core.LiveEngine is
+// the one that never seals) ingests entirely in memory; this package gives
+// it a durable append stream so a killed process can recover every
+// acknowledged row.
 //
 // A log is a directory of segment files named %020d.wal after the LSN of
 // their first record. LSNs are dense: record i of the stream has LSN

@@ -22,9 +22,10 @@ import (
 	"repro/internal/sub"
 )
 
-// LiveIngest is the append surface shared by core.LiveEngine,
-// core.LiveShardedEngine and the crash-safe store: the server ingests wire
-// append batches through it. The server ignores the verdict results, which
+// LiveIngest is the append surface shared by the live engine
+// (core.LiveShardedEngine, of which a core.LiveEngine is the never-sealing
+// form) and the crash-safe store: the server ingests wire append batches
+// through it. The server ignores the verdict results, which
 // those implementations always leave zero; per-append verdicts are
 // subscription events.
 type LiveIngest interface {
