@@ -11,6 +11,8 @@
 // in an order-statistic treap with O(log n) expected insert and count.
 package blocking
 
+import "math"
+
 // nilNode marks an absent child in the slab-backed treap.
 const nilNode = int32(-1)
 
@@ -166,13 +168,21 @@ func (s *Set) CountRange(a, b int64) int {
 	if a > b {
 		return 0
 	}
+	if a == math.MinInt64 {
+		return s.CountLE(b)
+	}
 	return s.CountLE(b) - s.CountLE(a-1)
 }
 
 // Cover returns the number of blocking intervals covering time t, i.e.
-// intervals [l, l+tau] with l <= t <= l+tau.
+// intervals [l, l+tau] with l <= t <= l+tau. A left end below MinInt64 is
+// clamped there.
 func (s *Set) Cover(t int64) int {
-	return s.CountRange(t-s.tau, t)
+	lo := t - s.tau
+	if lo > t {
+		lo = math.MinInt64
+	}
+	return s.CountRange(lo, t)
 }
 
 // KthLargestLE returns the k-th largest endpoint among the multiset entries

@@ -237,3 +237,80 @@ func TestNaNScoresTerminate(t *testing.T) {
 		}
 	}
 }
+
+// TestTimeExtremesMatchShifted places the same 30 rows, 3 ticks apart, near
+// either end of int64 and again from time 0: a durability verdict depends
+// only on time differences, so every strategy under both anchors must name
+// the same ids in all three placements, and so must the oracle. A window
+// reaching past an int64 end is clamped there (satSub/satAdd); one clamped
+// short of the end landed on the wrong side of its own record, and S-Hop's
+// sub-interval walk then stepped backwards and never returned. Each query
+// runs under a watchdog.
+func TestTimeExtremesMatchShifted(t *testing.T) {
+	const n = 30
+	rng := rand.New(rand.NewSource(5))
+	vals := make([][]float64, n)
+	for i := range vals {
+		vals[i] = []float64{float64(rng.Intn(20))}
+	}
+	placed := func(t0 int64) *data.Dataset {
+		times := make([]int64, n)
+		for i := range times {
+			times[i] = t0 + 3*int64(i)
+		}
+		return data.MustNew(times, vals)
+	}
+	s := score.MustLinear(1)
+	const k = 2
+	ref := placed(0)
+	for _, t0 := range []int64{math.MinInt64 + 10, math.MaxInt64 - 10 - 3*(n-1)} {
+		ds := placed(t0)
+		shapes := []Querier{
+			NewEngine(ds, testEngineOpts()),
+			NewShardedEngine(ds, testEngineOpts(), ShardOptions{Shards: 3}),
+		}
+		refEng := NewEngine(ref, testEngineOpts())
+		lo, hi := ds.Span()
+		rlo, rhi := ref.Span()
+		for _, tau := range []int64{5, 1 << 40, math.MaxInt64} {
+			for _, anchor := range []Anchor{LookBack, LookAhead} {
+				want := BruteForce(ref, s, k, tau, rlo, rhi, anchor)
+				if got := BruteForce(ds, s, k, tau, lo, hi, anchor); !reflect.DeepEqual(got, want) {
+					t.Fatalf("t0 %d tau %d %v: oracle %v, shifted oracle %v", t0, tau, anchor, got, want)
+				}
+				for _, alg := range Algorithms() {
+					q := Query{K: k, Tau: tau, Start: rlo, End: rhi, Scorer: s, Algorithm: alg, Anchor: anchor}
+					r, err := refEng.DurableTopK(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(r.IDs(), want) {
+						t.Fatalf("tau %d %v %v: shifted rows answered %v, oracle %v", tau, anchor, alg, r.IDs(), want)
+					}
+					q.Start, q.End = lo, hi
+					for si, eng := range shapes {
+						done := make(chan *Result, 1)
+						go func() {
+							r, err := eng.DurableTopK(q)
+							if err != nil {
+								t.Error(err)
+							}
+							done <- r
+						}()
+						select {
+						case r := <-done:
+							if r == nil {
+								t.FailNow()
+							}
+							if !reflect.DeepEqual(r.IDs(), want) {
+								t.Fatalf("t0 %d shape %d tau %d %v %v: %v, want %v", t0, si, tau, anchor, alg, r.IDs(), want)
+							}
+						case <-time.After(5 * time.Second):
+							t.Fatalf("t0 %d shape %d tau %d %v %v: query did not return", t0, si, tau, anchor, alg)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -111,10 +111,9 @@ func (e *LiveShardedEngine) installCompactedLocked(lo, hi, level int, eng *Engin
 	// len would keep its engine, and the column generation under it, alive.
 	e.sealed = slices.Replace(e.sealed, a, b, merged)
 	e.compactions++
-	e.compactedRows += hi - lo
 	e.seq++ // new epoch: future queries see the merged shard
 	if e.so.OnCompact != nil {
-		e.so.OnCompact(lo, hi, level)
+		e.so.OnCompact(e.base+lo, e.base+hi, level)
 	}
 	return true
 }
@@ -141,11 +140,10 @@ func (e *LiveShardedEngine) maybeRetireLocked(latest int64) {
 	}
 	lo, hi := e.sealed[0].lo, e.sealed[idx-1].hi
 	e.sealed = append(e.sealed[:0:0], e.sealed[idx:]...)
-	e.retires += idx
 	e.retiredRows += hi - lo
 	e.seq++ // new epoch: retired shards vanish from routing and evidence
 	if e.so.OnRetire != nil {
-		e.so.OnRetire(lo, hi)
+		e.so.OnRetire(e.base+lo, e.base+hi)
 	}
 }
 
@@ -165,16 +163,6 @@ func (e *LiveShardedEngine) Compactions() int {
 	return e.compactions
 }
 
-// CompactedRows returns the total rows merged across all compactions; a row
-// merged at every level counts once per level, so CompactedRows/Len is the
-// write-amplification of the leveling (bounded by the level count,
-// O(log_fanout n)).
-func (e *LiveShardedEngine) CompactedRows() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.compactedRows
-}
-
 // MaxLevel returns the highest level among live sealed shards (0 when none).
 func (e *LiveShardedEngine) MaxLevel() int {
 	e.mu.RLock()
@@ -188,9 +176,10 @@ func (e *LiveShardedEngine) MaxLevel() int {
 	return level
 }
 
-// RetiredRows returns the total rows retired by retention.
+// RetiredRows returns the total rows retired by retention, those below a
+// restore's base included: the stream position of the first retained record.
 func (e *LiveShardedEngine) RetiredRows() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.retiredRows
+	return e.base + e.retiredRows
 }

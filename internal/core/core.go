@@ -176,7 +176,7 @@ func (q *Query) validate(dims int) error {
 
 // ResultRecord is one durable record of a query answer.
 type ResultRecord struct {
-	ID    int     // record index in the dataset (arrival order)
+	ID    int     // record id: its stream position (arrival order)
 	Time  int64   // arrival time
 	Score float64 // score under the query's scorer
 
@@ -228,26 +228,27 @@ func (r *Result) IDs() []int {
 	return ids
 }
 
-// satSub returns a-b saturating far away from int64 overflow.
+// satSub returns a-b saturated at the int64 ends, so a window reaching past
+// either end is clamped there and still holds its own record.
 func satSub(a, b int64) int64 {
 	c := a - b
-	if b > 0 && c > a || b < 0 && c < a {
-		if b > 0 {
-			return math.MinInt64 / 4
-		}
-		return math.MaxInt64 / 4
+	switch {
+	case b > 0 && c > a:
+		return math.MinInt64
+	case b < 0 && c < a:
+		return math.MaxInt64
 	}
 	return c
 }
 
-// satAdd returns a+b saturating far away from int64 overflow.
+// satAdd returns a+b saturated at the int64 ends (see satSub).
 func satAdd(a, b int64) int64 {
 	c := a + b
-	if b > 0 && c < a || b < 0 && c > a {
-		if b > 0 {
-			return math.MaxInt64 / 4
-		}
-		return math.MinInt64 / 4
+	switch {
+	case b > 0 && c < a:
+		return math.MaxInt64
+	case b < 0 && c > a:
+		return math.MinInt64
 	}
 	return c
 }

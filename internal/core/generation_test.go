@@ -249,7 +249,7 @@ func TestRestoreGrowsOnce(t *testing.T) {
 		}
 		restored = append(restored, sh)
 	}
-	lse, err := RestoreLiveShardedEngine(2, testEngineOpts(), LiveOptions{}, LiveShardOptions{SealRows: rows}, restored)
+	lse, err := RestoreLiveShardedEngine(2, testEngineOpts(), LiveOptions{}, LiveShardOptions{SealRows: rows}, 0, restored)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,19 +37,20 @@ type LiveShardOptions struct {
 	// match a batch engine over the retained suffix. 0 retains everything.
 	RetainSpan int64
 	// OnSeal, when set, is invoked after every tail seal with the half-open
-	// global row range [lo, hi) that was frozen. It runs with the engine's
-	// internal lock held, so it must be fast and must not call back into
-	// the engine — the durability layer uses it to hand the range to a
+	// range [lo, hi) of stream positions that was frozen. It runs with the
+	// engine's internal lock held, so it must be fast and must not call back
+	// into the engine — the durability layer uses it to hand the range to a
 	// checkpointing goroutine.
 	OnSeal func(lo, hi int)
-	// OnCompact, when set, is invoked after a compaction merges sealed rows
-	// [lo, hi) into one shard at the given level. Same contract as OnSeal
-	// (lock held, must be fast, no reentry); the durability layer uses it to
-	// queue the atomic manifest level swap.
+	// OnCompact, when set, is invoked after a compaction merges the sealed
+	// records at stream positions [lo, hi) into one shard at the given
+	// level. Same contract as OnSeal (lock held, must be fast, no reentry);
+	// the durability layer uses it to queue the atomic manifest level swap.
 	OnCompact func(lo, hi, level int)
-	// OnRetire, when set, is invoked after retention retires sealed rows
-	// [lo, hi) from the live set. Same contract as OnSeal; the durability
-	// layer uses it to advance the manifest's retention base.
+	// OnRetire, when set, is invoked after retention retires the sealed
+	// records at stream positions [lo, hi) from the live set. Same contract
+	// as OnSeal; the durability layer uses it to advance the manifest's
+	// retention base.
 	OnRetire func(lo, hi int)
 }
 
@@ -87,11 +88,18 @@ const DefaultSealRows = 4096
 // rebased, not rebuilt), so exactly one generation of the columns stays
 // reachable once the epochs pinned by in-flight queries finish.
 //
+// Every record is named by its stream position: the engine holds records
+// [base, Len) in its columns, physical row i being record base+i, and every
+// id it reports — answers, durability profiles, Len, RetiredRows, Shards and
+// the lifecycle hooks' ranges — is a stream position. base is 0 unless the
+// engine was restored over a retention base (RestoreLiveShardedEngine).
+//
 // Safe for concurrent use: any number of concurrent queries, one appender.
 type LiveShardedEngine struct {
 	opts Options
 	so   LiveShardOptions
 	dims int
+	base int // stream position of global's row 0; fixed at construction
 
 	// mu serializes lifecycle transitions (append, seal) against epoch
 	// snapshots; queries hold it only while grabbing the current epoch.
@@ -120,13 +128,12 @@ type LiveShardedEngine struct {
 
 	// Compaction and retention state (guarded by mu): compacting marks the
 	// single in-flight background merge, compactWG tracks it (and its
-	// cascades) for WaitCompacted, and the counters feed the bench rows.
-	compacting    bool
-	compactWG     sync.WaitGroup
-	compactions   int
-	compactedRows int
-	retires       int
-	retiredRows   int
+	// cascades) for WaitCompacted, and the counters feed Compactions and
+	// RetiredRows.
+	compacting  bool
+	compactWG   sync.WaitGroup
+	compactions int
+	retiredRows int
 
 	// groupMu guards the memoized query epoch; a query at an unchanged seq
 	// reuses it (keeping the tail snapshot engine and its lazily built
@@ -171,15 +178,22 @@ type RestoredShard struct {
 }
 
 // RestoreLiveShardedEngine rebuilds a live+sharded engine from checkpointed
-// sealed shards, in order. Each shard's rows are bulk-appended to the global
-// columnar storage and frozen synchronously into a static shard — no WAL
-// replay, no incremental index work — after which the engine's tail is empty
-// and appends resume at the exact next row.
-func RestoreLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShardOptions, shards []RestoredShard) (*LiveShardedEngine, error) {
+// sealed shards, in order, the first starting at stream position base (the
+// records below it were retired; base comes from the checkpoint, since every
+// shard may have been retired while the rows after them replay from a log).
+// Each shard's rows are bulk-appended to the global columnar storage and
+// frozen synchronously into a static shard — no WAL replay, no incremental
+// index work — after which the engine's tail is empty and appends resume at
+// stream position Len. Index i of Dataset() is record base+i.
+func RestoreLiveShardedEngine(d int, opts Options, live LiveOptions, so LiveShardOptions, base int, shards []RestoredShard) (*LiveShardedEngine, error) {
+	if base < 0 {
+		return nil, errors.New("core: restore base must be >= 0")
+	}
 	e, err := NewLiveShardedEngine(d, opts, live, so)
 	if err != nil {
 		return nil, err
 	}
+	e.base = base
 	// Grow once: shards frozen before a doubling would each pin a smaller
 	// generation of the columns until the next growth re-pointed them.
 	rows := 0
@@ -297,7 +311,7 @@ func (e *LiveShardedEngine) sealLocked() {
 	e.tailLo = n
 	e.seq++
 	if e.so.OnSeal != nil {
-		e.so.OnSeal(lo, n)
+		e.so.OnSeal(e.base+lo, e.base+n)
 	}
 	if e.freezing >= maxPendingFreezes {
 		// Backpressure: seals are outpacing freeze builds, each of which
@@ -414,7 +428,7 @@ func (e *LiveShardedEngine) snapshotEpoch() *shardGroup {
 		// the engine then answers like an empty one until the next append.
 		return nil
 	}
-	e.group = &shardGroup{ds: e.global.Prefix(n), shards: shards}
+	e.group = &shardGroup{ds: e.global.Prefix(n), shards: shards, base: e.base}
 	e.groupSeq = e.seq
 	return e.group
 }
@@ -422,10 +436,14 @@ func (e *LiveShardedEngine) snapshotEpoch() *shardGroup {
 // tailEngine returns an engine over the tail's records [tailLo, Len): a
 // pinned view of its forest, no index build. Appends are locked out while
 // the caller holds mu, so the view covers exactly those records, and it
-// keeps answering over them however far the stream grows afterwards.
+// keeps answering over them however far the stream grows afterwards. Its own
+// group reports ids from e.base: snapshotEpoch serves that group only while
+// the tail starts at global row 0.
 func (e *LiveShardedEngine) tailEngine() *Engine {
 	v := e.tail.Snapshot(-1)
-	return newEngine(v.Dataset(), v, e.opts)
+	te := newEngine(v.Dataset(), v, e.opts)
+	te.group.base = e.base
+	return te
 }
 
 // epoch grabs the current query epoch under the read lock (nil when empty).
@@ -445,11 +463,12 @@ func (e *LiveShardedEngine) EpochSeq() uint64 {
 	return e.seq
 }
 
-// Len returns the number of records appended so far.
+// Len returns the stream position the next append takes: the number of
+// records appended so far, those retired before a restore included.
 func (e *LiveShardedEngine) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.global.Len()
+	return e.base + e.global.Len()
 }
 
 // NumShards returns the current shard count: sealed shards plus the tail
@@ -514,11 +533,25 @@ func (e *LiveShardedEngine) Shards() []ShardInfo {
 	return g.infos()
 }
 
-// Dataset returns a stable snapshot view of the records appended so far.
+// Dataset returns a stable snapshot view of the records the engine holds:
+// index i is record base+i (see RestoreLiveShardedEngine).
 func (e *LiveShardedEngine) Dataset() *data.Dataset {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.global.Prefix(e.global.Len())
+}
+
+// Rows returns the records at stream positions [lo, hi) as an append-stable
+// view, or an error when the engine does not hold them all: records below
+// the base it was restored over, or past Len. Records retention retired
+// since then stay readable.
+func (e *LiveShardedEngine) Rows(lo, hi int) (*data.Dataset, error) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if lo < e.base || lo > hi || hi > e.base+e.global.Len() {
+		return nil, fmt.Errorf("core: records [%d,%d) asked for, engine holds [%d,%d)", lo, hi, e.base, e.base+e.global.Len())
+	}
+	return e.global.Slice(lo-e.base, hi-e.base), nil
 }
 
 // DurableTopK answers DurTop(k, I, tau) over the records appended so far, as
@@ -552,7 +585,8 @@ func (e *LiveShardedEngine) Explain(q Query) (planner.Plan, error) {
 // DurabilityProfile computes every retained record's maximum durability (see
 // Engine.DurabilityProfile; the sweep needs no index, so the shard lifecycle
 // does not change it). With retention enabled the sweep covers the retained
-// suffix only — matching what queries can see — and reported IDs stay global.
+// suffix only — matching what queries can see — and reported IDs are stream
+// positions.
 func (e *LiveShardedEngine) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]DurabilityRecord, error) {
 	g := e.epoch()
 	if g == nil {

@@ -511,3 +511,73 @@ func TestLiveShardedValidation(t *testing.T) {
 		t.Fatalf("failed appends must not commit: Len=%d want 1", lse.Len())
 	}
 }
+
+// TestRestoreBaseNamesStreamPositions: an engine restored over a retention
+// base names every record by its stream position — in answers (durations
+// included), profiles, Len, RetiredRows, the lifecycle hooks and Rows — both
+// while no shard has sealed (the epoch is the tail engine's own group) and
+// after seals, and Rows refuses records below the base.
+func TestRestoreBaseNamesStreamPositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const base, n, sealRows = 1000, 40, 16
+	ds := diffDataset(rng, "clustered", n, 2)
+	s := randScorer(rng, 2)
+	var sealed [][2]int
+	lse, err := RestoreLiveShardedEngine(2, testEngineOpts(), LiveOptions{},
+		LiveShardOptions{SealRows: sealRows, OnSeal: func(lo, hi int) { sealed = append(sealed, [2]int{lo, hi}) }}, base, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lse.Len() != base || lse.RetiredRows() != base {
+		t.Fatalf("empty restore: Len %d, RetiredRows %d, want %d", lse.Len(), lse.RetiredRows(), base)
+	}
+	lo, hi := ds.Span()
+	for _, m := range []int{sealRows - 1, n} { // before the first seal, then after two
+		for lse.Len() < base+m {
+			i := lse.Len() - base
+			if _, _, err := lse.Append(ds.Time(i), ds.Attrs(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		batch := NewEngine(ds.Slice(0, m), testEngineOpts())
+		for _, anchor := range []Anchor{LookBack, LookAhead} {
+			q := Query{K: 2, Tau: (hi - lo) / 4, Start: lo, End: hi, Scorer: s, Anchor: anchor, WithDurations: true}
+			want, err := batch.DurableTopK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Records {
+				want.Records[i].ID += base
+			}
+			got, err := lse.DurableTopK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Records, want.Records) {
+				t.Fatalf("%d rows %v:\n got %v\nwant %v", m, anchor, got.Records, want.Records)
+			}
+			wantP, _ := batch.DurabilityProfile(2, s, anchor)
+			for i := range wantP {
+				wantP[i].ID += base
+			}
+			if gotP, _ := lse.DurabilityProfile(2, s, anchor); !reflect.DeepEqual(gotP, wantP) {
+				t.Fatalf("%d rows %v: profile ids are not stream positions", m, anchor)
+			}
+		}
+	}
+	if want := [][2]int{{base, base + sealRows}, {base + sealRows, base + 2*sealRows}}; !reflect.DeepEqual(sealed, want) {
+		t.Fatalf("OnSeal ranges %v, want %v", sealed, want)
+	}
+	if lse.Shards()[0].Lo != base {
+		t.Fatalf("first shard starts at %d, want %d", lse.Shards()[0].Lo, base)
+	}
+	rows, err := lse.Rows(base+3, base+n)
+	if err != nil || rows.Len() != n-3 || rows.Time(0) != ds.Time(3) {
+		t.Fatalf("Rows(%d, %d) = %v, %v", base+3, base+n, rows, err)
+	}
+	for _, r := range [][2]int{{base - 1, base + 1}, {base, base + n + 1}, {base + 2, base + 1}} {
+		if _, err := lse.Rows(r[0], r[1]); err == nil {
+			t.Fatalf("Rows(%d, %d) succeeded outside the held records [%d, %d)", r[0], r[1], base, base+n)
+		}
+	}
+}

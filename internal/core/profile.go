@@ -35,7 +35,7 @@ func (e *Engine) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]Dura
 }
 
 // DurabilityProfile sweeps the group's live rows: rows below the first shard
-// were retired by retention and are not evidence. IDs stay global.
+// were retired by retention and are not evidence. IDs are stream positions.
 func (g *shardGroup) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]DurabilityRecord, error) {
 	if k < 1 {
 		return nil, ErrBadK
@@ -49,7 +49,7 @@ func (g *shardGroup) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]
 	lo := g.shards[0].lo
 	out := durabilitySweep(g.ds.Slice(lo, g.ds.Len()), k, s, anchor == LookAhead)
 	for i := range out {
-		out[i].ID += lo
+		out[i].ID += g.base + lo
 	}
 	return out, nil
 }

@@ -75,7 +75,7 @@ type PartialCache interface{}
 
 // ShardInfo describes one time shard of a ShardedEngine.
 type ShardInfo struct {
-	Lo, Hi     int   // record index range [Lo, Hi) in the parent dataset
+	Lo, Hi     int   // record id range [Lo, Hi): stream positions, like every reported id
 	Start, End int64 // arrival times of the shard's first and last record
 	Level      int   // LSM level (live lifecycle; 0 for batch shards and fresh seals)
 }
@@ -96,6 +96,11 @@ type shardGroup struct {
 	ds     *data.Dataset
 	shards []timeShard
 
+	// base is the stream position of ds's row 0: every id the group reports
+	// is a physical row plus base. It is 0 except in a LiveShardedEngine
+	// restored over a retention base (see RestoreLiveShardedEngine).
+	base int
+
 	// own is the engine whose own one-shard group this is, nil for any other
 	// group. Only an engine's own group offers and runs S-Band, over that
 	// engine's lazily built skyband ladders; S-Band amortizes a per-dataset
@@ -110,6 +115,9 @@ type Querier interface {
 	DurableTopK(q Query) (*Result, error)
 	Explain(q Query) (planner.Plan, error)
 	MostDurable(k int, s score.Scorer, anchor Anchor, n int) ([]DurabilityRecord, error)
+	// Dataset returns the rows the engine holds. Record ids are stream
+	// positions: index i of Dataset() is record base+i, where base is 0
+	// except on a LiveShardedEngine restored over a retention base.
 	Dataset() *data.Dataset
 }
 
@@ -212,7 +220,7 @@ func (g *shardGroup) infos() []ShardInfo {
 	out := make([]ShardInfo, len(g.shards))
 	for i, sh := range g.shards {
 		out[i] = ShardInfo{
-			Lo: sh.lo, Hi: sh.hi,
+			Lo: g.base + sh.lo, Hi: g.base + sh.hi,
 			Start: g.ds.Time(sh.lo), End: g.ds.Time(sh.hi - 1),
 			Level: sh.level,
 		}
@@ -345,7 +353,7 @@ func (g *shardGroup) DurableTopK(q Query) (*Result, error) {
 		ahead := normalizedAnchor(&q) == LookAhead
 		for i := range out.Records {
 			r := &out.Records[i]
-			r.MaxDuration, r.FullHistory = g.maxDuration(pr, &out.Stats, q.Scorer, q.K, r.ID, ahead)
+			r.MaxDuration, r.FullHistory = g.maxDuration(pr, &out.Stats, q.Scorer, q.K, r.ID-g.base, ahead)
 		}
 	}
 	out.Stats.Elapsed = time.Since(startAt)
@@ -391,14 +399,15 @@ func (g *shardGroup) evalSpan(pr *probe, q Query, lo, hi int, out *Result) {
 	}
 	pr.blk = spanBlock{shards: g.shards, ds: &pr.span, rlo: rlo, rhi: rhi, mirrored: mirrored}
 	ids := evalIDs(pr, &pr.blk, &q, q.Algorithm, &out.Stats, ld)
-	out.Records = spanRecords(g.ds, q.Scorer, ids, rlo, rhi, mirrored)
+	out.Records = g.spanRecords(q.Scorer, ids, rlo, rhi, mirrored)
 }
 
 // spanRecords returns the answer records of ids, the ascending answer ids of
-// an evaluation over rows [rlo, rhi) of ds: forward id i is row rlo+i;
-// mirrored ids ascend in reversed time, id r being row rhi-1-r, so they fill
-// the answer back to front.
-func spanRecords(ds *data.Dataset, s score.Scorer, ids []int32, rlo, rhi int, mirrored bool) []ResultRecord {
+// an evaluation over rows [rlo, rhi) of the group's dataset: forward id i is
+// row rlo+i; mirrored ids ascend in reversed time, id r being row rhi-1-r, so
+// they fill the answer back to front. A record's ID is its row's stream
+// position.
+func (g *shardGroup) spanRecords(s score.Scorer, ids []int32, rlo, rhi int, mirrored bool) []ResultRecord {
 	recs := make([]ResultRecord, len(ids))
 	for j, id := range ids {
 		row, at := rlo+int(id), j
@@ -406,9 +415,9 @@ func spanRecords(ds *data.Dataset, s score.Scorer, ids []int32, rlo, rhi int, mi
 			row, at = rhi-1-int(id), len(ids)-1-j
 		}
 		recs[at] = ResultRecord{
-			ID:          row,
-			Time:        ds.Time(row),
-			Score:       s.Score(ds.Attrs(row)),
+			ID:          g.base + row,
+			Time:        g.ds.Time(row),
+			Score:       s.Score(g.ds.Attrs(row)),
 			MaxDuration: -1,
 		}
 	}

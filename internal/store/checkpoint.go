@@ -207,20 +207,22 @@ func (s *Store) publishManifest() error {
 	return nil
 }
 
-// writeShardFile persists absolute rows [lo,hi) of the engine's global
-// storage into a freshly created columns file, syncs it and syncs the store
-// directory, so both the bytes and the file's name survive a crash before
-// any manifest names it.
+// writeShardFile persists the records at stream positions [lo,hi) into a
+// freshly created columns file, syncs it and syncs the store directory, so
+// both the bytes and the file's name survive a crash before any manifest
+// names it.
 func (s *Store) writeShardFile(lo, hi, level int) (shardEntry, error) {
+	// The engine's view is append-stable, so reading it is safe while the
+	// appender keeps running; retired rows stay readable until restart.
+	view, err := s.eng.Rows(lo, hi)
+	if err != nil {
+		return shardEntry{}, err
+	}
 	name := shardFileName(lo, hi, level)
 	f, err := s.fs.Create(filepath.Join(s.dir, name))
 	if err != nil {
 		return shardEntry{}, fmt.Errorf("creating %s: %w", name, err)
 	}
-	// Dataset() is an append-stable prefix view over the engine's physical
-	// rows (absolute minus base), so reading the range is safe while the
-	// appender keeps running; retired rows stay readable until restart.
-	view := s.eng.Dataset().Slice(lo-s.base, hi-s.base)
 	err = writeCols(f, view.Times(), view.FlatAttrs())
 	if cerr := f.Close(); err == nil {
 		err = cerr

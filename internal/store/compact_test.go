@@ -129,8 +129,10 @@ func TestStoreCompactionLevelSwapAndRecovery(t *testing.T) {
 }
 
 // TestStoreRetirementAdvancesBase: bounded retention must advance the
-// manifest base, drop retired shards' files, keep subscription-visible row
-// numbering absolute, and recover to exactly the retained suffix.
+// manifest base, drop retired shards' files, and recover to exactly the
+// retained suffix with every record keeping its stream position as its id:
+// Len, RetiredRows, answers, durations, profiles and most-durable reports
+// are the same numbers before and after the restart.
 func TestStoreRetirementAdvancesBase(t *testing.T) {
 	fs := wal.NewMemFS()
 	rng := rand.New(rand.NewSource(13))
@@ -169,9 +171,15 @@ func TestStoreRetirementAdvancesBase(t *testing.T) {
 			t.Fatalf("retired shard file %s survived", name)
 		}
 	}
-	// In-process the rows stay addressable (Len counts the whole stream).
 	if st.Len() != n {
 		t.Fatalf("Len = %d, want %d before restart", st.Len(), n)
+	}
+	scorer := score.MustLinear(1)
+	lo, hi := rows[base].T, rows[n-1].T
+	look := core.Query{K: 3, Tau: (hi - lo) / 3, Start: lo, End: hi, Scorer: scorer, WithDurations: true}
+	before, err := st.Engine().DurableTopK(look)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -182,19 +190,31 @@ func TestStoreRetirementAdvancesBase(t *testing.T) {
 		t.Fatalf("recovery: %v", err)
 	}
 	defer rec.Close()
-	if rec.Base() != base {
-		t.Fatalf("recovered Base = %d, want %d", rec.Base(), base)
+	if got := rec.Engine().RetiredRows(); got != base {
+		t.Fatalf("recovered RetiredRows = %d, want the manifest base %d", got, base)
 	}
-	if rec.Len() != n-base {
-		t.Fatalf("recovered Len = %d, want the %d retained rows", rec.Len(), n-base)
+	if rec.Len() != n {
+		t.Fatalf("recovered Len = %d, want %d", rec.Len(), n)
 	}
 	ds := rec.Engine().Dataset()
-	for i := 0; i < rec.Len(); i++ {
+	if ds.Len() != n-base {
+		t.Fatalf("recovered engine holds %d rows, want the %d retained", ds.Len(), n-base)
+	}
+	for i := 0; i < ds.Len(); i++ {
 		if ds.Time(i) != rows[base+i].T || !reflect.DeepEqual(ds.Attrs(i), rows[base+i].Attrs) {
 			t.Fatalf("retained row %d diverges from stream row %d", i, base+i)
 		}
 	}
-	// Answers over the suffix match a batch engine built over it.
+	after, err := rec.Engine().DurableTopK(look)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after.Records, before.Records) {
+		t.Fatalf("the restart renumbered the answer:\nbefore %v\n after %v", before.Records, after.Records)
+	}
+
+	// Answers over the suffix match a batch engine built over it, its ids
+	// offset by the base.
 	times := make([]int64, n-base)
 	vals := make([][]float64, n-base)
 	for i := range times {
@@ -205,30 +225,60 @@ func TestStoreRetirementAdvancesBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := core.NewEngine(suffix, core.Options{})
-	scorer := score.MustLinear(1)
-	lo, hi := suffix.Span()
-	q := core.Query{K: 3, Tau: (hi - lo) / 3, Start: lo, End: hi, Scorer: scorer}
-	for _, alg := range core.Algorithms() {
-		sub := q
-		sub.Algorithm = alg
-		want, err := batch.DurableTopK(sub)
-		if err != nil {
-			t.Fatalf("batch %v: %v", alg, err)
+	for _, anchor := range []core.Anchor{core.LookBack, core.LookAhead} {
+		for _, alg := range core.Algorithms() {
+			q := look
+			q.Algorithm, q.Anchor = alg, anchor
+			want, err := batch.DurableTopK(q)
+			if err != nil {
+				t.Fatalf("batch %v %v: %v", anchor, alg, err)
+			}
+			for i := range want.Records {
+				want.Records[i].ID += base
+			}
+			got, err := rec.Engine().DurableTopK(q)
+			if err != nil {
+				t.Fatalf("recovered %v %v: %v", anchor, alg, err)
+			}
+			if !reflect.DeepEqual(got.Records, want.Records) {
+				t.Fatalf("%v %v diverged over the retained suffix:\n got %v\nwant %v", anchor, alg, got.Records, want.Records)
+			}
 		}
-		got, err := rec.Engine().DurableTopK(sub)
+		want, err := batch.DurabilityProfile(3, scorer, anchor)
 		if err != nil {
-			t.Fatalf("recovered %v: %v", alg, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.Records, want.Records) {
-			t.Fatalf("strategy %v diverged over the retained suffix:\n got %v\nwant %v", alg, got.Records, want.Records)
+		for i := range want {
+			want[i].ID += base
+		}
+		got, err := rec.Engine().DurabilityProfile(3, scorer, anchor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v durability profile diverged over the retained suffix", anchor)
+		}
+		want, err = batch.MostDurable(3, scorer, anchor, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			want[i].ID += base
+		}
+		got, err = rec.Engine().MostDurable(3, scorer, anchor, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v most durable diverged over the retained suffix:\n got %v\nwant %v", anchor, got, want)
 		}
 	}
-	// Ingestion resumes after the retained suffix.
+	// Ingestion resumes at stream position n.
 	if _, _, err := rec.Append(rows[n-1].T+1, rows[0].Attrs); err != nil {
 		t.Fatalf("resume append: %v", err)
 	}
-	if rec.Len() != n-base+1 {
-		t.Fatalf("Len after resume = %d", rec.Len())
+	if rec.Len() != n+1 {
+		t.Fatalf("Len after resume = %d, want %d", rec.Len(), n+1)
 	}
 }
 

@@ -99,9 +99,9 @@ const (
 	workRetire
 )
 
-// ckptWork is one queued unit of checkpointer work. lo and hi are absolute
-// stream rows (the engine's physical rows plus the store's base); level is
-// the merged shard's level for workCompact.
+// ckptWork is one queued unit of checkpointer work. lo and hi are stream
+// positions, as the engine's lifecycle hooks report them; level is the
+// merged shard's level for workCompact.
 type ckptWork struct {
 	kind   workKind
 	lo, hi int
@@ -117,14 +117,6 @@ type Store struct {
 	fs   wal.FS
 	dims int
 	opts Options
-
-	// base is the absolute stream row of the engine's physical row 0: rows
-	// below it were retired by retention before this process opened the
-	// store, so the engine never restored them. Constant after Open (further
-	// retirement advances the manifest base and the engine's retirement
-	// boundary in lockstep, leaving the mapping fixed); WAL LSNs, manifest
-	// row ranges and subscription positions are all absolute.
-	base int
 
 	log *wal.Log
 	eng *core.LiveShardedEngine
@@ -180,8 +172,7 @@ func Open(dir string, dims int, opts Options) (*Store, error) {
 	}
 	man.Dims = dims
 	restored := make([]core.RestoredShard, 0, len(man.Shards))
-	tailLo := man.Base // absolute: rows below Base were retired before this open
-	s.base = man.Base
+	tailLo := man.Base // rows below Base were retired
 	for _, e := range man.Shards {
 		if e.Lo != tailLo {
 			return nil, fmt.Errorf("store: manifest shard [%d,%d) is not contiguous with previous end %d", e.Lo, e.Hi, tailLo)
@@ -207,10 +198,10 @@ func Open(dir string, dims int, opts Options) (*Store, error) {
 	// retired ranges for the checkpointer (including events re-fired during
 	// tail replay below).
 	so := opts.Shard
-	so.OnSeal = s.onSeal
-	so.OnCompact = s.onCompact
-	so.OnRetire = s.onRetire
-	eng, err := core.RestoreLiveShardedEngine(dims, opts.Engine, core.LiveOptions{}, so, restored)
+	so.OnSeal = func(lo, hi int) { s.enqueue(ckptWork{kind: workSeal, lo: lo, hi: hi}) }
+	so.OnCompact = func(lo, hi, level int) { s.enqueue(ckptWork{kind: workCompact, lo: lo, hi: hi, level: level}) }
+	so.OnRetire = func(lo, hi int) { s.enqueue(ckptWork{kind: workRetire, lo: lo, hi: hi}) }
+	eng, err := core.RestoreLiveShardedEngine(dims, opts.Engine, core.LiveOptions{}, so, man.Base, restored)
 	if err != nil {
 		return nil, err
 	}
@@ -240,8 +231,8 @@ func Open(dir string, dims int, opts Options) (*Store, error) {
 	}
 	s.log = log
 	err = log.Replay(uint64(tailLo), func(lsn uint64, t int64, attrs []float64) error {
-		if uint64(s.base+s.eng.Len()) != lsn {
-			return fmt.Errorf("store: replay desync: wal lsn %d, engine at row %d of base %d", lsn, s.eng.Len(), s.base)
+		if uint64(s.eng.Len()) != lsn {
+			return fmt.Errorf("store: replay desync: wal lsn %d, engine at row %d", lsn, s.eng.Len())
 		}
 		if _, _, err := s.eng.Append(t, attrs); err != nil {
 			return fmt.Errorf("store: replaying lsn %d: %w", lsn, err)
@@ -253,9 +244,9 @@ func Open(dir string, dims int, opts Options) (*Store, error) {
 		log.Close()
 		return nil, err
 	}
-	if got, want := uint64(s.base+s.eng.Len()), s.log.Next(); got != want {
+	if got, want := uint64(s.eng.Len()), s.log.Next(); got != want {
 		log.Close()
-		return nil, fmt.Errorf("store: after replay engine has %d absolute rows but wal resumes at %d", got, want)
+		return nil, fmt.Errorf("store: after replay engine is at row %d but wal resumes at %d", got, want)
 	}
 	if ds := s.eng.Dataset(); ds.Len() > 0 {
 		s.lastTime = ds.Time(ds.Len() - 1)
@@ -270,7 +261,7 @@ func Open(dir string, dims int, opts Options) (*Store, error) {
 	// restore the manifest's durable registrations (detached, awaiting
 	// Resume). No appends run yet, so the replay inside each restore sees a
 	// quiescent engine.
-	s.reg = sub.NewRegistry(s.base + s.eng.Len())
+	s.reg = sub.NewRegistry(s.eng.Len())
 	s.restoreSubs()
 	s.reg.SetOnChange(s.markSubsDirty)
 
@@ -313,21 +304,6 @@ func (s *Store) enqueue(w ckptWork) {
 	s.pending = append(s.pending, w)
 	s.ckptMu.Unlock()
 	s.cond.Broadcast()
-}
-
-// onSeal queues a freshly sealed physical range for checkpointing.
-func (s *Store) onSeal(lo, hi int) {
-	s.enqueue(ckptWork{kind: workSeal, lo: s.base + lo, hi: s.base + hi})
-}
-
-// onCompact queues a merged physical range for its manifest level swap.
-func (s *Store) onCompact(lo, hi, level int) {
-	s.enqueue(ckptWork{kind: workCompact, lo: s.base + lo, hi: s.base + hi, level: level})
-}
-
-// onRetire queues a retired physical range for the manifest base advance.
-func (s *Store) onRetire(lo, hi int) {
-	s.enqueue(ckptWork{kind: workRetire, lo: s.base + lo, hi: s.base + hi})
 }
 
 // Engine returns the underlying live+sharded engine for queries. Appends
@@ -469,13 +445,9 @@ func (s *Store) Sync() error {
 	return s.log.Sync()
 }
 
-// Len returns the number of retained records (rows retired by retention
-// before this open are not counted; see Base for the absolute offset).
+// Len returns the number of records committed so far: the stream position
+// of the next append.
 func (s *Store) Len() int { return s.eng.Len() }
-
-// Base returns the absolute stream row of the engine's physical row 0 —
-// 0 unless bounded retention retired history before this open.
-func (s *Store) Base() int { return s.base }
 
 // Checkpoints returns the number of sealed shards checkpointed so far.
 func (s *Store) Checkpoints() int {

@@ -91,22 +91,18 @@ func (e subEntry) toState(dims int) (sub.State, error) {
 // every committed append into the registry itself — callers must not.
 func (s *Store) Registry() *sub.Registry { return s.reg }
 
-// RowSource replays committed rows from the engine's append-stable dataset
-// view; the registry uses it to re-derive verdict streams. Positions are
-// absolute stream rows (subscription state survives restarts, so positions
-// must not shift when retention retires history); a range reaching below the
-// store's base asks for rows retired before this open, which no longer
-// exist — the caller's subscription is then dropped rather than fed a gap.
+// RowSource replays committed rows from the engine's append-stable view;
+// the registry uses it to re-derive verdict streams. Positions are stream
+// positions, as everywhere; a range reaching below the engine's base asks
+// for rows retired before this open, which no longer exist — the caller's
+// subscription is then dropped rather than fed a gap.
 func (s *Store) RowSource() sub.RowSource {
 	return func(lo, hi int, observe func(t int64, attrs []float64) error) error {
-		ds := s.eng.Dataset()
-		if lo < s.base {
-			return fmt.Errorf("store: row source asked for [%d,%d) but rows below %d were retired", lo, hi, s.base)
+		ds, err := s.eng.Rows(lo, hi)
+		if err != nil {
+			return fmt.Errorf("store: row source: %w", err)
 		}
-		if hi-s.base > ds.Len() {
-			return fmt.Errorf("store: row source asked for [%d,%d) of %d committed rows", lo, hi, s.base+ds.Len())
-		}
-		for i := lo - s.base; i < hi-s.base; i++ {
+		for i := 0; i < ds.Len(); i++ {
 			if err := observe(ds.Time(i), ds.Attrs(i)); err != nil {
 				return err
 			}

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -18,10 +20,17 @@ var _ RegistryProvider = (*store.Store)(nil)
 // startStoreServer serves one store-backed dataset, returning both handles.
 func startStoreServer(t *testing.T, fs wal.FS, dir string) (*Server, *store.Store, string) {
 	t.Helper()
-	st, err := store.Open(dir, 2, store.Options{
+	return serveStore(t, dir, store.Options{
 		FS: fs, Sync: wal.SyncAlways,
 		Shard: core.LiveShardOptions{SealRows: 16},
 	})
+}
+
+// serveStore opens the store in dir with opts and serves it as the
+// 2-dimensional live dataset "stream".
+func serveStore(t *testing.T, dir string, opts store.Options) (*Server, *store.Store, string) {
+	t.Helper()
+	st, err := store.Open(dir, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,5 +143,107 @@ func TestStoreBackedSubscriptionSurvivesRestart(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("timed out at prefix %d", lastPrefix)
 		}
+	}
+}
+
+// TestStreamPositionsAcrossRetentionRestart: one connection sees one id per
+// record. Over a store whose retention has retired history, a look-back
+// query names the same records before and after a restart, and a
+// subscription made after the restart reports Decision ids equal to the ids
+// a look-back query returns over the same rows.
+func TestStreamPositionsAcrossRetentionRestart(t *testing.T) {
+	fs := wal.NewMemFS()
+	opts := store.Options{
+		FS: fs, Sync: wal.SyncAlways,
+		Shard: core.LiveShardOptions{SealRows: 64, RetainSpan: 300},
+	}
+	srv, st, addr := serveStore(t, "db", opts)
+	rng := rand.New(rand.NewSource(3))
+	const n, m = 2000, 120
+	rows := make([]store.Row, n)
+	ts := int64(0)
+	for i := range rows {
+		ts += 1 + int64(rng.Intn(3))
+		rows[i] = store.Row{T: ts, Attrs: []float64{rng.Float64() * 100, rng.Float64() * 100}}
+	}
+	if got, _, _, err := st.AppendBatch(rows); err != nil || got != n {
+		t.Fatalf("appended %d of %d rows: %v", got, n, err)
+	}
+	st.Engine().WaitSealed()
+	st.Engine().WaitCompacted()
+	st.WaitCheckpoints()
+	base := st.Engine().RetiredRows()
+	if base == 0 {
+		t.Fatal("retention retired nothing; the test needs a nonzero base")
+	}
+
+	spec := QuerySpec{K: 2, Tau: 40, Start: ts - 250, End: ts, Anchor: "look-back", Weights: []float64{1, 0.5}}
+	query := func(addr string, qs QuerySpec) []int {
+		t.Helper()
+		recs, _, err := dialT(t, addr).Query(Request{Dataset: "stream", QuerySpec: qs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]int, len(recs))
+		for i, r := range recs {
+			ids[i] = r.ID
+		}
+		return ids
+	}
+	before := query(addr, spec)
+	if len(before) == 0 || before[0] < base {
+		t.Fatalf("answer %v: want retained records, at or past stream position %d", before, base)
+	}
+	srv.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, st2, addr2 := serveStore(t, "db", opts)
+	defer srv2.Close()
+	defer st2.Close()
+	if after := query(addr2, spec); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the restart renumbered the answer: before %v, after %v (base %d)", before, after, base)
+	}
+
+	// New rows start more than tau past the history, so a look-back window
+	// over them holds exactly the rows the subscription observes.
+	cl := dialT(t, addr2)
+	if _, _, err := cl.Hello(FeatureEvents, FeatureBackfill); err != nil {
+		t.Fatal(err)
+	}
+	s, err := cl.Subscribe(Request{Dataset: "stream",
+		QuerySpec: QuerySpec{K: spec.K, Tau: spec.Tau, Anchor: "look-back", Weights: spec.Weights}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := ts + spec.Tau + 1
+	for i := 0; i < m; i++ {
+		if _, _, err := st2.Append(first+int64(2*i), []float64{rng.Float64() * 100, rng.Float64() * 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var durable []int
+	for prefix := n; prefix < n+m; {
+		select {
+		case ev, ok := <-s.Events():
+			if !ok {
+				t.Fatalf("stream closed at prefix %d", prefix)
+			}
+			prefix = ev.Prefix
+			if d := ev.Decision; d != nil && d.Durable {
+				durable = append(durable, d.ID)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out at prefix %d", prefix)
+		}
+	}
+	if len(durable) == 0 || durable[0] != n {
+		t.Fatalf("first decision names record %d, want stream position %d", durable[0], n)
+	}
+	tail := spec
+	tail.Start, tail.End = first, first+int64(2*(m-1))
+	if got := query(addr2, tail); !reflect.DeepEqual(got, durable) {
+		t.Fatalf("query ids %v differ from the subscription's durable decisions %v", got, durable)
 	}
 }

@@ -47,7 +47,9 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) { return wal.ParseSyncPolicy(
 // repaired (a torn final record is truncated) and replayed through the
 // normal append path, and the store resumes ingestion at the exact next
 // row. The recovered engine answers every query identically to one that
-// never crashed, over the durable prefix of the stream.
+// never crashed, over the durable prefix of the stream: record ids are
+// stream positions, so under bounded retention a recovered store names every
+// retained record as it did before, and Len counts the whole stream.
 func Recover(dir string, d int, opts StoreOptions) (*Store, error) {
 	return store.Open(dir, d, opts)
 }
