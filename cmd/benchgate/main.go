@@ -182,15 +182,10 @@ func (g *gate) checkStream(oldRep, newRep *bench.StreamReport) {
 	}
 	g.ns("stream", "steady-query", oldRep.SteadyQueryNs, newRep.SteadyQueryNs)
 	g.allocs("stream", "steady-query", oldRep.SteadyQueryAllocs, newRep.SteadyQueryAllocs)
-	// Durability rows first: the live+sharded gating below returns early on
-	// pre-lifecycle baselines and must not take the WAL rows with it.
-	g.checkStreamWAL(oldRep, newRep)
-	// Concurrent-serving rows likewise gate independently of the lifecycle
-	// rows' early returns.
-	g.checkStreamServe(oldRep, newRep)
-	// Standing-query rows: append fan-out and confirm latency per
-	// subscription count.
-	g.checkStreamStanding(oldRep, newRep)
+	// Recovery replay speed: how fast Open replays a checkpoint-free WAL.
+	if g.paired("recovery-replay", oldRep.RecoveryReplayRowsPerSec > 0, newRep.RecoveryReplayRowsPerSec > 0) {
+		g.throughput("stream", "recovery-replay", oldRep.RecoveryReplayRowsPerSec, newRep.RecoveryReplayRowsPerSec)
+	}
 	// Compaction rows: shard-count leverage is structural, timing warns.
 	g.checkStreamCompact(oldRep, newRep)
 	// The live+sharded lifecycle rows (absent from pre-lifecycle baselines;
@@ -205,141 +200,24 @@ func (g *gate) checkStream(oldRep, newRep *bench.StreamReport) {
 			newRep.LiveShardedSealedRowsPerAppend)
 		g.failed = true
 	}
-	if oldRep.LiveShardedSealRows == 0 && newRep.LiveShardedSealRows == 0 {
-		return
+	if g.paired("livesharded", oldRep.LiveShardedSealRows > 0, newRep.LiveShardedSealRows > 0) {
+		g.ns("stream", "ls-steady", oldRep.LiveShardedSteadyQueryNs, newRep.LiveShardedSteadyQueryNs)
+		g.allocs("stream", "ls-steady", oldRep.LiveShardedSteadyQueryAllocs, newRep.LiveShardedSteadyQueryAllocs)
 	}
-	if newRep.LiveShardedSealRows == 0 {
-		g.missingRow("stream", "livesharded")
-		return
-	}
-	if oldRep.LiveShardedSealRows == 0 {
-		fmt.Printf("::warning::benchgate: stream \"livesharded\" has no committed baseline row (new?); re-commit the baseline to gate it\n")
-		g.warn++
-		return
-	}
-	g.ns("stream", "ls-steady", oldRep.LiveShardedSteadyQueryNs, newRep.LiveShardedSteadyQueryNs)
-	g.allocs("stream", "ls-steady", oldRep.LiveShardedSteadyQueryAllocs, newRep.LiveShardedSteadyQueryAllocs)
 }
 
-// checkStreamWAL gates the durability rows: WAL ingest throughput per fsync
-// policy and recovery replay speed. Throughput is wall-clock, so drifts warn
-// like ns rows; a vanished row still fails (the durability path silently
-// stopped being measured).
-func (g *gate) checkStreamWAL(oldRep, newRep *bench.StreamReport) {
-	for _, pol := range []string{"none", "interval", "always"} {
-		name := "wal-fsync-" + pol
-		o, oldHas := oldRep.WALAppendsPerSec[pol]
-		n, newHas := newRep.WALAppendsPerSec[pol]
-		switch {
-		case !oldHas && !newHas:
-		case oldHas && !newHas:
-			g.missingRow("stream", name)
-		case !oldHas:
-			fmt.Printf("::warning::benchgate: stream %q has no committed baseline row (new?); re-commit the baseline to gate it\n", name)
-			g.warn++
-		default:
-			g.throughput("stream", name, o, n)
-		}
-	}
+// paired reports whether the stream row name is in both snapshots. A row
+// only the baseline has fails (missingRow); a row only the fresh run has
+// warns until a baseline records it.
+func (g *gate) paired(name string, oldHas, newHas bool) bool {
 	switch {
-	case oldRep.RecoveryReplayRowsPerSec == 0 && newRep.RecoveryReplayRowsPerSec == 0:
-	case newRep.RecoveryReplayRowsPerSec == 0:
-		g.missingRow("stream", "recovery-replay")
-	case oldRep.RecoveryReplayRowsPerSec == 0:
-		fmt.Printf("::warning::benchgate: stream \"recovery-replay\" has no committed baseline row (new?); re-commit the baseline to gate it\n")
+	case oldHas && !newHas:
+		g.missingRow("stream", name)
+	case newHas && !oldHas:
+		fmt.Printf("::warning::benchgate: stream %q has no committed baseline row (new?); re-commit the baseline to gate it\n", name)
 		g.warn++
-	default:
-		g.throughput("stream", "recovery-replay", oldRep.RecoveryReplayRowsPerSec, newRep.RecoveryReplayRowsPerSec)
 	}
-}
-
-// checkStreamServe gates the concurrent-serving rows: queries/sec per client
-// count and the result-cache hit rate. Throughput is wall-clock, so
-// regressions warn like the other rate rows; a vanished row fails (the
-// serving path silently stopped being measured). The hit rate is structural —
-// the hot-pool phase repeats a fixed query set at a fixed epoch — so a
-// collapse below half the baseline warns even within wall-clock tolerance.
-func (g *gate) checkStreamServe(oldRep, newRep *bench.StreamReport) {
-	for _, clients := range []string{"1", "4", "16"} {
-		name := "serve-clients-" + clients
-		o, oldHas := oldRep.ServeQueriesPerSec[clients]
-		n, newHas := newRep.ServeQueriesPerSec[clients]
-		switch {
-		case !oldHas && !newHas:
-		case oldHas && !newHas:
-			g.missingRow("stream", name)
-		case !oldHas:
-			fmt.Printf("::warning::benchgate: stream %q has no committed baseline row (new?); re-commit the baseline to gate it\n", name)
-			g.warn++
-		default:
-			g.throughput("stream", name, o, n)
-		}
-	}
-	switch {
-	case oldRep.ServeCacheHitRate == 0 && newRep.ServeCacheHitRate == 0:
-	case newRep.ServeCacheHitRate == 0:
-		g.missingRow("stream", "serve-cache-hit-rate")
-	case oldRep.ServeCacheHitRate == 0:
-		fmt.Printf("::warning::benchgate: stream \"serve-cache-hit-rate\" has no committed baseline row (new?); re-commit the baseline to gate it\n")
-		g.warn++
-	default:
-		fmt.Printf("%-10s %-20s hit rate %.2f -> %.2f\n", "stream", "serve-cache", oldRep.ServeCacheHitRate, newRep.ServeCacheHitRate)
-		if newRep.ServeCacheHitRate < oldRep.ServeCacheHitRate/2 {
-			fmt.Printf("::warning::benchgate: stream serve cache hit rate collapsed %.2f -> %.2f; repeats no longer replay\n",
-				oldRep.ServeCacheHitRate, newRep.ServeCacheHitRate)
-			g.warn++
-		}
-	}
-}
-
-// checkStreamStanding gates the standing-query rows: sustained append
-// throughput and mean confirmation latency with 1/16/256 subscriptions
-// attached. Both are wall-clock, so regressions warn like the other rate
-// rows; a vanished row fails — the subscription path silently stopped being
-// measured, and these rows are the only coverage the per-append fan-out
-// cost has.
-func (g *gate) checkStreamStanding(oldRep, newRep *bench.StreamReport) {
-	for _, subs := range []string{"1", "16", "256"} {
-		name := "standing-subs-" + subs
-		o, oldHas := oldRep.StandingAppendsPerSec[subs]
-		n, newHas := newRep.StandingAppendsPerSec[subs]
-		switch {
-		case !oldHas && !newHas:
-		case oldHas && !newHas:
-			g.missingRow("stream", name)
-		case !oldHas:
-			fmt.Printf("::warning::benchgate: stream %q has no committed baseline row (new?); re-commit the baseline to gate it\n", name)
-			g.warn++
-		default:
-			g.throughput("stream", name, o, n)
-		}
-		name = "standing-confirm-" + subs
-		o, oldHas = oldRep.StandingConfirmLatencyNs[subs]
-		n, newHas = newRep.StandingConfirmLatencyNs[subs]
-		switch {
-		case !oldHas && !newHas:
-		case oldHas && !newHas:
-			g.missingRow("stream", name)
-		case !oldHas:
-			fmt.Printf("::warning::benchgate: stream %q has no committed baseline row (new?); re-commit the baseline to gate it\n", name)
-			g.warn++
-		default:
-			g.ns("stream", name, o, n)
-		}
-	}
-	// Backfill replay: the catch-up rate a reconnecting durable subscriber
-	// gets. Like the other rows, a vanished value fails — it would mean the
-	// resume path silently stopped being measured.
-	switch o, n := oldRep.BackfillReplayEventsPerSec, newRep.BackfillReplayEventsPerSec; {
-	case o == 0 && n == 0:
-	case o > 0 && n == 0:
-		g.missingRow("stream", "backfill-replay")
-	case o == 0:
-		fmt.Printf("::warning::benchgate: stream \"backfill-replay\" has no committed baseline row (new?); re-commit the baseline to gate it\n")
-		g.warn++
-	default:
-		g.throughput("stream", "backfill-replay", o, n)
-	}
+	return oldHas && newHas
 }
 
 // checkStreamCompact gates the compaction rows. The shard-count leverage is
@@ -365,14 +243,7 @@ func (g *gate) checkStreamCompact(oldRep, newRep *bench.StreamReport) {
 			"stream", "compaction", newRep.CompactShards, newRep.CompactShardsBaseline,
 			newRep.CompactVisitedShards, newRep.CompactVisitedBaseline, newRep.CompactMaxLevel)
 	}
-	switch {
-	case oldRep.CompactSealRows == 0 && newRep.CompactSealRows == 0:
-	case newRep.CompactSealRows == 0:
-		g.missingRow("stream", "compaction")
-	case oldRep.CompactSealRows == 0:
-		fmt.Printf("::warning::benchgate: stream \"compaction\" has no committed baseline row (new?); re-commit the baseline to gate it\n")
-		g.warn++
-	default:
+	if g.paired("compaction", oldRep.CompactSealRows > 0, newRep.CompactSealRows > 0) {
 		g.ns("stream", "compact-steady", oldRep.CompactSteadyQueryNs, newRep.CompactSteadyQueryNs)
 		g.allocs("stream", "compact-steady", oldRep.CompactSteadyQueryAllocs, newRep.CompactSteadyQueryAllocs)
 		g.throughput("stream", "compact-ingest", oldRep.CompactAppendsPerSec, newRep.CompactAppendsPerSec)

@@ -39,8 +39,6 @@ var registry = []Experiment{
 	{ID: "streamscale", Paper: "extension", Title: "live ingestion: appends/sec, rebuild amortization, freshness", Run: runStreamScale},
 	{ID: "livesharded", Paper: "extension", Title: "live+sharded lifecycle: seal/freeze amortization, sealed+tail queries", Run: runLiveShardedScale},
 	{ID: "compaction", Paper: "extension", Title: "sealed-shard compaction: shard count, shards visited and steady query with/without LSM leveling", Run: runCompactionScale},
-	{ID: "servescale", Paper: "extension", Title: "concurrent serving: queries/sec vs client count, result-cache hit rate", Run: runServeScale},
-	{ID: "standing", Paper: "extension", Title: "standing queries: appends/sec and confirm latency vs subscription count", Run: runStandingScale},
 	{ID: "sliding-baseline", Paper: "footnote 1", Title: "sliding-window post-filter baseline", Run: runSlidingBaseline},
 }
 

@@ -96,52 +96,11 @@ type StreamReport struct {
 	CompactSteadyQueryBytes  int64   `json:"compact_steady_query_bytes,omitempty"`
 	CompactBaselineQueryNs   float64 `json:"compact_baseline_steady_query_ns,omitempty"`
 
-	// Durability: the same ingest write-ahead logged through the crash-safe
-	// store, one rate per fsync policy ("none", "interval", "always"),
-	// group-committed in WALBatchRows batches. The store runs on an
-	// in-memory filesystem, so the rates isolate the durability layer's
-	// framing, checksumming and commit overhead — not device sync latency —
-	// and stay comparable across hosts. RecoveryReplayRowsPerSec is how fast
-	// Open replays a checkpoint-free tail WAL through the normal append
-	// path (the cold-restart cost per un-checkpointed row).
-	WALBatchRows             int                `json:"wal_batch_rows,omitempty"`
-	WALAppendsPerSec         map[string]float64 `json:"wal_appends_per_sec,omitempty"`
-	RecoveryReplayRowsPerSec float64            `json:"recovery_replay_rows_per_sec,omitempty"`
-
-	// Concurrent serving: wire queries over loopback TCP against a
-	// time-sharded engine behind the admission scheduler (ServeWorkers
-	// workers) and shared result cache. QueriesPerSec is keyed by client
-	// count ("1", "4", "16"); each query carries a unique scorer so the rows
-	// measure real concurrent evaluation, while CacheHitRate comes from a
-	// separate hot-pool phase where every client repeats a small query set
-	// (see serveThroughput). Wall-clock and host-dependent like the other
-	// throughput rows.
-	ServeWorkers       int                `json:"serve_workers,omitempty"`
-	ServeQueriesPerSec map[string]float64 `json:"queries_per_sec,omitempty"`
-	ServeCacheHitRate  float64            `json:"cache_hit_rate,omitempty"`
-
-	// Standing queries: the first StandingSubRows records fed through the
-	// server's append path with N standing subscriptions attached over
-	// loopback TCP, keyed by subscription count ("1", "16", "256"); each
-	// subscription carries a distinct random scorer, so the appends/sec rows
-	// measure worst-case verdict fan-out (identical scorers would share
-	// their scoring). AppendsPerSec stops its clock only once every
-	// subscriber holds the final append's event; ConfirmLatencyNs is the
-	// mean delay from starting the append that closed a record's look-ahead
-	// window to a subscriber holding the confirmation (see standingbench.go).
-	StandingSubRows          int                `json:"standing_sub_rows,omitempty"`
-	StandingAppendsPerSec    map[string]float64 `json:"standing_appends_per_sec,omitempty"`
-	StandingConfirmLatencyNs map[string]float64 `json:"standing_confirm_latency_ns,omitempty"`
-
-	// BackfillReplayEventsPerSec is the server-side catch-up rate for a
-	// reconnecting durable subscriber: the whole StandingSubRows stream
-	// commits while the registration is detached (its connection gone), then
-	// one client resumes by key from prefix zero and drains the replayed
-	// verdict stream — re-scored server-side, paginated by the bounded event
-	// queue's evict/resume cycles — until it has caught up. This is the cost
-	// of healing a gap after a disconnect or crash, the number the wire
-	// chaos harness leans on (see backfillReplay in standingbench.go).
-	BackfillReplayEventsPerSec float64 `json:"backfill_replay_events_per_sec,omitempty"`
+	// RecoveryReplayRowsPerSec is how fast Open replays a checkpoint-free
+	// tail WAL through the normal append path (the cold-restart cost per
+	// un-checkpointed row). The store runs on an in-memory filesystem, so
+	// the rate isolates replay's decoding and appending, not the device.
+	RecoveryReplayRowsPerSec float64 `json:"recovery_replay_rows_per_sec,omitempty"`
 }
 
 // streamSection measures one group of BENCH_stream.json rows into rep. s is
@@ -149,14 +108,7 @@ type StreamReport struct {
 type streamSection func(rep *StreamReport, ds *data.Dataset, spec QuerySpec, s score.Scorer) error
 
 // allStreamSections is every section of BENCH_stream.json, in report order.
-var allStreamSections = []streamSection{liveRows, liveShardedRows, compactionLifecycle, durabilityRows,
-	func(rep *StreamReport, ds *data.Dataset, _ QuerySpec, _ score.Scorer) error {
-		return serveThroughput(rep, ds, rep.Seed)
-	},
-	func(rep *StreamReport, ds *data.Dataset, _ QuerySpec, _ score.Scorer) error {
-		return standingThroughput(rep, ds, rep.Seed, standingSubCounts)
-	},
-}
+var allStreamSections = []streamSection{liveRows, liveShardedRows, compactionLifecycle, recoveryReplayRows}
 
 // StreamPerfReport measures the given sections of the live-ingestion report
 // on the named dataset; the registry experiments each run the one section
@@ -252,7 +204,7 @@ func steadyQuery(eng core.Querier, q core.Query) (testing.BenchmarkResult, error
 	return r, evalErr
 }
 
-// liveSealRows is the seal cadence of the live+sharded and WAL rows: eight
+// liveSealRows is the seal cadence of the live+sharded rows: eight
 // seals across the stream.
 func liveSealRows(n int) int {
 	return max(n/8, 1)
@@ -291,23 +243,12 @@ func liveShardedRows(rep *StreamReport, ds *data.Dataset, spec QuerySpec, s scor
 	return err
 }
 
-// durabilityRows fills the WAL rows: the ingest write-ahead logged through
-// the crash-safe store once per fsync policy, then the recovery replay rate.
-func durabilityRows(rep *StreamReport, ds *data.Dataset, _ QuerySpec, _ score.Scorer) error {
+// recoveryReplayRows fills the recovery replay rate: a WAL holding the full
+// stream (the seal threshold sits beyond the dataset, so no checkpoint
+// short-circuits the replay) driven back through the normal append path at
+// Open.
+func recoveryReplayRows(rep *StreamReport, ds *data.Dataset, _ QuerySpec, _ score.Scorer) error {
 	n, d := ds.Len(), ds.Dims()
-	rep.WALBatchRows = walBatchRows
-	rep.WALAppendsPerSec = make(map[string]float64, 3)
-	for _, pol := range []wal.SyncPolicy{wal.SyncNone, wal.SyncInterval, wal.SyncAlways} {
-		perSec, err := walIngestRate(ds, pol, liveSealRows(n))
-		if err != nil {
-			return err
-		}
-		rep.WALAppendsPerSec[pol.String()] = perSec
-	}
-
-	// Recovery replay: a WAL holding the full stream (the seal threshold
-	// sits beyond the dataset, so no checkpoint short-circuits the replay)
-	// driven back through the normal append path at Open.
 	ropts := store.Options{FS: wal.NewMemFS(), Sync: wal.SyncNone,
 		Engine: EngineOptions(), Shard: core.LiveShardOptions{SealRows: n + 1}}
 	st, err := store.Open("replay", d, ropts)
@@ -436,37 +377,14 @@ func runCompactionScale(cfg Config, w io.Writer) error {
 	return nil
 }
 
-// walBatchRows is the group-commit batch size of the WAL ingest rows: large
-// enough to amortize the commit write, small enough to keep acknowledgement
-// latency realistic for a streaming producer.
-const walBatchRows = 256
-
-// walIngestRate write-ahead logs the whole dataset through a crash-safe
-// store on an in-memory filesystem and returns the sustained append rate.
-func walIngestRate(ds *data.Dataset, pol wal.SyncPolicy, sealRows int) (float64, error) {
-	st, err := store.Open("walbench", ds.Dims(), store.Options{
-		FS: wal.NewMemFS(), Sync: pol,
-		Engine: EngineOptions(), Shard: core.LiveShardOptions{SealRows: sealRows},
-	})
-	if err != nil {
-		return 0, err
-	}
-	start := time.Now()
-	if err := feedStore(st, ds); err != nil {
-		return 0, err
-	}
-	st.WaitCheckpoints()
-	perSec := float64(ds.Len()) / time.Since(start).Seconds()
-	return perSec, st.Close()
-}
-
-// feedStore appends the whole dataset in walBatchRows group commits.
+// feedStore appends the whole dataset in 256-row group commits.
 func feedStore(st *store.Store, ds *data.Dataset) error {
+	const batchRows = 256
 	n := ds.Len()
-	batch := make([]store.Row, 0, walBatchRows)
+	batch := make([]store.Row, 0, batchRows)
 	for i := 0; i < n; i++ {
 		batch = append(batch, store.Row{T: ds.Time(i), Attrs: ds.Attrs(i)})
-		if len(batch) == walBatchRows || i == n-1 {
+		if len(batch) == batchRows || i == n-1 {
 			if _, _, _, err := st.AppendBatch(batch); err != nil {
 				return err
 			}
@@ -497,7 +415,7 @@ func runStreamScale(cfg Config, w io.Writer) error {
 	if cfg.Quick {
 		dsName = "ind-4000"
 	}
-	rep, err := StreamPerfReport(cfg, dsName, liveRows, durabilityRows)
+	rep, err := StreamPerfReport(cfg, dsName, liveRows, recoveryReplayRows)
 	if err != nil {
 		return err
 	}
@@ -510,14 +428,10 @@ func runStreamScale(cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "%-28s %14.0f\n", "freshness lag ns", rep.FreshnessLagNs)
 	fmt.Fprintf(w, "%-28s %14.0f\n", "steady live query ns", rep.SteadyQueryNs)
 	fmt.Fprintf(w, "%-28s %14d\n", "steady live query allocs", rep.SteadyQueryAllocs)
-	for _, pol := range []string{"none", "interval", "always"} {
-		label := fmt.Sprintf("wal appends/s (fsync=%s)", pol)
-		fmt.Fprintf(w, "%-30s %12.0f\n", label, rep.WALAppendsPerSec[pol])
-	}
-	fmt.Fprintf(w, "%-30s %12.0f\n", "recovery replay rows/s", rep.RecoveryReplayRowsPerSec)
+	fmt.Fprintf(w, "%-28s %14.0f\n", "recovery replay rows/s", rep.RecoveryReplayRowsPerSec)
 	fmt.Fprintln(w, "\nexpected: indexed rows per append stays O(log n); freshness lag tracks a"+
-		"\nsingle trailing-window query (no index rebuild on the query path); the"+
-		"\nwal rows bound what crash safety costs on top of the plain ingest rate")
+		"\nsingle trailing-window query (no index rebuild on the query path); recovery"+
+		"\nreplay prices a cold restart per un-checkpointed row")
 	return nil
 }
 

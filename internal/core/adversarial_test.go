@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -238,79 +239,109 @@ func TestNaNScoresTerminate(t *testing.T) {
 	}
 }
 
-// TestTimeExtremesMatchShifted places the same 30 rows, 3 ticks apart, near
-// either end of int64 and again from time 0: a durability verdict depends
-// only on time differences, so every strategy under both anchors must name
-// the same ids in all three placements, and so must the oracle. A window
-// reaching past an int64 end is clamped there (satSub/satAdd); one clamped
-// short of the end landed on the wrong side of its own record, and S-Hop's
-// sub-interval walk then stepped backwards and never returned. Each query
-// runs under a watchdog.
+// TestTimeExtremesMatchShifted places the same rows, 3 ticks apart, at and
+// near either end of int64 and again from time 0: a durability verdict
+// depends only on time differences, so every strategy under both anchors,
+// and MostDurable, must name the same records in every placement, and so
+// must the oracle. A window reaching past an int64 end is clamped there
+// (satSub/satAdd); one clamped short of the end landed on the wrong side of
+// its own record. Look-ahead mirrors time by ^t: a negation wrapped
+// -MinInt64 onto itself, so rows from MinInt64 answered nothing. S-Hop
+// splits a sub-interval around a record at t into [lo, t-1] and [t+1, hi];
+// at MaxInt64 t+1 wrapped and the split requeried its whole range forever.
+// Each query runs under a watchdog.
 func TestTimeExtremesMatchShifted(t *testing.T) {
-	const n = 30
 	rng := rand.New(rand.NewSource(5))
-	vals := make([][]float64, n)
-	for i := range vals {
-		vals[i] = []float64{float64(rng.Intn(20))}
-	}
-	placed := func(t0 int64) *data.Dataset {
-		times := make([]int64, n)
-		for i := range times {
-			times[i] = t0 + 3*int64(i)
-		}
-		return data.MustNew(times, vals)
+	seeded := make([]float64, 30)
+	for i := range seeded {
+		seeded[i] = float64(rng.Intn(20))
 	}
 	s := score.MustLinear(1)
 	const k = 2
-	ref := placed(0)
-	for _, t0 := range []int64{math.MinInt64 + 10, math.MaxInt64 - 10 - 3*(n-1)} {
-		ds := placed(t0)
-		shapes := []Querier{
-			NewEngine(ds, testEngineOpts()),
-			NewShardedEngine(ds, testEngineOpts(), ShardOptions{Shards: 3}),
+	for _, vals := range [][]float64{seeded, {6, 2, 7, 8, 6, 4, 4, 11, 7, 6, 4, 14}} {
+		n := int64(len(vals))
+		placed := func(t0 int64) *data.Dataset {
+			times := make([]int64, n)
+			rows := make([][]float64, n)
+			for i := range times {
+				times[i], rows[i] = t0+3*int64(i), vals[i:i+1]
+			}
+			return data.MustNew(times, rows)
 		}
+		ref := placed(0)
 		refEng := NewEngine(ref, testEngineOpts())
-		lo, hi := ds.Span()
 		rlo, rhi := ref.Span()
-		for _, tau := range []int64{5, 1 << 40, math.MaxInt64} {
-			for _, anchor := range []Anchor{LookBack, LookAhead} {
-				want := BruteForce(ref, s, k, tau, rlo, rhi, anchor)
-				if got := BruteForce(ds, s, k, tau, lo, hi, anchor); !reflect.DeepEqual(got, want) {
-					t.Fatalf("t0 %d tau %d %v: oracle %v, shifted oracle %v", t0, tau, anchor, got, want)
+		for _, t0 := range []int64{math.MinInt64, math.MinInt64 + 10, math.MaxInt64 - 10 - 3*(n-1), math.MaxInt64 - 3*(n-1)} {
+			t.Run(fmt.Sprintf("rows=%d/t0=%d", n, t0), func(t *testing.T) {
+				ds := placed(t0)
+				shapes := []Querier{
+					NewEngine(ds, testEngineOpts()),
+					NewShardedEngine(ds, testEngineOpts(), ShardOptions{Shards: 3}),
 				}
-				for _, alg := range Algorithms() {
-					q := Query{K: k, Tau: tau, Start: rlo, End: rhi, Scorer: s, Algorithm: alg, Anchor: anchor}
-					r, err := refEng.DurableTopK(q)
+				lo, hi := ds.Span()
+				for _, anchor := range []Anchor{LookBack, LookAhead} {
+					want, err := refEng.MostDurable(k, s, anchor, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(r.IDs(), want) {
-						t.Fatalf("tau %d %v %v: shifted rows answered %v, oracle %v", tau, anchor, alg, r.IDs(), want)
-					}
-					q.Start, q.End = lo, hi
 					for si, eng := range shapes {
-						done := make(chan *Result, 1)
-						go func() {
-							r, err := eng.DurableTopK(q)
+						var got []DurabilityRecord
+						returns(t, fmt.Sprintf("shape %d %v MostDurable", si, anchor), func() error {
+							got, err = eng.MostDurable(k, s, anchor, 0)
+							return err
+						})
+						for i := range got {
+							got[i].Time -= t0
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("shape %d %v MostDurable: %v, want %v", si, anchor, got, want)
+						}
+					}
+					for _, tau := range []int64{5, 1 << 40, math.MaxInt64} {
+						want := BruteForce(ref, s, k, tau, rlo, rhi, anchor)
+						if got := BruteForce(ds, s, k, tau, lo, hi, anchor); !reflect.DeepEqual(got, want) {
+							t.Fatalf("tau %d %v: oracle %v, shifted oracle %v", tau, anchor, got, want)
+						}
+						for _, alg := range Algorithms() {
+							q := Query{K: k, Tau: tau, Start: rlo, End: rhi, Scorer: s, Algorithm: alg, Anchor: anchor}
+							r, err := refEng.DurableTopK(q)
 							if err != nil {
-								t.Error(err)
-							}
-							done <- r
-						}()
-						select {
-						case r := <-done:
-							if r == nil {
-								t.FailNow()
+								t.Fatal(err)
 							}
 							if !reflect.DeepEqual(r.IDs(), want) {
-								t.Fatalf("t0 %d shape %d tau %d %v %v: %v, want %v", t0, si, tau, anchor, alg, r.IDs(), want)
+								t.Fatalf("tau %d %v %v: shifted rows answered %v, oracle %v", tau, anchor, alg, r.IDs(), want)
 							}
-						case <-time.After(5 * time.Second):
-							t.Fatalf("t0 %d shape %d tau %d %v %v: query did not return", t0, si, tau, anchor, alg)
+							q.Start, q.End = lo, hi
+							for si, eng := range shapes {
+								what := fmt.Sprintf("shape %d tau %d %v %v", si, tau, anchor, alg)
+								returns(t, what, func() error {
+									r, err = eng.DurableTopK(q)
+									return err
+								})
+								if !reflect.DeepEqual(r.IDs(), want) {
+									t.Fatalf("%s: %v, want %v", what, r.IDs(), want)
+								}
+							}
 						}
 					}
 				}
-			}
+			})
 		}
+	}
+}
+
+// returns runs f under a 5-second watchdog and fails t if f does not return
+// or returns an error.
+func returns(t *testing.T, what string, f func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: did not return", what)
 	}
 }

@@ -306,15 +306,12 @@ func runSHopAnchored(v *spanBlock, pr *probe, q Query, st *Stats) []int32 {
 	a := &pr.a
 	a.reset()
 	h := &a.shop
-	pushSub := func(lo, hi int64) {
-		shopPrefetch(v, pr, st, q.Scorer, q.K, lo, hi)
-	}
 	for lo := q.Start; lo <= q.End; lo = satAdd(lo, subLen) {
 		hi := satAdd(lo, subLen-1)
 		if hi > q.End {
 			hi = q.End
 		}
-		pushSub(lo, hi)
+		shopPrefetch(v, pr, st, q.Scorer, q.K, lo, hi)
 		if hi == q.End {
 			break
 		}
@@ -343,8 +340,7 @@ func runSHopAnchored(v *spanBlock, pr *probe, q Query, st *Stats) []int32 {
 					}
 				}
 			}
-			pushSub(e.lo, p.Time-1)
-			pushSub(p.Time+1, e.hi)
+			shopSplit(v, pr, st, q.Scorer, q.K, e.lo, p.Time, e.hi)
 		} else if e.pos+1 < len(e.items) {
 			e.pos++
 			h.push(e)
@@ -353,8 +349,7 @@ func runSHopAnchored(v *spanBlock, pr *probe, q Query, st *Stats) []int32 {
 			// record. Each split strictly shrinks the range, so the walk
 			// terminates; fully covered sub-intervals are dropped, which is
 			// the coverage-certified abandonment.
-			pushSub(e.lo, p.Time-1)
-			pushSub(p.Time+1, e.hi)
+			shopSplit(v, pr, st, q.Scorer, q.K, e.lo, p.Time, e.hi)
 		}
 		if !visited[p.ID] {
 			visited[p.ID] = true

@@ -269,7 +269,7 @@ func evalIDs(pr *probe, v *spanBlock, q *Query, alg Algorithm, st *Stats, ld *sk
 	runQ := *q
 	switch {
 	case normalizedAnchor(q) == LookAhead:
-		runQ.Start, runQ.End = -q.End, -q.Start
+		runQ.Start, runQ.End = ^q.End, ^q.Start
 		runQ.Anchor, runQ.Lead = LookBack, 0
 	case q.Anchor == General && q.Lead == 0:
 		runQ.Anchor = LookBack

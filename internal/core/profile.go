@@ -55,9 +55,9 @@ func (g *shardGroup) DurabilityProfile(k int, s score.Scorer, anchor Anchor) ([]
 }
 
 // durabilitySweep is the profile core. It needs only times and scores, so a
-// look-ahead profile (ahead set) is the same sweep over negated times, in
-// mirrored order: a window [p.t, p.t+tau] is [-p.t-tau, -p.t] in mirrored
-// time. Records keep their ids and report their own times.
+// look-ahead profile (ahead set) is the same sweep over mirrored times ^t =
+// -t-1, in mirrored order: a window [p.t, p.t+tau] is [^p.t-tau, ^p.t] in
+// mirrored time. Records keep their ids and report their own times.
 func durabilitySweep(ds *data.Dataset, k int, s score.Scorer, ahead bool) []DurabilityRecord {
 	n := ds.Len()
 	refs := make([]scoredRef, n)
@@ -68,14 +68,14 @@ func durabilitySweep(ds *data.Dataset, k int, s score.Scorer, ahead bool) []Dura
 		}
 		refs[j] = scoredRef{id: int32(i), time: ds.Time(i), score: s.Score(ds.Attrs(i))}
 		if ahead {
-			refs[j].time = -refs[j].time
+			refs[j].time = ^refs[j].time
 		}
 	}
 	sortScoredDesc(refs)
 
 	firstTime := ds.Time(0) // the first arrival in the sweep's time
 	if ahead {
-		firstTime = -ds.Time(n - 1)
+		firstTime = ^ds.Time(n - 1)
 	}
 	out := make([]DurabilityRecord, n)
 	// times holds the arrival times of strictly-higher-scoring records; a

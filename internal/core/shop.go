@@ -80,6 +80,18 @@ func shopPrefetch(v *spanBlock, pr *probe, st *Stats, s score.Scorer, k int, lo,
 	}
 }
 
+// shopSplit prefetches the two halves of the sub-interval [lo, hi] around t,
+// a time inside it: [lo, t-1] and [t+1, hi]. A half is skipped when t is its
+// end, so t±1 never wraps at the int64 ends.
+func shopSplit(v *spanBlock, pr *probe, st *Stats, s score.Scorer, k int, lo, t, hi int64) {
+	if t > lo {
+		shopPrefetch(v, pr, st, s, k, lo, t-1)
+	}
+	if t < hi {
+		shopPrefetch(v, pr, st, s, k, t+1, hi)
+	}
+}
+
 // runSHop is the Score-Hop algorithm (§IV-C, Algorithm 3): partition I into
 // tau-length sub-intervals, prefetch each sub-interval's top-k, and process
 // records globally in descending score order through a max-heap. A record
@@ -135,8 +147,7 @@ func runSHop(v *spanBlock, pr *probe, q Query, st *Stats) []int32 {
 			}
 			// Split the sub-interval at p.t; the prefetched list is
 			// superseded by the two fresh halves.
-			shopPrefetch(v, pr, st, q.Scorer, q.K, e.lo, p.Time-1)
-			shopPrefetch(v, pr, st, q.Scorer, q.K, p.Time+1, e.hi)
+			shopSplit(v, pr, st, q.Scorer, q.K, e.lo, p.Time, e.hi)
 		} else if e.pos+1 < len(e.items) {
 			e.pos++
 			h.push(e)

@@ -24,7 +24,7 @@ import (
 // r is global row rhi-1-r, which shard sh reports for its local row
 // rhi-1-sh.lo-r (forward local ids shift by sh.lo-rlo; either may be negative:
 // spans start and end mid-shard). Times need no translation: a mirrored merge
-// reports them negated, as the span's mirrored columns store them.
+// reports them as ^t, as the span's mirrored columns store them.
 type spanBlock struct {
 	shards   []timeShard
 	ds       *data.Dataset // the span's rows in block order; resolves time windows
@@ -107,7 +107,7 @@ func (b *spanBlock) member(s score.Scorer, k int, items []topk.Item, id int32) b
 
 // mergeRange continues m with the engine's records [lo, hi), reported under
 // id+shift — or, mirror set, as a time-reversed copy would report them: record
-// i as id shift−i at time −Time(i), ranked in the mirrored tie order (see
+// i as id shift−i at time ^Time(i), ranked in the mirrored tie order (see
 // topk.Index.MergeRangeMirrored). The switch is on concrete types because m
 // lives on the caller's stack: handed to an interface method it would escape,
 // one allocation per probe.

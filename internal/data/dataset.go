@@ -393,7 +393,9 @@ func (ds *Dataset) Project(dims []int) (*Dataset, error) {
 }
 
 // ReversedInto returns the time-mirrored dataset: record i of the result is
-// record n-1-i of the original, stamped with the negated original time.
+// record n-1-i of the original, stamped with ^t = -t-1 for its original time
+// t: mirrored like a negation, but every int64 has a mirror (-MinInt64
+// wraps, ^MinInt64 is MaxInt64).
 // Reversing maps "looking-ahead" durability windows onto the "looking-back"
 // machinery: a window [p.t, p.t+tau] in the original becomes [q.t-tau, q.t]
 // for the mirrored record q. The mirrored rows are written into times and
@@ -422,7 +424,7 @@ func (ds *Dataset) reverseInto(times []int64, flat []float64) ([]int64, []float6
 	times, flat = times[:n], flat[:n*d]
 	for i := 0; i < n; i++ {
 		j := n - 1 - i
-		times[i] = -ds.times[j]
+		times[i] = ^ds.times[j]
 		copy(flat[i*d:(i+1)*d], ds.flat[j*d:(j+1)*d])
 	}
 	return times, flat

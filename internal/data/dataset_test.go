@@ -139,8 +139,8 @@ func TestReversed(t *testing.T) {
 	}
 	for i := 0; i < ds.Len(); i++ {
 		j := ds.Len() - 1 - i
-		if rev.Time(i) != -ds.Time(j) {
-			t.Fatalf("rev.Time(%d)=%d want %d", i, rev.Time(i), -ds.Time(j))
+		if rev.Time(i) != ^ds.Time(j) {
+			t.Fatalf("rev.Time(%d)=%d want %d", i, rev.Time(i), ^ds.Time(j))
 		}
 		for c := 0; c < ds.Dims(); c++ {
 			if rev.Attrs(i)[c] != ds.Attrs(j)[c] {

@@ -226,7 +226,7 @@ func (v *View) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 
 // MergeRangeMirrored continues m with the view's records [lo, hi) as a
 // time-reversed copy would report them, record i as id shift−i at time
-// −Time(i); see Index.MergeRangeMirrored.
+// ^Time(i); see Index.MergeRangeMirrored.
 func (v *View) MergeRangeMirrored(m *Merger, s score.Scorer, lo, hi, shift int) {
 	v.mergeRange(m, s, lo, hi, shift, true)
 }
@@ -310,7 +310,7 @@ func (v *View) mergeRange(m *Merger, s score.Scorer, lo, hi, shift int, mirror b
 		}
 		if mirror {
 			for i := bhi - 1; i >= blo; i-- {
-				m.res.offer(Item{ID: int32(shift - i), Time: -times[i], Score: buf[i-blo]})
+				m.res.offer(Item{ID: int32(shift - i), Time: ^times[i], Score: buf[i-blo]})
 			}
 			return
 		}

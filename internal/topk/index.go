@@ -312,7 +312,7 @@ func (x *Index) MergeRange(m *Merger, s score.Scorer, lo, hi, shift int) {
 
 // MergeRangeMirrored continues m with records [lo, hi) as a time-reversed copy
 // of the dataset would report them (data.Dataset.ReversedInto): record i as
-// id shift−i, arriving at −Time(i). The merge ranks them in the mirrored tie
+// id shift−i, arriving at ^Time(i) (−Time(i)−1, which cannot wrap). The merge ranks them in the mirrored tie
 // order — among equal scores the earlier arrival first — so it equals
 // MergeRange over an index built on the mirrored copy, bit for bit, without
 // the copy or the second index. Look-ahead windows run as look-back over
@@ -324,7 +324,7 @@ func (x *Index) MergeRangeMirrored(m *Merger, s score.Scorer, lo, hi, shift int)
 // mergeRange is MergeRange, or with mirror set MergeRangeMirrored. The two
 // differ only in how a row is reported — its id and time — and in the newest
 // time a clipped node can report, which bounds it in the frontier: the
-// clipped range's last arrival forward, the negated first one mirrored.
+// clipped range's last arrival forward, the first one's ^t mirrored.
 func (x *Index) mergeRange(m *Merger, s score.Scorer, lo, hi, shift int, mirror bool) {
 	if hi > len(x.times) {
 		hi = len(x.times)
@@ -387,10 +387,10 @@ func (x *Index) mergeRange(m *Merger, s score.Scorer, lo, hi, shift int, mirror 
 }
 
 // newest returns the latest time a record of the non-empty range [lo, hi) is
-// reported at: its last arrival, or mirrored its first arrival negated.
+// reported at: its last arrival, or mirrored its first arrival's ^t.
 func (x *Index) newest(lo, hi int32, mirror bool) int64 {
 	if mirror {
-		return -x.times[lo]
+		return ^x.times[lo]
 	}
 	return x.times[hi-1]
 }

@@ -200,13 +200,13 @@ func (x *Index) memoLeaf(res *kHeap, s score.Scorer, bulk score.BulkScorer, sc *
 	}
 	// ord[h:] holds the rows popped so far, best last; ord[:h] is a max-heap
 	// of the rest. Walking from the back, each step past h pops one more row.
-	// A mirrored row i is reported as id shift−i at time −Time(i): sign folds
-	// both directions into one walk.
+	// A mirrored row i is reported as id shift−i at time ^Time(i): sign and
+	// flip fold both directions into one walk.
 	h := int(mn.heap)
 	rlo, rhi := clo-n.lo, chi-n.lo
-	sign := int32(1)
+	sign, flip := int32(1), int64(0)
 	if mirror {
-		sign = -1
+		sign, flip = -1, -1
 	}
 	for pos := span - 1; pos >= 0; pos-- {
 		if pos < h {
@@ -215,7 +215,7 @@ func (x *Index) memoLeaf(res *kHeap, s score.Scorer, bulk score.BulkScorer, sc *
 			siftDownRank(ord[:h], col, 0, mirror)
 		}
 		r := ord[pos]
-		t := int64(sign) * x.times[n.lo+r]
+		t := x.times[n.lo+r] ^ flip
 		if !res.wouldImprove(col[r], t) {
 			break
 		}
@@ -233,7 +233,7 @@ func (x *Index) memoLeaf(res *kHeap, s score.Scorer, bulk score.BulkScorer, sc *
 func (x *Index) offerRows(res *kHeap, col []float64, lo, clo, chi, shift int32, mirror bool) {
 	if mirror {
 		for i := chi - 1; i >= clo; i-- {
-			res.offer(Item{ID: shift - i, Time: -x.times[i], Score: col[i-lo]})
+			res.offer(Item{ID: shift - i, Time: ^x.times[i], Score: col[i-lo]})
 		}
 		return
 	}

@@ -190,6 +190,18 @@ func TestStreamPositionsAcrossRetentionRestart(t *testing.T) {
 		}
 		return ids
 	}
+	datasets := func(addr string) []DatasetInfo {
+		t.Helper()
+		infos, err := dialT(t, addr).Datasets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return infos
+	}
+	infoBefore := datasets(addr)
+	if len(infoBefore) != 1 || infoBefore[0].Len != n {
+		t.Fatalf("datasets %+v: want one dataset of %d stream positions", infoBefore, n)
+	}
 	before := query(addr, spec)
 	if len(before) == 0 || before[0] < base {
 		t.Fatalf("answer %v: want retained records, at or past stream position %d", before, base)
@@ -204,6 +216,9 @@ func TestStreamPositionsAcrossRetentionRestart(t *testing.T) {
 	defer st2.Close()
 	if after := query(addr2, spec); !reflect.DeepEqual(after, before) {
 		t.Fatalf("the restart renumbered the answer: before %v, after %v (base %d)", before, after, base)
+	}
+	if infoAfter := datasets(addr2); !reflect.DeepEqual(infoAfter, infoBefore) {
+		t.Fatalf("the restart changed the datasets entry: before %+v, after %+v", infoBefore, infoAfter)
 	}
 
 	// New rows start more than tau past the history, so a look-back window

@@ -838,18 +838,25 @@ func (s *Server) handleDatasets() *Response {
 	for _, name := range names {
 		sv := s.sets[name]
 		ds := sv.eng.Dataset()
-		lo, hi := ds.Span()
+		info := DatasetInfo{Name: name, Len: ds.Len(), Dims: ds.Dims(), Attrs: sv.attrs, Live: sv.live != nil}
+		info.Start, info.End = ds.Span()
 		// Discovered by capability, like epochSequenced: a Querier that
 		// decorates a sharded engine reports its shards by forwarding NumShards.
-		shards := 0
+		// A live engine reports stream positions: Len is the next one, and the
+		// live shards bound the times, so rows retired by retention count in
+		// Len and not in Start whether or not a restart dropped them.
 		if eng, ok := sv.eng.(interface{ NumShards() int }); ok {
-			shards = eng.NumShards()
+			info.Shards = eng.NumShards()
 		}
-		resp.Datasets = append(resp.Datasets, DatasetInfo{
-			Name: name, Len: ds.Len(), Dims: ds.Dims(),
-			Start: lo, End: hi, Attrs: sv.attrs, Live: sv.live != nil,
-			Shards: shards,
-		})
+		if eng, ok := sv.eng.(interface{ Len() int }); ok {
+			info.Len = eng.Len()
+		}
+		if eng, ok := sv.eng.(interface{ Shards() []core.ShardInfo }); ok {
+			if sh := eng.Shards(); len(sh) > 0 {
+				info.Start, info.End = sh[0].Start, sh[len(sh)-1].End
+			}
+		}
+		resp.Datasets = append(resp.Datasets, info)
 	}
 	return resp
 }

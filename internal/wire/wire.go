@@ -193,7 +193,10 @@ type Stats struct {
 
 // DatasetInfo describes one served dataset.
 type DatasetInfo struct {
-	Name  string   `json:"name"`
+	Name string `json:"name"`
+	// Len is the record count, which for a live dataset is the stream
+	// position of its next append: records retired by retention count.
+	// Start and End are the first and last times of the records it serves.
 	Len   int      `json:"len"`
 	Dims  int      `json:"dims"`
 	Start int64    `json:"start"`
